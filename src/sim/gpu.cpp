@@ -902,21 +902,43 @@ GpuSim::pendFault(SmCtx& sm, Fault fault)
 // Memory execution
 // ---------------------------------------------------------------------
 
+MemEvent
+GpuSim::memEvent(MemEvent::Kind kind, const SmCtx& sm, const Warp& warp,
+                 uint32_t gtid, uint64_t seq, uint64_t cycle)
+{
+    MemEvent e;
+    e.kind = kind;
+    e.sm = sm.sm_id;
+    e.block = warp.block;
+    e.warp = warp.warp_in_block;
+    e.gtid = gtid;
+    e.seq = seq;
+    e.cycle = cycle;
+    return e;
+}
+
+template <bool kFunctional>
 void
 GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
 {
+    // One lane loop for every tier: the mechanism check, the
+    // architectural load/store through the per-SM global view / shared
+    // / local arenas, the sanitizer hook, the memlog record and the
+    // region profile. Memory state and faults are therefore identical
+    // across tiers; only the timing tail differs. The detailed tier
+    // collects coalesced lines and charges the LSU and hierarchy; the
+    // functional tier skips both (warming tags in the sampled tier's
+    // fast-forward).
     const InstDesc& d = idesc_[warp.pc];
     const MemSpace space = d.space;
     const bool is_store = d.is_store;
     const unsigned addr_reg = unsigned(inst.src[0].value);
-    const uint64_t frame_base = config_.stack_top - program_.frame_bytes;
-    const uint64_t shared_limit =
-        dyn_shared_base_ + launch_.dynamic_shared_bytes;
 
     unsigned extra = 0;
     unsigned serialized = 0;
     std::vector<uint64_t>& lines = sm.lines_scratch;
     lines.clear();
+    uint64_t warm_prev_line = ~uint64_t(0);
 
     const uint64_t total_threads =
         uint64_t(launch_.grid_blocks) * launch_.block_threads;
@@ -939,9 +961,9 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
     access.width = inst.width;
     access.imm_offset = inst.imm_offset;
     access.sm = sm.sm_id;
-    access.frame_base = frame_base;
+    access.frame_base = config_.stack_top - program_.frame_bytes;
     access.stack_top = config_.stack_top;
-    access.shared_limit = shared_limit;
+    access.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
 
     for (unsigned lane = 0; lane < warp.lanes; ++lane) {
         if (!(warp.active & (1u << lane)))
@@ -959,27 +981,20 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
         extra = std::max(extra, check.extra_cycles);
         serialized += check.serialize_cycles;
 
-        // Functional access. Global goes through the SM's private view
-        // (frozen base + own-store overlay); shared and local are
+        // Architectural access. Global goes through the SM's private
+        // view (frozen base + own-store overlay); shared and local are
         // SM-private arenas accessed directly.
         const uint64_t addr = check.address;
         SparseMemory* mem = nullptr;
-        uint64_t probe_addr = addr;
         switch (space) {
           case MemSpace::Global:
             break;
           case MemSpace::Shared:
             mem = warp.shared;
             break;
-          case MemSpace::Local: {
+          case MemSpace::Local:
             mem = local_base + lane;
-            // Interleave per-thread words so that lane-uniform offsets
-            // coalesce, as the hardware's local-memory mapping does.
-            const uint64_t word = (addr - kLocalBase) >> 2;
-            probe_addr = kLocalPhysBase +
-                         (word * total_threads + gtid) * 4 + (addr & 3);
             break;
-          }
           case MemSpace::Constant:
             lmi_panic("constant space reached the LSU");
         }
@@ -1001,24 +1016,56 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
                                         warp.pc, addr, inst.width,
                                         is_store);
         if (launch_.memlog && space == MemSpace::Global) {
-            MemEvent e;
-            e.kind = is_store ? MemEvent::Kind::Store
-                              : MemEvent::Kind::Load;
+            MemEvent e = memEvent(is_store ? MemEvent::Kind::Store
+                                           : MemEvent::Kind::Load,
+                                  sm, warp, gtid, sm.event_seq++,
+                                  sm.cycle);
             e.width = inst.width;
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = gtid;
             e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = sm.cycle;
             e.addr = addr;
             e.value = is_store ? store_val.get(lane) : 0;
             e.value2 = is_store ? 0 : dst_row[lane];
             launch_.memlog->record(e);
         }
 
-        if (space != MemSpace::Shared) {
+        if constexpr (kFunctional) {
+            // Functional warming (sampled tier only): a measured window
+            // needs the cache tags an equally-long detailed run would
+            // hold — fast-forward that skips the hierarchy hands every
+            // window a cold L2 and inflates its CPI (bfs: ~91% L2 hits
+            // detailed, ~50% unwarmed). L1 tags are touched but
+            // deliberately do NOT filter the L2 touches: the quantum'd
+            // fast-forward stream has far more self-locality than the
+            // real per-cycle interleave, and an L1 filter would starve
+            // the L2 LRU of exactly the hot lines the real machine keeps
+            // refreshing (its tiny L1 thrashes, so the L2 sees nearly
+            // every access). Consecutive same-line lanes dedup like the
+            // coalescer would; the slice replay log stays in issue order
+            // — deterministic at every sim_threads. No hit/miss counters
+            // move; the pure functional tier stays hierarchy-free.
+            // Local lines are warmed at the virtual address, not the
+            // interleaved one detailed windows probe (DESIGN.md).
+            if (launch_.tier == ExecutionTier::Sampled &&
+                (space == MemSpace::Global || space == MemSpace::Local)) {
+                const uint64_t line = addr / config_.line_bytes;
+                const uint64_t byte_addr = line * config_.line_bytes;
+                sm.l1.access(byte_addr);
+                if (line != warm_prev_line) {
+                    warm_prev_line = line;
+                    sm.l2_log.push_back(byte_addr);
+                    sm.own_lines.insert(line);
+                }
+            }
+        } else if (space != MemSpace::Shared) {
+            uint64_t probe_addr = addr;
+            if (space == MemSpace::Local) {
+                // Interleave per-thread words so that lane-uniform
+                // offsets coalesce, as the hardware's local-memory
+                // mapping does.
+                const uint64_t word = (addr - kLocalBase) >> 2;
+                probe_addr = kLocalPhysBase +
+                             (word * total_threads + gtid) * 4 + (addr & 3);
+            }
             const uint64_t line = probe_addr / config_.line_bytes;
             // Coalesced warps hit the previous lane's line almost every
             // time; only fall back to the full scan when they don't.
@@ -1040,6 +1087,8 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
       case Opcode::STL: ++sm.cnt.stl; break;
       default: break;
     }
+    if constexpr (kFunctional)
+        return;
 
     // Timing: the LSU port is occupied for one slot per transaction
     // plus any per-transaction check serialization (single-ported
@@ -1222,23 +1271,18 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
                                         warp.pc, addr, width, writes,
                                         /*is_atomic=*/true, inst.scope);
         if (launch_.memlog && space == MemSpace::Global) {
-            MemEvent e;
-            e.kind = is_cas ? MemEvent::Kind::Cas
-                     : inst.aop == AtomicOp::Ld ? MemEvent::Kind::Load
-                     : inst.aop == AtomicOp::St ? MemEvent::Kind::Store
-                                                : MemEvent::Kind::Rmw;
+            MemEvent e = memEvent(
+                is_cas ? MemEvent::Kind::Cas
+                : inst.aop == AtomicOp::Ld ? MemEvent::Kind::Load
+                : inst.aop == AtomicOp::St ? MemEvent::Kind::Store
+                                           : MemEvent::Kind::Rmw,
+                sm, warp, gtid, sm.event_seq++, sm.cycle);
             e.is_atomic = true;
             e.aop = inst.aop;
             e.scope = inst.scope;
             e.order = inst.order;
             e.width = uint8_t(width);
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = gtid;
             e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = sm.cycle;
             e.addr = addr;
             e.value = op.vals[lane];
             e.value2 = op.cmps[lane];
@@ -1259,145 +1303,6 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
     sm.atom_q.push_back(op);
     warp.heap_pending = true;
     ++sm.heap_pending_warps;
-}
-
-void
-GpuSim::executeMemoryFunctional(SmCtx& sm, Warp& warp,
-                                const Instruction& inst)
-{
-    // The detection-relevant half of executeMemory: every mechanism
-    // check, the architectural load/store through the same per-SM
-    // global view / shared / local arenas, the sanitizer hook and the
-    // region profile — with the coalescer, caches, DRAM and LSU
-    // occupancy skipped entirely. Memory state and faults are
-    // therefore identical to the detailed tier's.
-    const InstDesc& d = idesc_[warp.pc];
-    const MemSpace space = d.space;
-    const bool is_store = d.is_store;
-    const unsigned addr_reg = unsigned(inst.src[0].value);
-
-    const uint64_t* addr_row = warp.regRow(addr_reg);
-    const ResolvedSrc store_val =
-        is_store ? resolveSrc(warp, d, 1) : ResolvedSrc{};
-    uint64_t* const dst_row =
-        (!is_store && inst.dst >= 0) ? warp.regRow(unsigned(inst.dst))
-                                     : nullptr;
-    SparseMemory* const local_base =
-        sm.local_arena.empty()
-            ? nullptr // kernel has no local-memory instructions
-            : sm.local_arena.data() +
-                  size_t(warp.local_slot) * config_.warp_size;
-
-    MemAccess access;
-    access.space = space;
-    access.is_store = is_store;
-    access.width = inst.width;
-    access.imm_offset = inst.imm_offset;
-    access.sm = sm.sm_id;
-    access.frame_base = config_.stack_top - program_.frame_bytes;
-    access.stack_top = config_.stack_top;
-    access.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
-
-    uint64_t warm_prev_line = ~uint64_t(0);
-
-    for (unsigned lane = 0; lane < warp.lanes; ++lane) {
-        if (!(warp.active & (1u << lane)))
-            continue;
-        access.reg_value = addr_row[lane];
-        access.gtid = warp.first_gtid + lane;
-
-        MemCheck check = mech_.onMemAccess(access);
-        if (check.fault) {
-            pendFault(sm, *check.fault);
-            return;
-        }
-
-        const uint64_t addr = check.address;
-        switch (space) {
-          case MemSpace::Global:
-            if (is_store)
-                sm.gview.write(addr, store_val.get(lane), inst.width);
-            else
-                dst_row[lane] = sm.gview.read(addr, inst.width);
-            break;
-          case MemSpace::Shared:
-            if (is_store)
-                warp.shared->write(addr, store_val.get(lane), inst.width);
-            else
-                dst_row[lane] = warp.shared->read(addr, inst.width);
-            break;
-          case MemSpace::Local: {
-            SparseMemory* mem = local_base + lane;
-            if (is_store)
-                mem->write(addr, store_val.get(lane), inst.width);
-            else
-                dst_row[lane] = mem->read(addr, inst.width);
-            break;
-          }
-          case MemSpace::Constant:
-            lmi_panic("constant space reached the LSU");
-        }
-
-        // Functional warming (sampled tier only): a measured window
-        // needs the cache tags an equally-long detailed run would hold
-        // — fast-forward that skips the hierarchy hands every window a
-        // cold L2 and inflates its CPI (bfs: ~91% L2 hits detailed,
-        // ~50% unwarmed). L1 tags are touched but deliberately do NOT
-        // filter the L2 touches: the quantum'd fast-forward stream has
-        // far more self-locality than the real per-cycle interleave,
-        // and an L1 filter would starve the L2 LRU of exactly the hot
-        // lines the real machine keeps refreshing (its tiny L1
-        // thrashes, so the L2 sees nearly every access). Consecutive
-        // same-line lanes dedup like the coalescer would; the slice
-        // replay log stays in issue order — deterministic at every
-        // sim_threads. No hit/miss counters move; the pure functional
-        // tier stays hierarchy-free.
-        if (launch_.tier == ExecutionTier::Sampled &&
-            (space == MemSpace::Global || space == MemSpace::Local)) {
-            const uint64_t line = addr / config_.line_bytes;
-            const uint64_t byte_addr = line * config_.line_bytes;
-            sm.l1.access(byte_addr);
-            if (line != warm_prev_line) {
-                warm_prev_line = line;
-                sm.l2_log.push_back(byte_addr);
-                sm.own_lines.insert(line);
-            }
-        }
-
-        if (launch_.sanitizer)
-            launch_.sanitizer->onAccess(space, warp.block,
-                                        warp.warp_in_block,
-                                        access.gtid, warp.pc, addr,
-                                        inst.width, is_store);
-        if (launch_.memlog && space == MemSpace::Global) {
-            MemEvent e;
-            e.kind = is_store ? MemEvent::Kind::Store
-                              : MemEvent::Kind::Load;
-            e.width = inst.width;
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = access.gtid;
-            e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = sm.cycle;
-            e.addr = addr;
-            e.value = is_store ? store_val.get(lane) : 0;
-            e.value2 = is_store ? 0 : dst_row[lane];
-            launch_.memlog->record(e);
-        }
-    }
-
-    // Region profile (Fig. 1).
-    switch (inst.op) {
-      case Opcode::LDG: ++sm.cnt.ldg; break;
-      case Opcode::STG: ++sm.cnt.stg; break;
-      case Opcode::LDS: ++sm.cnt.lds; break;
-      case Opcode::STS: ++sm.cnt.sts; break;
-      case Opcode::LDL: ++sm.cnt.ldl; break;
-      case Opcode::STL: ++sm.cnt.stl; break;
-      default: break;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1571,17 +1476,11 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
             return true;
         }
         if (launch_.memlog) {
-            MemEvent e;
-            e.kind = MemEvent::Kind::Barrier;
+            MemEvent e = memEvent(MemEvent::Kind::Barrier, sm, warp,
+                                  warp.first_gtid, sm.event_seq++, cycle);
             e.scope = MemScope::Cta;
             e.order = MemOrder::AcqRel;
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = warp.first_gtid;
             e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = cycle;
             launch_.memlog->record(e);
         }
         warp.at_barrier = true;
@@ -1599,17 +1498,11 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         // logged — the model checker replays it as an ordering edge
         // when it explores interleavings weaker than the engine's.
         if (launch_.memlog) {
-            MemEvent e;
-            e.kind = MemEvent::Kind::Fence;
+            MemEvent e = memEvent(MemEvent::Kind::Fence, sm, warp,
+                                  warp.first_gtid, sm.event_seq++, cycle);
             e.scope = inst.scope;
             e.order = inst.order;
-            e.sm = sm.sm_id;
-            e.block = warp.block;
-            e.warp = warp.warp_in_block;
-            e.gtid = warp.first_gtid;
             e.pc = warp.pc;
-            e.seq = sm.event_seq++;
-            e.cycle = cycle;
             launch_.memlog->record(e);
         }
         ++warp.pc;
@@ -1651,18 +1544,18 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
     if (d.is_mem) {
         if (isAtomic(inst.op))
             executeAtomic(sm, warp, inst, kFunctional);
-        else if constexpr (kFunctional)
-            executeMemoryFunctional(sm, warp, inst);
         else
-            executeMemory(sm, warp, inst);
+            executeMemory<kFunctional>(sm, warp, inst);
         ++warp.pc;
         return true;
     }
 
     // Integer / FP / MOV / S2R / ISETP / LDC path. The functional tier
     // never consults readiness, so it skips the latency query; the
-    // reg_ready/pred_ready stores below are shared (harmless stale
-    // values that the sampled tier's hand-off reset clears).
+    // reg_ready/pred_ready stores below are shared. They stay harmless:
+    // fast-forward runs on a clock frozen inside the slice, so a
+    // detailed slice entered next finds them satisfied or at most one
+    // ALU latency past its first cycle.
     unsigned latency = d.alu_latency;
     if (!kFunctional && inst.hints.active)
         latency += mech_.extraIntLatency(inst);
@@ -2425,14 +2318,9 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                     if (launch_.sanitizer)
                         launch_.sanitizer->onDeviceAlloc(ptr, size);
                     if (launch_.memlog) {
-                        MemEvent e;
-                        e.kind = MemEvent::Kind::Malloc;
-                        e.sm = sm.sm_id;
-                        e.block = w.block;
-                        e.warp = w.warp_in_block;
-                        e.gtid = w.first_gtid + lane;
-                        e.seq = op.seq;
-                        e.cycle = op.cycle;
+                        MemEvent e = memEvent(MemEvent::Kind::Malloc, sm,
+                                              w, w.first_gtid + lane,
+                                              op.seq, op.cycle);
                         e.addr = ptr;
                         e.value = size;
                         launch_.memlog->record(e);
@@ -2450,14 +2338,9 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                         break;
                     }
                     if (launch_.memlog) {
-                        MemEvent e;
-                        e.kind = MemEvent::Kind::Free;
-                        e.sm = sm.sm_id;
-                        e.block = w.block;
-                        e.warp = w.warp_in_block;
-                        e.gtid = w.first_gtid + lane;
-                        e.seq = op.seq;
-                        e.cycle = op.cycle;
+                        MemEvent e = memEvent(MemEvent::Kind::Free, sm, w,
+                                              w.first_gtid + lane, op.seq,
+                                              op.cycle);
                         e.addr = ptr;
                         launch_.memlog->record(e);
                     }

@@ -193,11 +193,11 @@ class GpuSim
     /** One issue step; @p kFunctional skips the timing model. The
      *  false instantiation is the historical detailed issue path. */
     template <bool kFunctional> bool issueWarpT(SmCtx& sm, Warp& warp);
+    /** Load/store execution, one lane loop for both tiers: mechanism
+     *  checks, architectural state, sanitizer and memlog. The detailed
+     *  instantiation adds coalescing, the LSU and the cache hierarchy. */
+    template <bool kFunctional>
     void executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst);
-    /** Functional memory execution: mechanism checks, architectural
-     *  state and sanitizing without coalescing, caches or the LSU. */
-    void executeMemoryFunctional(SmCtx& sm, Warp& warp,
-                                 const Instruction& inst);
     /**
      * Scoped atomic execution (ATOM*, CAS*), shared by both tiers.
      * Shared-memory atomics are SM-private and execute immediately;
@@ -216,6 +216,10 @@ class GpuSim
     uint64_t warpReadyAt(const Warp& warp) const;
     /** Queue @p fault as this SM's pending fault and stop its slice. */
     void pendFault(SmCtx& sm, Fault fault);
+    /** A MemEvent with the fields every engine site fills alike. */
+    static MemEvent memEvent(MemEvent::Kind kind, const SmCtx& sm,
+                             const Warp& warp, uint32_t gtid, uint64_t seq,
+                             uint64_t cycle);
 
     const GpuConfig& config_;
     ProtectionMechanism& mech_;

@@ -5,8 +5,9 @@
  *
  *  - the functional tier must reproduce the detailed tier's
  *    architectural results — instruction counts, memory-region profile,
- *    faults, and mechanism detection counters — on the whole Table V
- *    suite and on the full Table III violation matrix;
+ *    faults, final global memory contents and mechanism detection
+ *    counters — on the whole Table V suite and on the full Table III
+ *    violation matrix, and the same race-sanitizer verdicts;
  *  - functional and sampled runs must stay deterministic across
  *    sim_threads, like the detailed tier's byte-identity guarantee;
  *  - the sampled tier's cycle estimate must fall within the error
@@ -23,6 +24,7 @@
 #include "mechanisms/registry.hpp"
 #include "runner/sweep.hpp"
 #include "security/violations.hpp"
+#include "sim/race_sanitizer.hpp"
 #include "workloads/workloads.hpp"
 
 namespace lmi {
@@ -63,26 +65,75 @@ expectArchitecturalMatch(const RunResult& a, const RunResult& b)
 
 TEST(TierCrossValidation, FunctionalMatchesDetailedOnWholeSuite)
 {
-    // Every Table V workload, under the paper's mechanism so the
-    // per-access check path (OCU decode + bounds compare) is exercised,
-    // not just the bare interpreter.
-    for (const auto& profile : workloadSuite()) {
-        SCOPED_TRACE(profile.name);
-        Device det_dev(makeMechanism(MechanismKind::Lmi));
-        Device fun_dev(makeMechanism(MechanismKind::Lmi));
-        LaunchOptions fun;
-        fun.tier = ExecutionTier::Functional;
+    // Every Table V workload, unprotected and under the paper's
+    // mechanism so the per-access check path (OCU decode + bounds
+    // compare) is exercised, not just the bare interpreter.
+    for (const MechanismKind kind :
+         {MechanismKind::Baseline, MechanismKind::Lmi}) {
+        for (const auto& profile : workloadSuite()) {
+            SCOPED_TRACE(std::string(mechanismKindName(kind)) + "/" +
+                         profile.name);
+            Device det_dev(makeMechanism(kind));
+            Device fun_dev(makeMechanism(kind));
+            LaunchOptions fun;
+            fun.tier = ExecutionTier::Functional;
+            const RunResult det =
+                runWorkload(det_dev, profile, 0.25).result;
+            const RunResult fn =
+                runWorkload(fun_dev, profile, 0.25, RaceSeed::None, fun)
+                    .result;
+            expectArchitecturalMatch(det, fn);
+            // Both tiers run one memory path, so the final global
+            // memory image is byte-identical.
+            EXPECT_EQ(det_dev.globalMemory().digest(),
+                      fun_dev.globalMemory().digest());
+            // Detection counters: same checks, same outcomes.
+            EXPECT_EQ(det_dev.stats().counter("ocu.checks"),
+                      fun_dev.stats().counter("ocu.checks"));
+            EXPECT_EQ(det_dev.stats().counter("ocu.violations"),
+                      fun_dev.stats().counter("ocu.violations"));
+        }
+    }
+}
+
+TEST(TierCrossValidation, SanitizerVerdictsMatchAcrossTiers)
+{
+    // The sanitizer hook sits in the shared lane loop: both tiers must
+    // reach the same verdict over the same shadow footprint. Conflict
+    // counts are not compared — they depend on the warp interleave,
+    // which differs between the tiers.
+    std::vector<SeededWorkload> items;
+    for (const WorkloadProfile& p : workloadSuite())
+        items.push_back({p.name, RaceSeed::None, p});
+    for (const SeededWorkload& sw : raceSeededVariants())
+        items.push_back(sw);
+    for (const SeededWorkload& item : items) {
+        SCOPED_TRACE(item.name);
+        RaceSanitizer det_san, fun_san;
+        LaunchOptions det_opts, fun_opts;
+        det_opts.sanitizer = &det_san;
+        fun_opts.tier = ExecutionTier::Functional;
+        fun_opts.sanitizer = &fun_san;
+        Device det_dev, fun_dev;
         const RunResult det =
-            runWorkload(det_dev, profile, 0.25).result;
-        const RunResult fn =
-            runWorkload(fun_dev, profile, 0.25, RaceSeed::None, fun)
+            runWorkload(det_dev, item.profile, 0.25, item.seed, det_opts)
                 .result;
-        expectArchitecturalMatch(det, fn);
-        // Detection counters: same checks, same outcomes.
-        EXPECT_EQ(det_dev.stats().counter("ocu.checks"),
-                  fun_dev.stats().counter("ocu.checks"));
-        EXPECT_EQ(det_dev.stats().counter("ocu.violations"),
-                  fun_dev.stats().counter("ocu.violations"));
+        const RunResult fn =
+            runWorkload(fun_dev, item.profile, 0.25, item.seed, fun_opts)
+                .result;
+        EXPECT_EQ(det_san.wordsTracked(), fun_san.wordsTracked());
+        auto flagged = [](const RaceSanitizer& san, const RunResult& r) {
+            return san.conflictCount() > 0 ||
+                   (r.faulted() &&
+                    r.faults[0].kind == FaultKind::BarrierDivergence);
+        };
+        if (item.seed == RaceSeed::None) {
+            EXPECT_EQ(det_san.conflictCount(), 0u);
+            EXPECT_EQ(fun_san.conflictCount(), 0u);
+        } else {
+            EXPECT_TRUE(flagged(det_san, det));
+            EXPECT_TRUE(flagged(fun_san, fn));
+        }
     }
 }
 

@@ -68,6 +68,9 @@
  */
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -158,6 +161,24 @@ splitCommas(const std::string& s)
     return out;
 }
 
+/** Parse the value of count flag @p flag: a whole-string unsigned
+ *  decimal no larger than @p max (atoi would read garbage as 0, "all
+ *  cores", and "-3" as 4294967293). Prints the error on failure. */
+bool
+parseCount(const std::string& flag, const std::string& text, uint64_t max,
+           uint64_t* out)
+{
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    if (ec == std::errc() && ptr == end && *out <= max)
+        return true;
+    std::fprintf(stderr,
+                 "error: bad %s '%s' (expected an unsigned decimal <= "
+                 "%llu)\n",
+                 flag.c_str(), text.c_str(), (unsigned long long)max);
+    return false;
+}
+
 int
 usage()
 {
@@ -198,7 +219,8 @@ usage()
         "  skips the timing model, sampled extrapolates cycles from\n"
         "  periodic detailed slices); coverage defaults to the\n"
         "  detailed+functional tier pair unless --tier narrows it\n"
-        "unknown --flags exit 2 with this usage on stderr\n");
+        "unknown --flags, malformed counts and empty filters exit 2\n"
+        "with this usage on stderr\n");
     return 2;
 }
 
@@ -950,11 +972,30 @@ main(int argc, char** argv)
             return true;
         };
         std::string value;
-        if (flagValue("--jobs", &value))
-            opts.jobs = unsigned(std::atoi(value.c_str()));
-        else if (flagValue("--sim-threads", &value))
-            opts.sim_threads = unsigned(std::atoi(value.c_str()));
-        else if (flagValue("--tier", &value)) {
+        uint64_t count = 0;
+        if (flagValue("--jobs", &value)) {
+            if (!parseCount(arg, value, UINT_MAX, &count))
+                return usage();
+            opts.jobs = unsigned(count);
+        } else if (flagValue("--sim-threads", &value)) {
+            if (!parseCount(arg, value, UINT_MAX, &count))
+                return usage();
+            opts.sim_threads = unsigned(count);
+        } else if (flagValue("--bound", &value)) {
+            if (!parseCount(arg, value, UINT64_MAX, &count))
+                return usage();
+            opts.bound = count;
+        } else if (flagValue("--workloads", &value) ||
+                   flagValue("--mechanisms", &value)) {
+            // An empty filter must not silently mean "all".
+            if (splitCommas(value).empty()) {
+                std::fprintf(stderr, "error: empty %s filter\n",
+                             arg.c_str());
+                return usage();
+            }
+            (arg == "--workloads" ? opts.workloads_filter
+                                  : opts.mechanisms_filter) = value;
+        } else if (flagValue("--tier", &value)) {
             opts.tier_set = true;
             if (!parseExecutionTier(value, &opts.tier)) {
                 std::fprintf(stderr,
@@ -974,12 +1015,8 @@ main(int argc, char** argv)
         } else if (flagValue("--cache", &opts.cache_dir) ||
                    flagValue("--csv", &opts.csv_path) ||
                    flagValue("--json", &opts.json_path) ||
-                   flagValue("--workloads", &opts.workloads_filter) ||
-                   flagValue("--mechanisms", &opts.mechanisms_filter) ||
                    flagValue("--severity", &opts.severity))
             ;
-        else if (flagValue("--bound", &value))
-            opts.bound = uint64_t(std::atoll(value.c_str()));
         else if (arg == "--seeded")
             opts.seeded = true;
         else if (arg == "--dynamic")
