@@ -12,17 +12,21 @@
  * committed copy at the repo root is the tracked baseline).
  *
  * Regression mode: `--check FILE [--tolerance PCT]` re-measures and
- * exits non-zero when the basket-mean rate fell more than PCT percent
- * (default 30) below the rate recorded in FILE. CI's perf-smoke job
- * runs exactly that against the committed baseline. Each run also
- * cross-checks every spec's deterministic digest against a second
- * abbreviated replay, so a nondeterministic allocator fails loudly
- * here before it can poison a sweep.
+ * exits non-zero when any spec's deterministic fields (digest, alloc,
+ * free, oom and stale-fault counts, remote-queue counters, footprint)
+ * differ from FILE, which must have been recorded at the same scale
+ * and drain interval, or when the basket-mean rate fell more than PCT
+ * percent (default 30) below the rate recorded in FILE. CI's
+ * perf-smoke job runs exactly that against the committed baseline.
+ * Each run also cross-checks every spec's deterministic digest against
+ * a second abbreviated replay, so a nondeterministic allocator fails
+ * loudly here before it can poison a sweep.
  *
  * usage: bench_alloc_throughput [scale] [--out FILE] [--check FILE]
  *                               [--tolerance PCT] [--drain N]
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -37,24 +41,46 @@ using namespace lmi;
 
 namespace {
 
-/** Pull "aggregate_ops_per_sec": <num> out of a baseline JSON with a
- *  plain scan — the file is our own flat rendering, not arbitrary
- *  JSON. Returns 0 when absent/unreadable. */
-double
-baselineRate(const std::string& path)
+/** Whole contents of @p path; empty when unreadable. */
+std::string
+readFile(const std::string& path)
 {
     std::ifstream in(path);
-    if (!in)
-        return 0.0;
     std::ostringstream text;
     text << in.rdbuf();
-    const std::string s = text.str();
-    const char* key = "\"aggregate_ops_per_sec\":";
-    const size_t pos = s.find(key);
-    if (pos == std::string::npos)
-        return 0.0;
-    return std::strtod(s.c_str() + pos + std::strlen(key), nullptr);
+    return text.str();
 }
+
+/** Raw value token after `"key": ` in @p json (up to the next `,`, `}`
+ *  or newline); empty when absent. Our own flat rendering, not
+ *  arbitrary JSON: every value is a number or an unescaped string. */
+std::string
+jsonField(const std::string& json, const std::string& key)
+{
+    const std::string tag = "\"" + key + "\": ";
+    const size_t pos = json.find(tag);
+    if (pos == std::string::npos)
+        return {};
+    const size_t start = pos + tag.size();
+    return json.substr(start, json.find_first_of(",}\n", start) - start);
+}
+
+/** The `{...}` object recorded for spec @p name; empty when absent. */
+std::string
+specObject(const std::string& json, const std::string& name)
+{
+    const size_t pos = json.find("\"" + name + "\": {");
+    if (pos == std::string::npos)
+        return {};
+    return json.substr(pos, json.find('}', pos) + 1 - pos);
+}
+
+/** Result fields that are a pure function of (spec, scale, drain
+ *  interval): any difference is a placement or fault change. */
+const char* const kDeterministicFields[] = {
+    "digest",         "allocs",         "frees",          "oom",
+    "stale_faults",   "remote_posted",  "remote_batches", "remote_drained",
+    "drain_calls",    "footprint"};
 
 } // namespace
 
@@ -67,6 +93,13 @@ main(int argc, char** argv)
     double tolerance = 30.0;
     unsigned drain_interval = 256;
     bool scale_seen = false;
+    auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [scale] [--out FILE] [--check FILE] "
+                     "[--tolerance PCT] [--drain N]\n",
+                     argv[0]);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
@@ -75,16 +108,15 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--tolerance") && i + 1 < argc) {
             tolerance = std::atof(argv[++i]);
         } else if (!std::strcmp(argv[i], "--drain") && i + 1 < argc) {
-            drain_interval = unsigned(std::atoi(argv[++i]));
+            uint64_t count = 0;
+            if (!parseCount("--drain", argv[++i], UINT_MAX, &count))
+                return usage();
+            drain_interval = unsigned(count);
         } else if (!scale_seen) {
             scale = std::atof(argv[i]);
             scale_seen = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [scale] [--out FILE] [--check FILE] "
-                         "[--tolerance PCT] [--drain N]\n",
-                         argv[0]);
-            return 2;
+            return usage();
         }
     }
 
@@ -132,37 +164,42 @@ main(int argc, char** argv)
     std::printf("%s\nbasket mean: %.0f ops/s\n", table.render().c_str(),
                 mean);
 
-    // Read the reference rate before writing: --out and --check may
-    // name the same file (refreshing the tracked baseline in place).
-    const double base =
-        check_path.empty() ? 0.0 : baselineRate(check_path);
+    // Read the baseline before writing: --out and --check may name the
+    // same file (refreshing the tracked baseline in place).
+    const std::string baseline =
+        check_path.empty() ? std::string() : readFile(check_path);
+
+    std::vector<std::string> spec_json;
+    for (size_t i = 0; i < specs.size(); ++i) {
+        const ChurnResult& r = results[i];
+        char digest[32];
+        std::snprintf(digest, sizeof digest, "%016llx",
+                      (unsigned long long)r.digest);
+        std::ostringstream o;
+        o << "\"" << specs[i].name << "\": {\"ops\": " << r.ops
+          << ", \"wall_ms\": " << fmtF(r.wall_ms, 3)
+          << ", \"ops_per_sec\": " << fmtF(r.opsPerSec(), 1)
+          << ", \"allocs\": " << r.allocs << ", \"frees\": " << r.frees
+          << ", \"oom\": " << r.oom
+          << ", \"stale_faults\": " << r.stale_faults
+          << ", \"remote_posted\": " << r.remote_posted
+          << ", \"remote_batches\": " << r.remote_batches
+          << ", \"remote_drained\": " << r.remote_drained
+          << ", \"drain_calls\": " << r.drain_calls
+          << ", \"footprint\": " << r.footprint
+          << ", \"fragmentation\": " << fmtF(r.fragmentation, 4)
+          << ", \"digest\": \"" << digest << "\"}";
+        spec_json.push_back(o.str());
+    }
 
     std::ofstream out(out_path, std::ios::trunc);
     out << "{\n";
     out << "  \"scale\": " << scale << ",\n";
     out << "  \"drain_interval\": " << drain_interval << ",\n";
     out << "  \"specs\": {\n";
-    for (size_t i = 0; i < specs.size(); ++i) {
-        const ChurnSpec& s = specs[i];
-        const ChurnResult& r = results[i];
-        char digest[32];
-        std::snprintf(digest, sizeof digest, "%016llx",
-                      (unsigned long long)r.digest);
-        out << "    \"" << s.name << "\": {\"ops\": " << r.ops
-            << ", \"wall_ms\": " << fmtF(r.wall_ms, 3)
-            << ", \"ops_per_sec\": " << fmtF(r.opsPerSec(), 1)
-            << ", \"allocs\": " << r.allocs << ", \"frees\": " << r.frees
-            << ", \"oom\": " << r.oom
-            << ", \"stale_faults\": " << r.stale_faults
-            << ", \"remote_posted\": " << r.remote_posted
-            << ", \"remote_batches\": " << r.remote_batches
-            << ", \"remote_drained\": " << r.remote_drained
-            << ", \"drain_calls\": " << r.drain_calls
-            << ", \"footprint\": " << r.footprint
-            << ", \"fragmentation\": " << fmtF(r.fragmentation, 4)
-            << ", \"digest\": \"" << digest << "\"}"
-            << (i + 1 < specs.size() ? "," : "") << "\n";
-    }
+    for (size_t i = 0; i < spec_json.size(); ++i)
+        out << "    " << spec_json[i]
+            << (i + 1 < spec_json.size() ? "," : "") << "\n";
     out << "  },\n";
     out << "  \"aggregate_ops_per_sec\": " << fmtF(mean, 1) << ",\n";
     // Always record the host width: rate baselines from a 1-CPU
@@ -174,10 +211,37 @@ main(int argc, char** argv)
     std::printf("wrote %s\n", out_path.c_str());
 
     if (!check_path.empty()) {
+        const double base =
+            std::strtod(jsonField(baseline, "aggregate_ops_per_sec").c_str(),
+                        nullptr);
         if (base <= 0.0) {
             std::fprintf(stderr,
                          "error: no aggregate_ops_per_sec in %s\n",
                          check_path.c_str());
+            return 1;
+        }
+        // Deterministic fields first: the same spec, scale and drain
+        // interval must place and classify exactly as recorded.
+        int mismatches = 0;
+        for (size_t i = 0; i < specs.size(); ++i) {
+            const std::string want = specObject(baseline, specs[i].name);
+            for (const char* key : kDeterministicFields) {
+                const std::string w = jsonField(want, key);
+                const std::string g = jsonField(spec_json[i], key);
+                if (w != g) {
+                    std::fprintf(stderr,
+                                 "error: %s: %s is %s, baseline %s\n",
+                                 specs[i].name.c_str(), key, g.c_str(),
+                                 w.empty() ? "(missing)" : w.c_str());
+                    ++mismatches;
+                }
+            }
+        }
+        if (mismatches) {
+            std::fprintf(stderr,
+                         "error: %d deterministic field(s) differ from "
+                         "%s (compare at its scale and drain interval)\n",
+                         mismatches, check_path.c_str());
             return 1;
         }
         const double floor = base * (1.0 - tolerance / 100.0);

@@ -43,6 +43,7 @@
 
 #include <sys/resource.h>
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -121,11 +122,22 @@ main(int argc, char** argv)
     std::vector<unsigned> thread_counts;
     bool run_tiers = true;
     bool scale_seen = false;
+    auto usage = [&] {
+        std::fprintf(stderr,
+                     "usage: %s [scale] [--jobs N] [--out FILE] "
+                     "[--check FILE] [--tolerance PCT] "
+                     "[--threads LIST] [--no-tiers]\n",
+                     argv[0]);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--no-tiers")) {
             run_tiers = false;
         } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = unsigned(std::atoi(argv[++i]));
+            uint64_t count = 0;
+            if (!parseCount("--jobs", argv[++i], UINT_MAX, &count))
+                return usage();
+            jobs = unsigned(count);
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--check") && i + 1 < argc) {
@@ -145,12 +157,7 @@ main(int argc, char** argv)
             scale = std::atof(argv[i]);
             scale_seen = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [scale] [--jobs N] [--out FILE] "
-                         "[--check FILE] [--tolerance PCT] "
-                         "[--threads LIST] [--no-tiers]\n",
-                         argv[0]);
-            return 2;
+            return usage();
         }
     }
 

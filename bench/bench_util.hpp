@@ -9,12 +9,14 @@
 
 #pragma once
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "common/logging.hpp"
+#include "common/parse.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 
@@ -59,16 +61,22 @@ parseBenchArgs(int argc, char** argv, double default_scale)
     BenchArgs args;
     args.scale = default_scale;
     bool scale_seen = false;
+    auto usage = [&] {
+        std::fprintf(stderr, "usage: %s [scale] [--jobs N]\n", argv[0]);
+        std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            args.jobs = unsigned(std::atoi(argv[++i]));
+        if (!std::strcmp(argv[i], "--jobs")) {
+            uint64_t jobs = 0;
+            if (i + 1 == argc ||
+                !parseCount("--jobs", argv[++i], UINT_MAX, &jobs))
+                usage();
+            args.jobs = unsigned(jobs);
         } else if (!scale_seen) {
             args.scale = std::atof(argv[i]);
             scale_seen = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [scale] [--jobs N]\n", argv[0]);
-            std::exit(2);
+            usage();
         }
     }
     return args;

@@ -1,6 +1,7 @@
 #include "alloc/msg_heap.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
@@ -39,14 +40,13 @@ MessageHeap::shapeFor(uint64_t size)
         s.chunk = config_.geom.chunkUnitFor(size);
         s.chunks = unsigned((size + s.chunk - 1) / s.chunk);
         s.align = 16;
-        if (s.chunks > config_.geom.chunks_per_group) {
-            // Oversized request: dedicated placement (paper Fig. 5).
-            s.reserved = alignUp(size, s.chunk);
-            s.cls = kHugeClass;
-        } else {
-            s.reserved = uint64_t(s.chunks) * s.chunk;
-            s.cls = classes_.classFor(s.reserved, s.chunk, s.chunks);
-        }
+        // A chunk multiple; the large chunk is not a power of two, so
+        // alignUp cannot round to it.
+        s.reserved = uint64_t(s.chunks) * s.chunk;
+        // Oversized request: dedicated placement (paper Fig. 5).
+        s.cls = s.chunks > config_.geom.chunks_per_group
+                    ? kHugeClass
+                    : classes_.classFor(s.reserved, s.chunk, s.chunks);
         return s;
     }
     s.reserved = alignUp(std::max<uint64_t>(size, 1), config_.packed_align);
@@ -163,11 +163,25 @@ MessageHeap::acquire(uint32_t ctx, uint32_t tid, const Shape& s)
                            : carveFromSlab(ctx, s);
 }
 
-MessageHeap::Extent&
-MessageHeap::mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
-                        uint64_t requested)
+MessageHeap::ExtentMap::iterator
+MessageHeap::addExtent(ExtentMap::iterator hint, const Extent& rec)
 {
-    const uint64_t end = base + s.reserved;
+    auto it = extents_.emplace_hint(hint, rec.base, rec);
+    by_base_.insert(&it->second);
+    return it;
+}
+
+MessageHeap::ExtentMap::iterator
+MessageHeap::dropExtent(ExtentMap::iterator it)
+{
+    by_base_.erase(it->first);
+    return extents_.erase(it);
+}
+
+MessageHeap::Extent&
+MessageHeap::carveExtent(uint64_t base, uint64_t reserved)
+{
+    const uint64_t end = base + reserved;
 
     // Clear retired records overlapping the new range. Overlap happens
     // when chunked runs of different lengths recycle group space or the
@@ -192,7 +206,7 @@ MessageHeap::mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
                 tail.base = end;
                 tail.reserved = p_end - end;
                 tail.requested = std::min(tail.requested, tail.reserved);
-                extents_.emplace(end, tail);
+                addExtent(it, tail);
             }
         }
     }
@@ -216,22 +230,33 @@ MessageHeap::mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
             tail.base = end;
             tail.reserved = e_end - end;
             tail.requested = std::min(tail.requested, tail.reserved);
-            it = extents_.erase(it);
-            it = extents_.emplace_hint(it, end, tail);
+            it = addExtent(dropExtent(it), tail);
             break;
         }
-        it = extents_.erase(it);
+        it = dropExtent(it);
     }
 
-    Extent* rec;
     if (reuse != nullptr) {
         ++reuse->epoch;
-        rec = reuse;
-    } else {
-        rec = &extents_[base];
-        rec->base = base;
-        rec->epoch = 0;
+        return *reuse;
     }
+    Extent fresh;
+    fresh.base = base;
+    return addExtent(it, fresh)->second;
+}
+
+MessageHeap::Extent&
+MessageHeap::mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
+                        uint64_t requested)
+{
+    // Recycle fast path: a retired record at this exact base with the
+    // same size. Records never overlap, so no other record can lie
+    // inside [base, base + reserved) and there is nothing to trim.
+    Extent* rec = by_base_.find(base);
+    if (rec != nullptr && !rec->live && rec->reserved == s.reserved)
+        ++rec->epoch;
+    else
+        rec = &carveExtent(base, s.reserved);
     rec->requested = requested;
     rec->reserved = s.reserved;
     rec->live = true;
@@ -334,10 +359,10 @@ MessageHeap::free(uint32_t ctx, uint64_t ptr)
         base = config_.codec.baseOf(ptr);
     }
 
-    auto it = extents_.find(base);
-    if (it == extents_.end())
+    Extent* rec = by_base_.find(base);
+    if (rec == nullptr)
         return Fault{FaultKind::InvalidFree, base, config_.invalid_free_msg};
-    Extent& e = it->second;
+    Extent& e = *rec;
     if (!e.live)
         return Fault{FaultKind::DoubleFree, base, config_.double_free_msg};
 
@@ -362,7 +387,7 @@ MessageHeap::free(uint32_t ctx, uint64_t ptr)
         // record is dropped, so a later stale free lands as InvalidFree.
         range_.free(e.base, e.reserved);
         footprint_ -= e.reserved;
-        extents_.erase(it);
+        dropExtent(extents_.find(base));
     } else if (e.owner == ctx) {
         pushLocal(ctx, e.cls, e.base);
     } else {
@@ -445,8 +470,68 @@ MessageHeap::findAny(uint64_t addr) const
 const MessageHeap::Extent*
 MessageHeap::extentAt(uint64_t base) const
 {
-    auto it = extents_.find(base);
-    return it == extents_.end() ? nullptr : &it->second;
+    return by_base_.find(base);
+}
+
+MessageHeap::Extent*
+MessageHeap::BaseIndex::find(uint64_t base) const
+{
+    if (slots_.empty())
+        return nullptr;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = home(base);; i = (i + 1) & mask) {
+        const Slot& slot = slots_[i];
+        if (slot.rec == nullptr)
+            return nullptr;
+        if (slot.base == base)
+            return slot.rec;
+    }
+}
+
+void
+MessageHeap::BaseIndex::insert(Extent* rec)
+{
+    if (2 * (size_ + 1) > slots_.size())
+        grow();
+    const size_t mask = slots_.size() - 1;
+    size_t i = home(rec->base);
+    while (slots_[i].rec != nullptr)
+        i = (i + 1) & mask;
+    slots_[i] = Slot{rec->base, rec};
+    ++size_;
+}
+
+void
+MessageHeap::BaseIndex::erase(uint64_t base)
+{
+    const size_t mask = slots_.size() - 1;
+    size_t hole = home(base);
+    while (slots_[hole].base != base || slots_[hole].rec == nullptr)
+        hole = (hole + 1) & mask;
+    // Backward-shift deletion: pull later entries of the probe run into
+    // the hole unless that would move one before its home slot.
+    for (size_t j = (hole + 1) & mask; slots_[j].rec != nullptr;
+         j = (j + 1) & mask) {
+        const size_t h = home(slots_[j].base);
+        if (((j - h) & mask) >= ((j - hole) & mask)) {
+            slots_[hole] = slots_[j];
+            hole = j;
+        }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+}
+
+void
+MessageHeap::BaseIndex::grow()
+{
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
+    shift_ = 64 - unsigned(std::countr_zero(slots_.size()));
+    size_ = 0;
+    for (const Slot& slot : old)
+        if (slot.rec != nullptr)
+            insert(slot.rec);
 }
 
 } // namespace lmi

@@ -6,11 +6,22 @@
  * Architecture (snmalloc-style, adapted to a deterministic simulator):
  *
  *  - An **epoch-stamped extent table**: one record per address range,
- *    ordered by base in a std::map (stable node addresses, O(log n)
- *    containment lookup). Reusing a range bumps its epoch and mints a
- *    fresh allocation id, so LMI bounds minting, fault attribution and
- *    the safety oracle's Live/Invalidated/Reallocated views survive
- *    arbitrary churn without unbounded history growth.
+ *    ranges never overlapping. Reusing a range bumps its epoch and
+ *    mints a fresh allocation id, so LMI bounds minting, fault
+ *    attribution and the safety oracle's Live/Invalidated/Reallocated
+ *    views survive arbitrary churn without unbounded history growth.
+ *    The records live in a std::map ordered by base (stable node
+ *    addresses) and are also indexed by exact base in an
+ *    open-addressed hash table. The hash index serves every
+ *    exact-base query in one probe: free(), extentAt(), and the
+ *    recycle case of minting, a retired record at the same base with
+ *    the same reserved size. Because records never overlap, such a
+ *    record proves that no other record lies inside the new block, so
+ *    the recycle needs no trim scan. The ordered map serves only what
+ *    needs order: fresh carves (trimming or splitting retired records
+ *    the new block overlaps, and the live-overlap panic), huge-block
+ *    erase, and interior-pointer lookups (findLive/findAny, used on
+ *    the LMI fault path and by memcheck).
  *  - **Sizeclass-segregated freelists with per-context caches**: each
  *    context (SM, or runner job) owns LIFO caches of recycled blocks,
  *    spilling to a shared central freelist when they overflow. The
@@ -237,13 +248,54 @@ class MessageHeap
                     uint64_t base);
     Extent& mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
                        uint64_t requested);
+    Extent& carveExtent(uint64_t base, uint64_t reserved);
+
+    using ExtentMap = std::map<uint64_t, Extent>;
+    ExtentMap::iterator addExtent(ExtentMap::iterator hint,
+                                  const Extent& rec);
+    ExtentMap::iterator dropExtent(ExtentMap::iterator it);
+
+    /**
+     * Open-addressed (linear probing, backward-shift deletion) index
+     * of extent records by exact base. Load factor stays at most 1/2.
+     */
+    class BaseIndex
+    {
+      public:
+        Extent* find(uint64_t base) const;
+        /** Index @p rec under rec->base, which must be absent. */
+        void insert(Extent* rec);
+        /** Remove @p base, which must be present. */
+        void erase(uint64_t base);
+
+      private:
+        struct Slot
+        {
+            uint64_t base = 0;
+            Extent* rec = nullptr; ///< nullptr = empty slot
+        };
+
+        /** Fibonacci hash: bases are aligned, so mix before masking. */
+        size_t
+        home(uint64_t base) const
+        {
+            return size_t((base * 0x9E3779B97F4A7C15ull) >> shift_);
+        }
+        void grow();
+
+        std::vector<Slot> slots_;
+        unsigned shift_ = 64;
+        size_t size_ = 0;
+    };
 
     Config config_;
     StatRegistry* stats_;
     RangeAllocator range_;
     SizeClassRegistry classes_;
     /** Extent table: base -> record, ranges never overlapping. */
-    std::map<uint64_t, Extent> extents_;
+    ExtentMap extents_;
+    /** The same records by exact base (see the file comment). */
+    BaseIndex by_base_;
     /** deque: CtxState holds an atomic inbox and cannot move. */
     std::deque<CtxState> ctx_;
     /** [cls] -> overflow freelist shared by all contexts. */

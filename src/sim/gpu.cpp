@@ -209,9 +209,9 @@ class GpuSim::GlobalMemView
         auto [it, fresh] = overlays_.try_emplace(page);
         Overlay& ov = it->second;
         if (fresh) {
-            ov.data =
-                std::make_unique<std::array<uint8_t,
-                                            SparseMemory::kPageBytes>>();
+            // copyFromBase overwrites every byte: skip the zero-fill.
+            ov.data = std::make_unique_for_overwrite<
+                std::array<uint8_t, SparseMemory::kPageBytes>>();
             copyFromBase(ov, page);
         } else {
             validate(ov, page);

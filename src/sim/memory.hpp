@@ -177,10 +177,8 @@ class SparseMemory
         if (idx == cached_idx_ && cached_page_)
             return cached_page_;
         auto& p = pages_[idx];
-        if (!p) {
-            p = std::make_unique<Page>();
-            p->fill(0);
-        }
+        if (!p)
+            p = std::make_unique<Page>(); // value-initialised: all zero
         cached_idx_ = idx;
         cached_page_ = p->data();
         return cached_page_;

@@ -244,6 +244,23 @@ TEST(DeviceHeap, FindLive)
     EXPECT_FALSE(heap.findLive(p + 4096).has_value());
 }
 
+TEST(DeviceHeap, OversizedRequestReservesWholeLargeChunks)
+{
+    // More than one group's worth of 2208-byte chunks: a dedicated
+    // block of whole chunks. 2208 is not a power of two, so a mask-based
+    // round-up would reserve 300096 bytes here, less than requested.
+    DeviceHeapAllocator heap;
+    const uint64_t size = 300100;
+    const uint64_t p = heap.malloc(0, 0, size);
+    const uint64_t q = heap.malloc(0, 0, size);
+    ASSERT_NE(p, 0u);
+    ASSERT_NE(q, 0u);
+    const MessageHeap::Extent* e = heap.extentAt(p);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->reserved, 136u * 2208); // ceil(300100 / 2208) chunks
+    EXPECT_GE(q, p + size); // the next block starts past this one
+}
+
 TEST(Layout, PackedIsTight)
 {
     const RegionLayout l = layoutBuffers(

@@ -39,6 +39,37 @@ TEST(Churn, BasketRunsAreDeterministic)
     }
 }
 
+TEST(Churn, BasketMatchesGoldenValues)
+{
+    // Placement, fault classification and extent-table size of every
+    // basket spec at scale 0.05, pinned so that an allocator change
+    // that moves any of them fails here rather than only in the
+    // throughput bench.
+    struct Golden
+    {
+        const char* name;
+        uint64_t digest;
+        uint64_t stale_faults;
+        uint64_t extents;
+    };
+    static constexpr Golden kGolden[] = {
+        {"heap_small_packed", 0x6b4d1838fae616b4ull, 0, 2154},
+        {"heap_mixed_packed", 0xefbaaad5b27836c1ull, 0, 2522},
+        {"heap_cross_sm_pow2", 0xdd4674696efa074bull, 0, 2292},
+        {"global_packed", 0x70bfc97e5989149cull, 0, 3047},
+        {"global_pow2", 0x15958d3c82c2c1e3ull, 0, 1145},
+        {"heap_temporal", 0xd108650da690f0ceull, 84, 1327},
+    };
+    ASSERT_EQ(churnBasket().size(), std::size(kGolden));
+    for (const Golden& g : kGolden) {
+        const ChurnResult r =
+            runChurn(scaleChurnSpec(findChurnSpec(g.name), 0.05));
+        EXPECT_EQ(r.digest, g.digest) << g.name;
+        EXPECT_EQ(r.stale_faults, g.stale_faults) << g.name;
+        EXPECT_EQ(r.extents, g.extents) << g.name;
+    }
+}
+
 TEST(Churn, CrossSmSpecExercisesRemoteQueues)
 {
     const ChurnSpec s =
