@@ -6,7 +6,8 @@
  * Runs a fixed basket of Table V workloads under the baseline and every
  * Fig. 12 mechanism (serially by default, so the rate is not a function
  * of host core count), then reports per-mechanism and aggregate
- * simulation rate (million simulated cycles per second) plus the
+ * simulation rate (million simulated cycles per second), warp
+ * instructions and host nanoseconds per warp instruction, plus the
  * process peak RSS, and writes the numbers to a JSON file
  * (BENCH_sim_throughput.json by default — the committed copy at the
  * repo root is the tracked baseline).
@@ -25,8 +26,7 @@
  * combined with `--check` on a multi-core host, the widest in-core
  * point must show real speedup (>= 1.15x over 1 thread); on a 1-CPU
  * host the scaling assertion is skipped with a notice — flat scaling
- * there is physics, not a regression (the committed baseline was
- * recorded on such a runner; see ROADMAP).
+ * there is physics, not a regression.
  *
  * Tier pass: unless `--no-tiers` is given, the basket is re-run under
  * the functional and sampled execution tiers. Their throughput is
@@ -72,12 +72,23 @@ const char* const kBasket[] = {"bfs", "gaussian", "hotspot", "needle",
 struct MechRate
 {
     uint64_t cycles = 0;
+    /** Warp instructions issued: the engine's unit of host work. */
+    uint64_t warp_insts = 0;
     double wall_ms = 0.0;
 
     double
     mcps() const
     {
         return wall_ms > 0.0 ? double(cycles) / wall_ms / 1000.0 : 0.0;
+    }
+
+    /** Host time per warp instruction: names the layer a mechanism
+     *  costs (issue path and hooks) apart from how many cycles it
+     *  simulates. */
+    double
+    nsPerWarpInst() const
+    {
+        return warp_insts ? wall_ms * 1e6 / double(warp_insts) : 0.0;
     }
 };
 
@@ -190,18 +201,22 @@ main(int argc, char** argv)
     for (const CellResult& cell : sweep.cells) {
         MechRate& r = rates[mechanismKindName(cell.mechanism)];
         r.cycles += cell.result.cycles;
+        r.warp_insts += cell.result.instructions;
         r.wall_ms += cell.wall_ms;
         total.cycles += cell.result.cycles;
+        total.warp_insts += cell.result.instructions;
         total.wall_ms += cell.wall_ms;
     }
 
-    TextTable table({"mechanism", "cycles", "wall_ms",
-                     "mcycles_per_sec"});
+    TextTable table({"mechanism", "cycles", "warp_insts", "wall_ms",
+                     "mcycles_per_sec", "host_ns_per_warp_inst"});
     for (const auto& [name, r] : rates)
-        table.addRow({name, std::to_string(r.cycles), fmtF(r.wall_ms, 1),
-                      fmtF(r.mcps(), 2)});
+        table.addRow({name, std::to_string(r.cycles),
+                      std::to_string(r.warp_insts), fmtF(r.wall_ms, 1),
+                      fmtF(r.mcps(), 2), fmtF(r.nsPerWarpInst(), 1)});
     table.addRow({"TOTAL", std::to_string(total.cycles),
-                  fmtF(total.wall_ms, 1), fmtF(total.mcps(), 2)});
+                  std::to_string(total.warp_insts), fmtF(total.wall_ms, 1),
+                  fmtF(total.mcps(), 2), fmtF(total.nsPerWarpInst(), 1)});
     std::printf("%s", table.render().c_str());
 
     const long rss_kb = peakRssKb();
@@ -347,8 +362,11 @@ main(int argc, char** argv)
     size_t n = 0;
     for (const auto& [name, r] : rates) {
         out << "    \"" << name << "\": {\"cycles\": " << r.cycles
+            << ", \"warp_insts\": " << r.warp_insts
             << ", \"wall_ms\": " << fmtF(r.wall_ms, 3)
-            << ", \"mcycles_per_sec\": " << fmtF(r.mcps(), 3) << "}"
+            << ", \"mcycles_per_sec\": " << fmtF(r.mcps(), 3)
+            << ", \"host_ns_per_warp_inst\": "
+            << fmtF(r.nsPerWarpInst(), 3) << "}"
             << (++n < rates.size() ? "," : "") << "\n";
     }
     out << "  },\n";

@@ -65,9 +65,26 @@ class ExtentChecker
     EcResult
     check(uint64_t ptr, PoisonCause cause = PoisonCause::Unknown)
     {
-        if (stats_)
-            checks_.bump(*stats_, "ec.checks");
+        countChecks(1);
+        return checkLane(ptr, cause);
+    }
 
+    /** Add @p n checks to ec.checks; zero creates no counter. */
+    void
+    countChecks(uint64_t n)
+    {
+        if (stats_ && n)
+            checks_.bump(*stats_, "ec.checks", n);
+    }
+
+    /**
+     * check() for one lane of a warp, without the ec.checks count: the
+     * warp counts its lanes once through countChecks(). A warp stops at
+     * its first faulting lane, so ec.faults still moves once per fault.
+     */
+    EcResult
+    checkLane(uint64_t ptr, PoisonCause cause)
+    {
         const uint64_t addr = PointerCodec::addressOf(ptr);
         if (PointerCodec::isDereferenceable(ptr))
             return {addr, std::nullopt};

@@ -49,13 +49,24 @@ struct OcuResult
     bool violation;
 };
 
+/** ocu.* events of one warp instruction, counted before they are
+ *  added to the registry in one step. */
+struct OcuTally
+{
+    uint64_t checks = 0;
+    uint64_t violations = 0;
+    uint64_t invalid_input = 0;
+};
+
 /**
- * Functional + cost model of one per-lane OCU.
+ * Functional + cost model of the per-lane OCUs.
  *
  * The unit is stateless apart from statistics; the paper's input-operand
  * queue only exists to time-align operands with results in a pipelined
  * ALU and has no architectural effect, so it is represented purely by the
- * latency constant consumed by the timing model.
+ * latency constant consumed by the timing model. checkLane() is const,
+ * so SM workers may check lanes of different warps concurrently; each
+ * warp counts into its own OcuTally and record()s it once.
  */
 class Ocu
 {
@@ -88,8 +99,17 @@ class Ocu
     OcuResult
     check(uint64_t ptr_in, uint64_t alu_out)
     {
-        if (stats_)
-            checks_.bump(*stats_, "ocu.checks");
+        OcuTally tally;
+        const OcuResult r = checkLane(ptr_in, alu_out, tally);
+        record(tally);
+        return r;
+    }
+
+    /** check() for one lane of a warp: the events go to @p tally. */
+    OcuResult
+    checkLane(uint64_t ptr_in, uint64_t alu_out, OcuTally& tally) const
+    {
+        ++tally.checks;
 
         const unsigned e = PointerCodec::extentOf(ptr_in);
         if (sub_extents_ && isSubExtent(e)) {
@@ -98,8 +118,7 @@ class Ocu
             const uint64_t mask =
                 ~lowMask(kSubExtentLog2Base + (e - kSubExtentBase));
             if (((ptr_in ^ alu_out) & mask) != 0) {
-                if (stats_)
-                    violations_.bump(*stats_, "ocu.violations");
+                ++tally.violations;
                 return {PointerCodec::poison(alu_out, kPoisonSpatial),
                         true};
             }
@@ -108,8 +127,7 @@ class Ocu
         if (e == 0 || e >= kDebugExtentBase) {
             // Invalid/poisoned pointers propagate their marker:
             // arithmetic on them never revalidates the result.
-            if (stats_)
-                invalid_input_.bump(*stats_, "ocu.invalid_input");
+            ++tally.invalid_input;
             return {PointerCodec::poison(alu_out, e), false};
         }
 
@@ -117,13 +135,27 @@ class Ocu
         const uint64_t mask = codec_.unmodifiableMask(e);
         const uint64_t diff = (ptr_in ^ alu_out) & mask;
         if (diff != 0) {
-            if (stats_)
-                violations_.bump(*stats_, "ocu.violations");
+            ++tally.violations;
             // Delayed termination: record the cause in the repurposed
             // debug extent (§IV-A3) instead of faulting here.
             return {PointerCodec::poison(alu_out, kPoisonSpatial), true};
         }
         return {alu_out, false};
+    }
+
+    /** Add @p tally to the ocu.* counters; zero counts create none. */
+    void
+    record(const OcuTally& tally)
+    {
+        if (!stats_)
+            return;
+        if (tally.checks)
+            checks_.bump(*stats_, "ocu.checks", tally.checks);
+        if (tally.violations)
+            violations_.bump(*stats_, "ocu.violations", tally.violations);
+        if (tally.invalid_input)
+            invalid_input_.bump(*stats_, "ocu.invalid_input",
+                                tally.invalid_input);
     }
 
     /** The codec this unit was built with. */

@@ -42,11 +42,20 @@ MemcheckMechanism::onHostFree(uint64_t ptr)
     return std::nullopt;
 }
 
+WarpMemCheck
+MemcheckMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
+{
+    return checkLanes(access, addrs, [&](uint64_t reg_value) {
+        return checkLane(access, reg_value);
+    });
+}
+
 MemCheck
-MemcheckMechanism::onMemAccess(const MemAccess& access)
+MemcheckMechanism::checkLane(const MemAccess& access,
+                             uint64_t reg_value) const
 {
     MemCheck result;
-    const uint64_t addr = access.reg_value + uint64_t(access.imm_offset);
+    const uint64_t addr = reg_value + uint64_t(access.imm_offset);
     result.address = addr;
 
     if (access.space == MemSpace::Global) {
@@ -102,42 +111,44 @@ LmiDbiMechanism::transformBinary(const Program& p)
     return instrumentProgram(p, opts, &report_);
 }
 
-uint64_t
-LmiDbiMechanism::onIntResult(const Instruction& inst, uint64_t ptr_in,
-                             uint64_t out)
+void
+LmiDbiMechanism::onIntResults(const Instruction& inst, uint32_t mask,
+                              const uint64_t* ptr_in, uint64_t* out)
 {
     // Functionally identical to the OCU, but performed by the injected
     // instruction sequence: mask the unmodifiable bits and poison the
     // result when they changed.
     (void)inst;
-    const unsigned e = PointerCodec::extentOf(ptr_in);
-    if (e == 0 || e >= kDebugExtentBase)
-        return PointerCodec::poison(out, e);
-    const uint64_t mask = options_.codec.unmodifiableMask(e);
-    if (((ptr_in ^ out) & mask) != 0)
-        return PointerCodec::poison(out, kPoisonSpatial);
-    return out;
+    forEachLane(mask, [&](unsigned lane) {
+        const uint64_t p = ptr_in[lane];
+        const unsigned e = PointerCodec::extentOf(p);
+        if (e == 0 || e >= kDebugExtentBase)
+            out[lane] = PointerCodec::poison(out[lane], e);
+        else if (((p ^ out[lane]) & options_.codec.unmodifiableMask(e)) != 0)
+            out[lane] = PointerCodec::poison(out[lane], kPoisonSpatial);
+    });
 }
 
-MemCheck
-LmiDbiMechanism::onMemAccess(const MemAccess& access)
+WarpMemCheck
+LmiDbiMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
 {
     // The injected sequences perform the extent comparison in software;
     // functionally that is the same zero-extent test the EC does.
-    MemCheck result;
-    result.address = PointerCodec::addressOf(access.reg_value) +
-                     uint64_t(access.imm_offset);
-    if (!PointerCodec::isDereferenceable(access.reg_value)) {
-        Fault fault;
-        fault.kind = PointerCodec::extentOf(access.reg_value)
-                             == kPoisonSpatial
-                         ? FaultKind::SpatialOverflow
-                         : FaultKind::InvalidExtent;
-        fault.address = result.address;
-        fault.detail = "lmi-dbi: zero-extent pointer dereference";
-        result.fault = fault;
-    }
-    return result;
+    return checkLanes(access, addrs, [&](uint64_t reg_value) {
+        MemCheck result;
+        result.address = PointerCodec::addressOf(reg_value) +
+                         uint64_t(access.imm_offset);
+        if (!PointerCodec::isDereferenceable(reg_value)) {
+            Fault fault;
+            fault.kind = PointerCodec::extentOf(reg_value) == kPoisonSpatial
+                             ? FaultKind::SpatialOverflow
+                             : FaultKind::InvalidExtent;
+            fault.address = result.address;
+            fault.detail = "lmi-dbi: zero-extent pointer dereference";
+            result.fault = fault;
+        }
+        return result;
+    });
 }
 
 } // namespace lmi

@@ -57,11 +57,14 @@ class MemcheckMechanism : public ProtectionMechanism
     uint64_t hostRedzoneBytes() const override { return options_.redzone; }
     uint64_t onHostAlloc(uint64_t ptr, uint64_t requested) override;
     MaybeFault onHostFree(uint64_t ptr) override;
-    MemCheck onMemAccess(const MemAccess& access) override;
+    WarpMemCheck onMemAccesses(const MemAccess& access,
+                               uint64_t* addrs) override;
 
     const DbiReport& report() const { return report_; }
 
   private:
+    MemCheck checkLane(const MemAccess& access, uint64_t reg_value) const;
+
     Options options_;
     DbiReport report_;
     /** Tripwire zones: [start, end) intervals keyed by start. */
@@ -107,9 +110,10 @@ class LmiDbiMechanism : public ProtectionMechanism
         return options_.jit_fraction;
     }
     /** The injected check sequence poisons the pointer in software. */
-    uint64_t onIntResult(const Instruction& inst, uint64_t ptr_in,
-                         uint64_t out) override;
-    MemCheck onMemAccess(const MemAccess& access) override;
+    void onIntResults(const Instruction& inst, uint32_t mask,
+                      const uint64_t* ptr_in, uint64_t* out) override;
+    WarpMemCheck onMemAccesses(const MemAccess& access,
+                               uint64_t* addrs) override;
 
     const DbiReport& report() const { return report_; }
 

@@ -59,47 +59,54 @@ GpuShieldMechanism::onHostAlloc(uint64_t ptr, uint64_t requested)
     return withTag(ptr, id);
 }
 
-MemCheck
-GpuShieldMechanism::onMemAccess(const MemAccess& access)
+WarpMemCheck
+GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
 {
-    MemCheck result;
-    const uint64_t addr = untag(access.reg_value) +
-                          uint64_t(access.imm_offset);
-    result.address = addr;
+    SmState& sm = sms_[access.sm < sms_.size() ? access.sm : 0];
+    // Coalesced warps carry one buffer tag in every lane: the bounds
+    // entry and the prefetch detector's slot are looked up once per run
+    // of equal tags (no tag is 0; untagged pointers never use them).
+    uint64_t run_tag = 0;
+    const Bounds* bounds = nullptr;
+    uint64_t* last = nullptr;
+    uint64_t probes = 0, misses = 0;
 
-    switch (access.space) {
-      case MemSpace::Global: {
-        const uint64_t tag = tagOf(access.reg_value);
-        if (tag != 0) {
-            auto it = bounds_table_.find(tag);
-            if (it != bounds_table_.end()) {
+    const WarpMemCheck r = checkLanes(access, addrs, [&](uint64_t reg) {
+        MemCheck result;
+        const uint64_t addr = untag(reg) + uint64_t(access.imm_offset);
+        result.address = addr;
+
+        switch (access.space) {
+          case MemSpace::Global: {
+            const uint64_t tag = tagOf(reg);
+            if (tag != 0 && tag != run_tag) {
+                run_tag = tag;
+                auto it = bounds_table_.find(tag);
+                bounds = it != bounds_table_.end() ? &it->second : nullptr;
+                last = bounds ? &sm.last_granule[tag] : nullptr;
+            }
+            if (tag != 0 && bounds) {
                 // RCache probe: one bounds entry per (buffer, region
                 // chunk) in the issuing SM's RCache. A miss fetches the
                 // entry from L2.
-                SmState& sm = sms_[access.sm < sms_.size() ? access.sm : 0];
                 const uint64_t granule = addr / options_.entry_granule;
                 const uint64_t key = (tag << 20) ^ granule;
                 // Next-granule prefetch: sequential sweeps pre-fill the
                 // RCache, so only non-sequential (uncoalesced) streams
                 // pay the refill — the needle/LSTM effect of Fig. 12.
-                uint64_t& last = sm.last_granule[tag];
                 const bool sequential =
-                    granule == last || granule == last + 1;
-                last = granule;
+                    granule == *last || granule == *last + 1;
+                *last = granule;
                 if (!sm.rcache.access(key * 16) && !sequential) {
                     result.extra_cycles = options_.miss_penalty;
                     result.serialize_cycles =
                         options_.miss_fill_occupancy;
-                    if (state_.stats)
-                        misses_.bump(*state_.stats,
-                                     "gpushield.rcache_misses");
+                    ++misses;
                 }
-                if (state_.stats)
-                    probes_.bump(*state_.stats,
-                                 "gpushield.rcache_probes");
+                ++probes;
 
-                const Bounds& b = it->second;
-                if (addr < b.base || addr + access.width > b.base + b.size) {
+                if (addr < bounds->base ||
+                    addr + access.width > bounds->base + bounds->size) {
                     Fault fault;
                     fault.kind = FaultKind::RegionOverflow;
                     fault.address = addr;
@@ -108,40 +115,48 @@ GpuShieldMechanism::onMemAccess(const MemAccess& access)
                 }
                 return result;
             }
-        }
-        // Untagged global access: device-heap pointer (kernel-argument
-        // buffers are all tagged) — only the whole heap region is
-        // enforced (coarse-grained, Table III).
-        if (!inHeapRegion(addr)) {
-            Fault fault;
-            fault.kind = FaultKind::RegionOverflow;
-            fault.address = addr;
-            fault.detail = "GPUShield: access escaped the heap region";
-            result.fault = fault;
-        }
-        return result;
-      }
+            // Untagged global access: device-heap pointer (kernel-argument
+            // buffers are all tagged) — only the whole heap region is
+            // enforced (coarse-grained, Table III).
+            if (!inHeapRegion(addr)) {
+                Fault fault;
+                fault.kind = FaultKind::RegionOverflow;
+                fault.address = addr;
+                fault.detail = "GPUShield: access escaped the heap region";
+                result.fault = fault;
+            }
+            return result;
+          }
 
-      case MemSpace::Local:
-        // Coarse whole-stack check: the access must stay inside the
-        // thread's local window (frame-to-frame overflows pass).
-        if (addr < kLocalBase || addr >= kLocalBase + kLocalWindow) {
-            Fault fault;
-            fault.kind = FaultKind::RegionOverflow;
-            fault.address = addr;
-            fault.detail = "GPUShield: access escaped the local region";
-            result.fault = fault;
+          case MemSpace::Local:
+            // Coarse whole-stack check: the access must stay inside the
+            // thread's local window (frame-to-frame overflows pass).
+            if (addr < kLocalBase || addr >= kLocalBase + kLocalWindow) {
+                Fault fault;
+                fault.kind = FaultKind::RegionOverflow;
+                fault.address = addr;
+                fault.detail = "GPUShield: access escaped the local region";
+                result.fault = fault;
+            }
+            return result;
+
+          case MemSpace::Shared:
+            // Not protected (Table II/III).
+            return result;
+
+          case MemSpace::Constant:
+            return result;
         }
         return result;
+    });
 
-      case MemSpace::Shared:
-        // Not protected (Table II/III).
-        return result;
-
-      case MemSpace::Constant:
-        return result;
+    if (state_.stats) {
+        if (misses)
+            misses_.bump(*state_.stats, "gpushield.rcache_misses", misses);
+        if (probes)
+            probes_.bump(*state_.stats, "gpushield.rcache_probes", probes);
     }
-    return result;
+    return r;
 }
 
 } // namespace lmi

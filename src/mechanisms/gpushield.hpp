@@ -59,7 +59,8 @@ class GpuShieldMechanism : public ProtectionMechanism
 
     uint64_t canonical(uint64_t ptr) const override;
     uint64_t onHostAlloc(uint64_t ptr, uint64_t requested) override;
-    MemCheck onMemAccess(const MemAccess& access) override;
+    WarpMemCheck onMemAccesses(const MemAccess& access,
+                               uint64_t* addrs) override;
 
     /** RCache statistics, summed over SMs (Fig. 12 analysis). */
     uint64_t rcacheHits() const;

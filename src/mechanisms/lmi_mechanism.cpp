@@ -1,5 +1,7 @@
 #include "mechanisms/lmi_mechanism.hpp"
 
+#include <bit>
+
 #include "arch/mem_map.hpp"
 #include "common/logging.hpp"
 
@@ -81,19 +83,23 @@ LmiMechanism::onDeviceFree(uint64_t ptr)
     return std::nullopt;
 }
 
-uint64_t
-LmiMechanism::onIntResult(const Instruction& inst, uint64_t ptr_in,
-                          uint64_t out)
+void
+LmiMechanism::onIntResults(const Instruction& inst, uint32_t mask,
+                           const uint64_t* ptr_in, uint64_t* out)
 {
     if (inst.hints.elide_check) {
-        // The compiler proved this result bit-identical to the checked
-        // one; the OCU power-gates the check (E hint bit).
-        (void)ptr_in;
-        if (state_.stats)
-            elided_.bump(*state_.stats, "ocu.checks_elided");
-        return out;
+        // The compiler proved these results bit-identical to the
+        // checked ones; the OCU power-gates the check (E hint bit).
+        if (state_.stats && mask)
+            elided_.bump(*state_.stats, "ocu.checks_elided",
+                         uint64_t(std::popcount(mask)));
+        return;
     }
-    return ocu_.check(ptr_in, out).out;
+    OcuTally tally;
+    forEachLane(mask, [&](unsigned lane) {
+        out[lane] = ocu_.checkLane(ptr_in[lane], out[lane], tally).out;
+    });
+    ocu_.record(tally);
 }
 
 unsigned
@@ -107,14 +113,14 @@ LmiMechanism::extraIntLatency(const Instruction& inst) const
 }
 
 PoisonCause
-LmiMechanism::classifyZeroExtent(const MemAccess& access) const
+LmiMechanism::classifyZeroExtent(const MemAccess& access,
+                                 uint64_t reg_value) const
 {
     // The hardware only sees a zero extent; classification uses the
     // allocator's ground truth the way a debugger (or the repurposed
     // debug extent encodings of §IV-A3) would.
     const uint64_t addr =
-        PointerCodec::addressOf(access.reg_value) +
-        uint64_t(access.imm_offset);
+        PointerCodec::addressOf(reg_value) + uint64_t(access.imm_offset);
     if (access.space == MemSpace::Local)
         return PoisonCause::ScopeExit;
     if (access.space == MemSpace::Global) {
@@ -134,31 +140,36 @@ LmiMechanism::classifyZeroExtent(const MemAccess& access) const
     return PoisonCause::Spatial;
 }
 
-MemCheck
-LmiMechanism::onMemAccess(const MemAccess& access)
+WarpMemCheck
+LmiMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
 {
-    MemCheck result;
-    const EcResult ec = ec_.check(access.reg_value,
-                                  PointerCodec::extentOf(access.reg_value)
-                                          == 0
-                                      ? classifyZeroExtent(access)
-                                      : PoisonCause::Unknown);
-    result.address = ec.address + uint64_t(access.imm_offset);
-    result.fault = ec.fault;
-    if (result.fault)
-        return result;
+    const WarpMemCheck r =
+        checkLanes(access, addrs, [&](uint64_t reg_value) {
+            MemCheck result;
+            const EcResult ec = ec_.checkLane(
+                reg_value, PointerCodec::extentOf(reg_value) == 0
+                               ? classifyZeroExtent(access, reg_value)
+                               : PoisonCause::Unknown);
+            result.address = ec.address + uint64_t(access.imm_offset);
+            result.fault = ec.fault;
+            if (result.fault)
+                return result;
 
-    // §XII-C: the membership check catches stale-but-valid copies.
-    if (liveness_ && access.space == MemSpace::Global &&
-        !liveness_->isLive(access.reg_value)) {
-        Fault fault;
-        fault.kind = FaultKind::UseAfterFree;
-        fault.address = result.address;
-        fault.detail = "membership table: buffer no longer live "
-                       "(copied-pointer UAF)";
-        result.fault = fault;
-    }
-    return result;
+            // §XII-C: the membership check catches stale-but-valid
+            // copies.
+            if (liveness_ && access.space == MemSpace::Global &&
+                !liveness_->isLive(reg_value)) {
+                Fault fault;
+                fault.kind = FaultKind::UseAfterFree;
+                fault.address = result.address;
+                fault.detail = "membership table: buffer no longer live "
+                               "(copied-pointer UAF)";
+                result.fault = fault;
+            }
+            return result;
+        });
+    ec_.countChecks(r.lanes_checked);
+    return r;
 }
 
 } // namespace lmi

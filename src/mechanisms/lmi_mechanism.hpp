@@ -79,10 +79,11 @@ class LmiMechanism : public ProtectionMechanism
     void onDeviceAlloc(uint64_t ptr, uint64_t requested) override;
     MaybeFault onDeviceFree(uint64_t ptr) override;
 
-    uint64_t onIntResult(const Instruction& inst, uint64_t ptr_in,
-                         uint64_t out) override;
+    void onIntResults(const Instruction& inst, uint32_t mask,
+                      const uint64_t* ptr_in, uint64_t* out) override;
     unsigned extraIntLatency(const Instruction& inst) const override;
-    MemCheck onMemAccess(const MemAccess& access) override;
+    WarpMemCheck onMemAccesses(const MemAccess& access,
+                               uint64_t* addrs) override;
 
     /** The liveness tracker, when enabled (for benches/tests). */
     const LivenessTracker* liveness() const
@@ -91,7 +92,8 @@ class LmiMechanism : public ProtectionMechanism
     }
 
   private:
-    PoisonCause classifyZeroExtent(const MemAccess& access) const;
+    PoisonCause classifyZeroExtent(const MemAccess& access,
+                                   uint64_t reg_value) const;
 
     Options options_;
     Ocu ocu_;

@@ -141,13 +141,21 @@ CuCatchMechanism::onKernelLaunch(const Program& p)
                        slot.tag);
 }
 
+WarpMemCheck
+CuCatchMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
+{
+    return checkLanes(access, addrs, [&](uint64_t reg_value) {
+        return checkLane(access, reg_value);
+    });
+}
+
 MemCheck
-CuCatchMechanism::onMemAccess(const MemAccess& access)
+CuCatchMechanism::checkLane(const MemAccess& access,
+                            uint64_t reg_value) const
 {
     MemCheck result;
-    const uint64_t tag = tagOf(access.reg_value);
-    const uint64_t addr = untag(access.reg_value) +
-                          uint64_t(access.imm_offset);
+    const uint64_t tag = tagOf(reg_value);
+    const uint64_t addr = untag(reg_value) + uint64_t(access.imm_offset);
     result.address = addr;
 
     if (tag == 0) {

@@ -45,16 +45,18 @@ class BaggyBoundsMechanism : public ProtectionMechanism
     AllocPolicy allocPolicy() const override { return AllocPolicy::Pow2Aligned; }
     bool encodePointers() const override { return true; }
 
-    MemCheck
-    onMemAccess(const MemAccess& access) override
+    WarpMemCheck
+    onMemAccesses(const MemAccess& access, uint64_t* addrs) override
     {
         // The injected check sequences enforce bounds; the LSU only has
         // to strip the in-pointer metadata (the 64-bit Baggy variant's
         // masked dereference).
-        MemCheck r;
-        r.address = PointerCodec::addressOf(access.reg_value) +
-                    uint64_t(access.imm_offset);
-        return r;
+        return checkLanes(access, addrs, [&](uint64_t reg_value) {
+            MemCheck r;
+            r.address = PointerCodec::addressOf(reg_value) +
+                        uint64_t(access.imm_offset);
+            return r;
+        });
     }
 };
 
@@ -106,9 +108,11 @@ class CuCatchMechanism : public ProtectionMechanism
     uint64_t onHostAlloc(uint64_t ptr, uint64_t requested) override;
     MaybeFault onHostFree(uint64_t ptr) override;
     void onKernelLaunch(const Program& p) override;
-    MemCheck onMemAccess(const MemAccess& access) override;
+    WarpMemCheck onMemAccesses(const MemAccess& access,
+                               uint64_t* addrs) override;
 
   private:
+    MemCheck checkLane(const MemAccess& access, uint64_t reg_value) const;
     void paintRange(std::unordered_map<uint64_t, uint64_t>& shadow,
                     uint64_t base, uint64_t n, uint64_t tag);
     uint64_t shadowTag(const std::unordered_map<uint64_t, uint64_t>& shadow,

@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <unordered_set>
@@ -36,20 +37,6 @@ asBits(double d)
     uint64_t b;
     std::memcpy(&b, &d, sizeof(b));
     return b;
-}
-
-bool
-evalCmp(CmpOp cmp, int64_t a, int64_t b)
-{
-    switch (cmp) {
-      case CmpOp::EQ: return a == b;
-      case CmpOp::NE: return a != b;
-      case CmpOp::LT: return a < b;
-      case CmpOp::LE: return a <= b;
-      case CmpOp::GT: return a > b;
-      case CmpOp::GE: return a >= b;
-    }
-    return false;
 }
 
 } // namespace
@@ -432,11 +419,23 @@ struct GpuSim::SmCtx
      *  entries are skipped during scans and pruned at block retirement,
      *  so scheduler walks stay O(resident) instead of O(ever admitted). */
     std::vector<std::vector<uint32_t>> sched_live;
+    /**
+     * Per warp (indexed like `warps`): the cached warpReadyAt(), which
+     * the scheduler scans read instead of the scoreboard. Only the warp
+     * itself changes its readiness by issuing, except for barrier
+     * release, block admission and the slice barrier's heap/atomic
+     * unparking; functional slices change it wholesale. So the entry is
+     * refreshed after the warp issues, in releaseBarriers for the
+     * released warps, in admitBlocks for new warps, at the start of
+     * every detailed slice for all live warps, and set to "never" in
+     * markWarpDone.
+     */
+    std::vector<uint64_t> ready;
     /** Per scheduler: earliest cycle any of its warps can issue, set
-     *  by a full scan that found nothing ready. While it lies in the
-     *  future the scheduler is skipped outright — warp readiness only
-     *  moves earlier on barrier release, block admission or heap-op
-     *  completion, all of which clear the whole array. */
+     *  by a full scan over `ready` that found nothing ready. While it
+     *  lies in the future the scheduler is skipped outright — warp
+     *  readiness only moves earlier on barrier release, block admission
+     *  or heap/atomic completion, all of which clear the whole array. */
     std::vector<uint64_t> sched_sleep;
     unsigned live_warps = 0;       ///< warps admitted and not done
     unsigned at_barrier_warps = 0; ///< warps parked on a barrier
@@ -853,44 +852,6 @@ GpuSim::resolveSrc(const Warp& warp, const InstDesc& d, unsigned idx) const
     return r;
 }
 
-uint64_t
-GpuSim::operandValue(const Warp& warp, unsigned lane,
-                     const Operand& op) const
-{
-    switch (op.kind) {
-      case Operand::Kind::None:
-        return 0;
-      case Operand::Kind::Reg:
-        return warp.regv(lane, unsigned(op.value));
-      case Operand::Kind::Imm:
-        return op.value;
-      case Operand::Kind::CBank: {
-        uint64_t v = 0;
-        if (op.value + 8 <= cbank_.size())
-            std::memcpy(&v, cbank_.data() + op.value, 8);
-        return v;
-      }
-      case Operand::Kind::Special: {
-        const uint32_t tid = warp.warp_in_block * config_.warp_size + lane;
-        switch (SpecialReg(op.value)) {
-          case SpecialReg::TidX:      return tid;
-          case SpecialReg::TidY:      return 0;
-          case SpecialReg::CtaIdX:    return warp.block;
-          case SpecialReg::CtaIdY:    return 0;
-          case SpecialReg::NTidX:     return launch_.block_threads;
-          case SpecialReg::NTidY:     return 1;
-          case SpecialReg::NCtaIdX:   return launch_.grid_blocks;
-          case SpecialReg::LaneId:    return lane;
-          case SpecialReg::WarpId:    return warp.warp_in_block;
-          case SpecialReg::SmId:      return 0;
-          case SpecialReg::GlobalTid: return warp.first_gtid + lane;
-        }
-        return 0;
-      }
-    }
-    return 0;
-}
-
 void
 GpuSim::pendFault(SmCtx& sm, Fault fault)
 {
@@ -917,6 +878,25 @@ GpuSim::memEvent(MemEvent::Kind kind, const SmCtx& sm, const Warp& warp,
     return e;
 }
 
+MemAccess
+GpuSim::memAccess(const SmCtx& sm, const Warp& warp,
+                  const Instruction& inst, bool is_store,
+                  const uint64_t* addr_row) const
+{
+    MemAccess a;
+    a.space = idesc_[warp.pc].space;
+    a.is_store = is_store;
+    a.width = inst.width;
+    a.imm_offset = inst.imm_offset;
+    a.sm = sm.sm_id;
+    a.frame_base = config_.stack_top - program_.frame_bytes;
+    a.stack_top = config_.stack_top;
+    a.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
+    a.mask = warp.active;
+    a.reg_values = addr_row;
+    return a;
+}
+
 template <bool kFunctional>
 void
 GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
@@ -934,8 +914,6 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
     const bool is_store = d.is_store;
     const unsigned addr_reg = unsigned(inst.src[0].value);
 
-    unsigned extra = 0;
-    unsigned serialized = 0;
     std::vector<uint64_t>& lines = sm.lines_scratch;
     lines.clear();
     uint64_t warm_prev_line = ~uint64_t(0);
@@ -955,36 +933,25 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             : sm.local_arena.data() +
                   size_t(warp.local_slot) * config_.warp_size;
 
-    MemAccess access;
-    access.space = space;
-    access.is_store = is_store;
-    access.width = inst.width;
-    access.imm_offset = inst.imm_offset;
-    access.sm = sm.sm_id;
-    access.frame_base = config_.stack_top - program_.frame_bytes;
-    access.stack_top = config_.stack_top;
-    access.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
+    std::array<uint64_t, 32> addrs;
+    const WarpMemCheck check = mech_.onMemAccesses(
+        memAccess(sm, warp, inst, is_store, addr_row), addrs.data());
+    // The check runs ahead of the accesses, and only the lanes before a
+    // faulting one touch memory. That matches checking each lane just
+    // before its own access because no hook reads memory contents.
+    const uint32_t mask =
+        check.fault ? warp.active & ((1u << check.fault_lane) - 1)
+                    : warp.active;
 
     for (unsigned lane = 0; lane < warp.lanes; ++lane) {
-        if (!(warp.active & (1u << lane)))
+        if (!(mask & (1u << lane)))
             continue;
         const uint32_t gtid = warp.first_gtid + lane;
-
-        access.reg_value = addr_row[lane];
-        access.gtid = gtid;
-
-        MemCheck check = mech_.onMemAccess(access);
-        if (check.fault) {
-            pendFault(sm, *check.fault);
-            return;
-        }
-        extra = std::max(extra, check.extra_cycles);
-        serialized += check.serialize_cycles;
 
         // Architectural access. Global goes through the SM's private
         // view (frozen base + own-store overlay); shared and local are
         // SM-private arenas accessed directly.
-        const uint64_t addr = check.address;
+        const uint64_t addr = addrs[lane];
         SparseMemory* mem = nullptr;
         switch (space) {
           case MemSpace::Global:
@@ -1076,6 +1043,13 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             }
         }
     }
+
+    if (check.fault) {
+        pendFault(sm, *check.fault);
+        return;
+    }
+    const unsigned extra = check.extra_cycles;
+    const unsigned serialized = check.serialize_cycles;
 
     // Region profile (Fig. 1).
     switch (inst.op) {
@@ -1205,15 +1179,14 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
     uint64_t* const dst_row =
         inst.dst >= 0 ? warp.regRow(unsigned(inst.dst)) : nullptr;
 
-    MemAccess access;
-    access.space = space;
-    access.is_store = writes;
-    access.width = uint8_t(width);
-    access.imm_offset = inst.imm_offset;
-    access.sm = sm.sm_id;
-    access.frame_base = config_.stack_top - program_.frame_bytes;
-    access.stack_top = config_.stack_top;
-    access.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
+    MemAccess access = memAccess(sm, warp, inst, writes, addr_row);
+    access.width = width;
+    std::array<uint64_t, 32> addrs;
+    const WarpMemCheck check = mech_.onMemAccesses(access, addrs.data());
+    // As in executeMemory: lanes before a faulting one still access.
+    const uint32_t mask =
+        check.fault ? warp.active & ((1u << check.fault_lane) - 1)
+                    : warp.active;
 
     SmCtx::AtomOp op;
     if (space == MemSpace::Global) {
@@ -1227,21 +1200,11 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
         op.active = warp.active;
     }
 
-    unsigned extra = 0;
     for (unsigned lane = 0; lane < warp.lanes; ++lane) {
-        if (!(warp.active & (1u << lane)))
+        if (!(mask & (1u << lane)))
             continue;
         const uint32_t gtid = warp.first_gtid + lane;
-        access.reg_value = addr_row[lane];
-        access.gtid = gtid;
-
-        MemCheck check = mech_.onMemAccess(access);
-        if (check.fault) {
-            pendFault(sm, *check.fault);
-            return;
-        }
-        extra = std::max(extra, check.extra_cycles);
-        const uint64_t addr = check.address;
+        const uint64_t addr = addrs[lane];
 
         if (space == MemSpace::Shared) {
             // Shared memory is SM-private: the read-modify-write is
@@ -1290,10 +1253,14 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
         }
     }
 
+    if (check.fault) {
+        pendFault(sm, *check.fault);
+        return;
+    }
     if (space == MemSpace::Shared) {
         if (!functional && inst.dst >= 0)
             warp.reg_ready[unsigned(inst.dst)] =
-                sm.cycle + config_.shared_latency + extra;
+                sm.cycle + config_.shared_latency + check.extra_cycles;
         return;
     }
 
@@ -1315,7 +1282,9 @@ GpuSim::warpReadyAt(const Warp& warp) const
     // Earliest cycle this warp could issue its next instruction: the
     // max over its stall window and every scoreboard dependency. A
     // warp is ready on cycle c iff warpReadyAt(w) <= c, so one scan
-    // serves both the GTO pick and the stall fast-forward target.
+    // serves both the GTO pick and the stall fast-forward target. The
+    // single definition of readiness: SmCtx::ready caches it per warp
+    // (see there for where the cache is refreshed).
     if (warp.done || warp.at_barrier || warp.heap_pending)
         return ~uint64_t(0);
     uint64_t t = warp.stall_until;
@@ -1338,6 +1307,7 @@ void
 GpuSim::markWarpDone(SmCtx& sm, Warp& warp)
 {
     warp.done = true;
+    sm.ready[size_t(&warp - sm.warps.data())] = ~uint64_t(0);
     --sm.live_warps;
     sm.local_free.push_back(warp.local_slot);
     // Release the dead warp's bulk state: resident-warp scans stay
@@ -1527,9 +1497,10 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         op.seq = sm.event_seq++;
         op.dst = int16_t(inst.dst);
         op.active = warp.active;
+        const ResolvedSrc v = resolveSrc(warp, d, 0);
         for (unsigned lane = 0; lane < warp.lanes; ++lane)
             if (warp.active & (1u << lane))
-                op.vals[lane] = operandValue(warp, lane, inst.src[0]);
+                op.vals[lane] = v.get(lane);
         sm.heap_q.push_back(op);
         warp.heap_pending = true;
         ++sm.heap_pending_warps;
@@ -1565,16 +1536,27 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
     const ResolvedSrc s2 = resolveSrc(warp, d, 2);
 
     if (d.is_isetp) {
-        for (unsigned lane = 0; lane < warp.lanes; ++lane) {
-            if (!(warp.active & (1u << lane)))
-                continue;
-            const bool r = evalCmp(inst.cmp, int64_t(s0.get(lane)),
-                                   int64_t(s1.get(lane)));
-            if (r)
-                warp.preds[unsigned(inst.dst)] |= (1u << lane);
-            else
-                warp.preds[unsigned(inst.dst)] &= ~(1u << lane);
+        // One comparison switch per instruction; the lane loop under it
+        // builds the predicate mask, and inactive lanes keep their bits.
+        const auto lanesWhere = [&](auto cmp) {
+            uint32_t set = 0;
+            for (unsigned lane = 0; lane < warp.lanes; ++lane)
+                set |= uint32_t(cmp(int64_t(s0.get(lane)),
+                                    int64_t(s1.get(lane))))
+                       << lane;
+            return set;
+        };
+        uint32_t set = 0;
+        switch (inst.cmp) {
+          case CmpOp::EQ: set = lanesWhere(std::equal_to<>()); break;
+          case CmpOp::NE: set = lanesWhere(std::not_equal_to<>()); break;
+          case CmpOp::LT: set = lanesWhere(std::less<>()); break;
+          case CmpOp::LE: set = lanesWhere(std::less_equal<>()); break;
+          case CmpOp::GT: set = lanesWhere(std::greater<>()); break;
+          case CmpOp::GE: set = lanesWhere(std::greater_equal<>()); break;
         }
+        uint32_t& pred = warp.preds[unsigned(inst.dst)];
+        pred = (pred & ~warp.active) | (set & warp.active);
         warp.pred_ready[unsigned(inst.dst)] = cycle + latency;
         ++warp.pc;
         return true;
@@ -1582,155 +1564,123 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
 
     uint64_t* const dst_row =
         inst.dst >= 0 ? warp.regRow(unsigned(inst.dst)) : nullptr;
+    // Hinted (pointer-producing) ops compute into a scratch row, so the
+    // OCU hook sees every lane's input operand and result before the
+    // destination, which may alias an input, is written.
+    std::array<uint64_t, 32> hinted_out;
+    uint64_t* const out_row =
+        inst.hints.active ? hinted_out.data() : dst_row;
 
-    if (!inst.hints.active) {
-        // Unhinted ALU fast path: the opcode dispatch is hoisted out of
-        // the lane loop, and a fully-active warp with a destination
-        // takes a maskless loop the compiler can vectorize.
-        const uint32_t full_mask =
-            warp.lanes >= 32 ? ~uint32_t(0) : ((1u << warp.lanes) - 1);
+    // The opcode dispatch is hoisted out of the lane loop, and a
+    // fully-active warp with an output row takes a maskless loop the
+    // compiler can vectorize.
+    const uint32_t full_mask =
+        warp.lanes >= 32 ? ~uint32_t(0) : ((1u << warp.lanes) - 1);
 #define LMI_ALU_LOOP(expr)                                              \
     do {                                                                \
-        if (warp.active == full_mask && dst_row) {                      \
+        if (warp.active == full_mask && out_row) {                      \
             for (unsigned lane = 0; lane < warp.lanes; ++lane)          \
-                dst_row[lane] = (expr);                                 \
+                out_row[lane] = (expr);                                 \
         } else {                                                        \
             for (unsigned lane = 0; lane < warp.lanes; ++lane) {        \
                 if (!(warp.active & (1u << lane)))                      \
                     continue;                                           \
                 const uint64_t out = (expr);                            \
-                if (dst_row)                                            \
-                    dst_row[lane] = out;                                \
+                if (out_row)                                            \
+                    out_row[lane] = out;                                \
             }                                                           \
         }                                                               \
     } while (0)
 
-        switch (inst.op) {
-          case Opcode::IADD:
-            LMI_ALU_LOOP(s0.get(lane) + s1.get(lane));
-            break;
-          case Opcode::IADD3:
-            LMI_ALU_LOOP(s0.get(lane) + s1.get(lane) + s2.get(lane));
-            break;
-          case Opcode::ISUB:
-            LMI_ALU_LOOP(s0.get(lane) - s1.get(lane));
-            break;
-          case Opcode::IMUL:
-            LMI_ALU_LOOP(s0.get(lane) * s1.get(lane));
-            break;
-          case Opcode::IMAD:
-            LMI_ALU_LOOP(s0.get(lane) * s1.get(lane) + s2.get(lane));
-            break;
-          case Opcode::IMNMX:
-            LMI_ALU_LOOP(uint64_t(std::min(int64_t(s0.get(lane)),
-                                           int64_t(s1.get(lane)))));
-            break;
-          case Opcode::SHL:
-            LMI_ALU_LOOP(s1.get(lane) >= 64 ? 0
-                                            : s0.get(lane)
-                                                  << s1.get(lane));
-            break;
-          case Opcode::SHR:
-            LMI_ALU_LOOP(s1.get(lane) >= 64 ? 0
-                                            : s0.get(lane) >>
-                                                  s1.get(lane));
-            break;
-          case Opcode::LOP_AND:
-            LMI_ALU_LOOP(s0.get(lane) & s1.get(lane));
-            break;
-          case Opcode::LOP_OR:
-            LMI_ALU_LOOP(s0.get(lane) | s1.get(lane));
-            break;
-          case Opcode::LOP_XOR:
-            LMI_ALU_LOOP(s0.get(lane) ^ s1.get(lane));
-            break;
-          case Opcode::MOV:
-          case Opcode::S2R:
-          case Opcode::LDC:
-            LMI_ALU_LOOP(s0.get(lane));
-            break;
-          case Opcode::FADD:
-            LMI_ALU_LOOP(asBits(asDouble(s0.get(lane)) +
-                                asDouble(s1.get(lane))));
-            break;
-          case Opcode::FMUL:
-            LMI_ALU_LOOP(asBits(asDouble(s0.get(lane)) *
-                                asDouble(s1.get(lane))));
-            break;
-          case Opcode::FFMA:
-            LMI_ALU_LOOP(asBits(asDouble(s0.get(lane)) *
-                                    asDouble(s1.get(lane)) +
-                                asDouble(s2.get(lane))));
-            break;
-          case Opcode::MUFU:
-            LMI_ALU_LOOP(asBits(asDouble(s0.get(lane)) == 0.0
-                                    ? 0.0
-                                    : 1.0 / asDouble(s0.get(lane))));
-            break;
-          default:
-            lmi_panic("unhandled opcode %s", opcodeName(inst.op));
-        }
+    switch (inst.op) {
+      case Opcode::IADD:
+        LMI_ALU_LOOP(s0.get(lane) + s1.get(lane));
+        break;
+      case Opcode::IADD3:
+        LMI_ALU_LOOP(s0.get(lane) + s1.get(lane) + s2.get(lane));
+        break;
+      case Opcode::ISUB:
+        LMI_ALU_LOOP(s0.get(lane) - s1.get(lane));
+        break;
+      case Opcode::IMUL:
+        LMI_ALU_LOOP(s0.get(lane) * s1.get(lane));
+        break;
+      case Opcode::IMAD:
+        LMI_ALU_LOOP(s0.get(lane) * s1.get(lane) + s2.get(lane));
+        break;
+      case Opcode::IMNMX:
+        LMI_ALU_LOOP(uint64_t(std::min(int64_t(s0.get(lane)),
+                                       int64_t(s1.get(lane)))));
+        break;
+      case Opcode::SHL:
+        LMI_ALU_LOOP(s1.get(lane) >= 64 ? 0
+                                        : s0.get(lane)
+                                              << s1.get(lane));
+        break;
+      case Opcode::SHR:
+        LMI_ALU_LOOP(s1.get(lane) >= 64 ? 0
+                                        : s0.get(lane) >>
+                                              s1.get(lane));
+        break;
+      case Opcode::LOP_AND:
+        LMI_ALU_LOOP(s0.get(lane) & s1.get(lane));
+        break;
+      case Opcode::LOP_OR:
+        LMI_ALU_LOOP(s0.get(lane) | s1.get(lane));
+        break;
+      case Opcode::LOP_XOR:
+        LMI_ALU_LOOP(s0.get(lane) ^ s1.get(lane));
+        break;
+      case Opcode::MOV:
+      case Opcode::S2R:
+      case Opcode::LDC:
+        LMI_ALU_LOOP(s0.get(lane));
+        break;
+      case Opcode::FADD:
+        LMI_ALU_LOOP(asBits(asDouble(s0.get(lane)) +
+                            asDouble(s1.get(lane))));
+        break;
+      case Opcode::FMUL:
+        LMI_ALU_LOOP(asBits(asDouble(s0.get(lane)) *
+                            asDouble(s1.get(lane))));
+        break;
+      case Opcode::FFMA:
+        LMI_ALU_LOOP(asBits(asDouble(s0.get(lane)) *
+                                asDouble(s1.get(lane)) +
+                            asDouble(s2.get(lane))));
+        break;
+      case Opcode::MUFU:
+        LMI_ALU_LOOP(asBits(asDouble(s0.get(lane)) == 0.0
+                                ? 0.0
+                                : 1.0 / asDouble(s0.get(lane))));
+        break;
+      default:
+        lmi_panic("unhandled opcode %s", opcodeName(inst.op));
+    }
 #undef LMI_ALU_LOOP
 
-        if (inst.dst >= 0)
-            warp.reg_ready[unsigned(inst.dst)] = cycle + latency;
-        ++warp.pc;
-        return true;
-    }
-
-    // Hinted (pointer-producing) ops go through the generic lane loop:
-    // the OCU hook observes every lane's input and result.
-    for (unsigned lane = 0; lane < warp.lanes; ++lane) {
-        if (!(warp.active & (1u << lane)))
-            continue;
-        const uint64_t a = s0.get(lane);
-        const uint64_t b = s1.get(lane);
-        const uint64_t c = s2.get(lane);
-        uint64_t out = 0;
-
-        switch (inst.op) {
-          case Opcode::IADD:    out = a + b; break;
-          case Opcode::IADD3:   out = a + b + c; break;
-          case Opcode::ISUB:    out = a - b; break;
-          case Opcode::IMUL:    out = a * b; break;
-          case Opcode::IMAD:    out = a * b + c; break;
-          case Opcode::IMNMX:
-            out = uint64_t(std::min(int64_t(a), int64_t(b)));
-            break;
-          case Opcode::SHL:     out = b >= 64 ? 0 : a << b; break;
-          case Opcode::SHR:     out = b >= 64 ? 0 : a >> b; break;
-          case Opcode::LOP_AND: out = a & b; break;
-          case Opcode::LOP_OR:  out = a | b; break;
-          case Opcode::LOP_XOR: out = a ^ b; break;
-          case Opcode::MOV:     out = a; break;
-          case Opcode::S2R:     out = a; break;
-          case Opcode::LDC:     out = a; break;
-          case Opcode::FADD:    out = asBits(asDouble(a) + asDouble(b)); break;
-          case Opcode::FMUL:    out = asBits(asDouble(a) * asDouble(b)); break;
-          case Opcode::FFMA:
-            out = asBits(asDouble(a) * asDouble(b) + asDouble(c));
-            break;
-          case Opcode::MUFU:
-            out = asBits(asDouble(a) == 0.0 ? 0.0 : 1.0 / asDouble(a));
-            break;
-          default:
-            lmi_panic("unhandled opcode %s", opcodeName(inst.op));
-        }
-
-        // OCU attachment point (paper §VII).
-        const uint64_t ptr_in =
+    if (inst.hints.active) {
+        // OCU attachment point (paper §VII), once per warp instruction.
+        const ResolvedSrc& p =
             inst.hints.pointer_operand == 0
-                ? a
-                : (inst.op == Opcode::IMAD ? c : b);
-        out = mech_.onIntResult(inst, ptr_in, out);
-
+                ? s0
+                : (inst.op == Opcode::IMAD ? s2 : s1);
+        std::array<uint64_t, 32> ptr_lanes;
+        const uint64_t* ptr_in = p.row;
+        if (!ptr_in) {
+            for (unsigned lane = 0; lane < warp.lanes; ++lane)
+                ptr_lanes[lane] = p.get(lane);
+            ptr_in = ptr_lanes.data();
+        }
+        mech_.onIntResults(inst, warp.active, ptr_in, out_row);
         if (dst_row)
-            dst_row[lane] = out;
+            for (unsigned lane = 0; lane < warp.lanes; ++lane)
+                if (warp.active & (1u << lane))
+                    dst_row[lane] = out_row[lane];
     }
 
     if (inst.dst >= 0)
         warp.reg_ready[unsigned(inst.dst)] = cycle + latency;
-
     ++warp.pc;
     return true;
 }
@@ -1798,6 +1748,7 @@ GpuSim::releaseBarriers(SmCtx& sm)
                     w.at_barrier = false;
                     w.stall_until = sm.cycle + config_.barrier_latency;
                     --sm.at_barrier_warps;
+                    sm.ready[wi] = warpReadyAt(w);
                 }
             }
             // Released warps become issuable earlier than any sleeping
@@ -1857,6 +1808,7 @@ GpuSim::admitBlocks(SmCtx& sm)
             w.regs.assign(size_t(config_.warp_size) * nregs_, 0);
             w.stall_until = sm.cycle;
             const uint32_t idx = uint32_t(sm.warps.size());
+            sm.ready.push_back(warpReadyAt(w));
             sm.warps.push_back(std::move(w));
             const unsigned s = idx % config_.schedulers_per_sm;
             sm.sched_live[s].push_back(idx);
@@ -2089,6 +2041,11 @@ GpuSim::stepSmSliceDetailed(SmCtx& sm, uint64_t slice_no)
     if (sm.cycle >= slice_end)
         return; // stalled across this whole slice
     sm.gview.beginSlice(slice_no);
+    // The slice barrier and functional slices moved readiness behind
+    // the cache's back.
+    for (const auto& list : sm.sched_live)
+        for (const uint32_t wi : list)
+            sm.ready[wi] = warpReadyAt(sm.warps[wi]);
 
     while (sm.cycle < slice_end) {
         // Retire finished blocks and admit new ones — only on the cycles
@@ -2124,14 +2081,13 @@ GpuSim::stepSmSliceDetailed(SmCtx& sm, uint64_t slice_no)
             // (picks come from sched_live[s]), so no ownership re-check.
             const int last = sm.last_issued[s];
             if (last >= 0 && size_t(last) < sm.warps.size() &&
-                warpReadyAt(sm.warps[size_t(last)]) <= sm.cycle) {
+                sm.ready[size_t(last)] <= sm.cycle) {
                 pick = last;
             } else {
+                // Done warps read "never", so they need no skip test.
                 uint64_t min_t = ~uint64_t(0);
                 for (const uint32_t wi : sm.sched_live[s]) {
-                    if (sm.warps[wi].done)
-                        continue;
-                    const uint64_t t = warpReadyAt(sm.warps[wi]);
+                    const uint64_t t = sm.ready[wi];
                     if (t <= sm.cycle) {
                         pick = int(wi);
                         break;
@@ -2142,18 +2098,18 @@ GpuSim::stepSmSliceDetailed(SmCtx& sm, uint64_t slice_no)
                     sm.sched_sleep[s] = min_t;
             }
             if (pick >= 0) {
-                if (issueWarpT<false>(sm, sm.warps[size_t(pick)])) {
+                Warp& warp = sm.warps[size_t(pick)];
+                const bool ok = issueWarpT<false>(sm, warp);
+                sm.ready[size_t(pick)] = warpReadyAt(warp);
+                if (ok) {
                     issued = true;
                 } else {
                     // The pick evaporated (reconvergence exit) without
                     // issuing. Recompute this scheduler's wake-up so the
                     // fast-forward target below stays exact.
                     uint64_t min_t = ~uint64_t(0);
-                    for (const uint32_t wi : sm.sched_live[s]) {
-                        if (!sm.warps[wi].done)
-                            min_t = std::min(min_t,
-                                             warpReadyAt(sm.warps[wi]));
-                    }
+                    for (const uint32_t wi : sm.sched_live[s])
+                        min_t = std::min(min_t, sm.ready[wi]);
                     sm.sched_sleep[s] = min_t;
                 }
                 sm.last_issued[s] = pick;

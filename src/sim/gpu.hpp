@@ -207,8 +207,6 @@ class GpuSim
      */
     void executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
                        bool functional);
-    uint64_t operandValue(const Warp& warp, unsigned lane,
-                          const Operand& op) const;
     void admitBlocks(SmCtx& sm);
     void retireBlocks(SmCtx& sm);
     void markWarpDone(SmCtx& sm, Warp& warp);
@@ -216,6 +214,10 @@ class GpuSim
     uint64_t warpReadyAt(const Warp& warp) const;
     /** Queue @p fault as this SM's pending fault and stop its slice. */
     void pendFault(SmCtx& sm, Fault fault);
+    /** The warp-level MemAccess of a load/store/atomic at warp.pc. */
+    MemAccess memAccess(const SmCtx& sm, const Warp& warp,
+                        const Instruction& inst, bool is_store,
+                        const uint64_t* addr_row) const;
     /** A MemEvent with the fields every engine site fills alike. */
     static MemEvent memEvent(MemEvent::Kind kind, const SmCtx& sm,
                              const Warp& warp, uint32_t gtid, uint64_t seq,

@@ -13,15 +13,31 @@
  *  - allocation time: allocPolicy()/encodePointers() shape the
  *    allocators, onHostAlloc/onHostFree/onDeviceAlloc/onDeviceFree see
  *    every buffer event (bounds tables, canaries, liveness);
- *  - execution time: onIntResult() is the OCU attachment point,
- *    onMemAccess() the LSU/EC attachment point, extraIntLatency() the
+ *  - execution time: onIntResults() is the OCU attachment point,
+ *    onMemAccesses() the LSU/EC attachment point, extraIntLatency() the
  *    pipeline cost, onKernelEnd() the end-of-kernel canary sweep.
+ *
+ * The two per-access hooks act on a whole warp instruction, as the
+ * OCU and Extent Checker do in hardware (paper §VII): one call per
+ * warp instruction, with the lane loop written once in forEachLane()
+ * and checkLanes() below. Their contract:
+ *  - lanes of the mask are handled in ascending order;
+ *  - onMemAccesses() stops at the first faulting lane and reports it;
+ *    later lanes are neither checked nor counted;
+ *  - extra_cycles is the max over lanes, serialize_cycles the sum;
+ *  - statistics are bumped once per warp with the lane count, and a
+ *    counter whose count is 0 is never created.
+ * Hooks run concurrently on SM workers: per-call state lives on the
+ * stack, never in shared mechanism members.
  */
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "alloc/device_heap.hpp"
@@ -46,25 +62,27 @@ struct DeviceState
     const GpuConfig* config = nullptr;
 };
 
-/** One dynamic memory access, as the LSU sees it. */
+/** One warp memory instruction, as the LSU sees it. */
 struct MemAccess
 {
     MemSpace space = MemSpace::Global;
     bool is_store = false;
     unsigned width = 4;
-    /** Full 64-bit address-register value (may carry an extent). */
-    uint64_t reg_value = 0;
     int64_t imm_offset = 0;
-    uint32_t gtid = 0;
     /** SM the access issues from (indexes per-SM mechanism state). */
     uint32_t sm = 0;
     /** Stack frame extent of the issuing thread: [frame_base, stack_top). */
     uint64_t frame_base = 0, stack_top = 0;
     /** Shared-memory footprint of the block. */
     uint64_t shared_limit = 0;
+    /** Lanes taking part in the access. */
+    uint32_t mask = 0;
+    /** Address-register row: lane l's full 64-bit value (may carry an
+     *  extent) is reg_values[l]. */
+    const uint64_t* reg_values = nullptr;
 };
 
-/** LSU-side outcome of a mechanism check. */
+/** LSU-side outcome of a mechanism check on one lane. */
 struct MemCheck
 {
     /** Effective address handed to the functional memory. */
@@ -75,6 +93,65 @@ struct MemCheck
     /** Per-lane serialized cycles (single-ported check structures). */
     unsigned serialize_cycles = 0;
 };
+
+/** LSU-side outcome of a mechanism check on a whole warp. */
+struct WarpMemCheck
+{
+    /** The first faulting lane's fault; lanes after it were skipped. */
+    MaybeFault fault;
+    unsigned fault_lane = 0;
+    /** Lanes checked, the faulting lane included. */
+    unsigned lanes_checked = 0;
+    /** Max over the checked lanes. */
+    unsigned extra_cycles = 0;
+    /** Sum over the checked lanes. */
+    unsigned serialize_cycles = 0;
+};
+
+/**
+ * The one lane loop of the warp hooks: call @p visit(lane) for each lane
+ * of @p mask in ascending order. A visitor returning bool stops the
+ * loop by returning false.
+ */
+template <typename Visit>
+inline void
+forEachLane(uint32_t mask, Visit&& visit)
+{
+    for (; mask != 0; mask &= mask - 1) {
+        const unsigned lane = unsigned(std::countr_zero(mask));
+        if constexpr (std::is_void_v<decltype(visit(lane))>)
+            visit(lane);
+        else if (!visit(lane))
+            return;
+    }
+}
+
+/**
+ * The onMemAccesses() contract over a per-lane check: run
+ * @p check(reg_value) -> MemCheck on the lanes of @p access, write each
+ * passing lane's address to @p addrs[lane], and stop at the first
+ * faulting lane.
+ */
+template <typename CheckLane>
+inline WarpMemCheck
+checkLanes(const MemAccess& access, uint64_t* addrs, CheckLane&& check)
+{
+    WarpMemCheck r;
+    forEachLane(access.mask, [&](unsigned lane) {
+        ++r.lanes_checked;
+        MemCheck c = check(access.reg_values[lane]);
+        if (c.fault) {
+            r.fault = std::move(c.fault);
+            r.fault_lane = lane;
+            return false;
+        }
+        addrs[lane] = c.address;
+        r.extra_cycles = std::max(r.extra_cycles, c.extra_cycles);
+        r.serialize_cycles += c.serialize_cycles;
+        return true;
+    });
+    return r;
+}
 
 /**
  * Base class; the default implementation is the unprotected baseline.
@@ -132,17 +209,21 @@ class ProtectionMechanism
 
     // --- Execution-time ----------------------------------------------
     /**
-     * OCU attachment point: called for hint-marked integer results.
-     * @param ptr_in the operand selected by the S bit
-     * @param out    the raw ALU result
-     * @return the value to write back (possibly poisoned)
+     * OCU attachment point: called once per hint-marked integer warp
+     * instruction. The baseline does nothing.
+     * @param mask   lanes that executed
+     * @param ptr_in lane l's operand selected by the S bit is ptr_in[l]
+     * @param out    lane l's raw ALU result, overwritten in place with
+     *               the value to write back (possibly poisoned)
      */
-    virtual uint64_t
-    onIntResult(const Instruction& inst, uint64_t ptr_in, uint64_t out)
+    virtual void
+    onIntResults(const Instruction& inst, uint32_t mask,
+                 const uint64_t* ptr_in, uint64_t* out)
     {
         (void)inst;
+        (void)mask;
         (void)ptr_in;
-        return out;
+        (void)out;
     }
 
     /** Extra result latency on this instruction (OCU register slices). */
@@ -153,13 +234,19 @@ class ProtectionMechanism
         return 0;
     }
 
-    /** LSU/EC attachment point: validate and translate one access. */
-    virtual MemCheck
-    onMemAccess(const MemAccess& access)
+    /**
+     * LSU/EC attachment point: validate and translate one warp access,
+     * writing lane l's effective address to addrs[l]. The baseline adds
+     * the immediate offset.
+     */
+    virtual WarpMemCheck
+    onMemAccesses(const MemAccess& access, uint64_t* addrs)
     {
-        MemCheck r;
-        r.address = (access.reg_value + uint64_t(access.imm_offset));
-        return r;
+        return checkLanes(access, addrs, [&](uint64_t reg_value) {
+            MemCheck r;
+            r.address = reg_value + uint64_t(access.imm_offset);
+            return r;
+        });
     }
 
     /** Called once per kernel launch with the final binary. */
