@@ -63,12 +63,6 @@ WarpMemCheck
 GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
 {
     SmState& sm = sms_[access.sm < sms_.size() ? access.sm : 0];
-    // Coalesced warps carry one buffer tag in every lane: the bounds
-    // entry and the prefetch detector's slot are looked up once per run
-    // of equal tags (no tag is 0; untagged pointers never use them).
-    uint64_t run_tag = 0;
-    const Bounds* bounds = nullptr;
-    uint64_t* last = nullptr;
     uint64_t probes = 0, misses = 0;
 
     const WarpMemCheck r = checkLanes(access, addrs, [&](uint64_t reg) {
@@ -79,13 +73,8 @@ GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
         switch (access.space) {
           case MemSpace::Global: {
             const uint64_t tag = tagOf(reg);
-            if (tag != 0 && tag != run_tag) {
-                run_tag = tag;
-                auto it = bounds_table_.find(tag);
-                bounds = it != bounds_table_.end() ? &it->second : nullptr;
-                last = bounds ? &sm.last_granule[tag] : nullptr;
-            }
-            if (tag != 0 && bounds) {
+            auto it = tag != 0 ? bounds_table_.find(tag) : bounds_table_.end();
+            if (it != bounds_table_.end()) {
                 // RCache probe: one bounds entry per (buffer, region
                 // chunk) in the issuing SM's RCache. A miss fetches the
                 // entry from L2.
@@ -94,9 +83,10 @@ GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
                 // Next-granule prefetch: sequential sweeps pre-fill the
                 // RCache, so only non-sequential (uncoalesced) streams
                 // pay the refill — the needle/LSTM effect of Fig. 12.
+                uint64_t& last = sm.last_granule[tag];
                 const bool sequential =
-                    granule == *last || granule == *last + 1;
-                *last = granule;
+                    granule == last || granule == last + 1;
+                last = granule;
                 if (!sm.rcache.access(key * 16) && !sequential) {
                     result.extra_cycles = options_.miss_penalty;
                     result.serialize_cycles =
@@ -105,8 +95,8 @@ GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
                 }
                 ++probes;
 
-                if (addr < bounds->base ||
-                    addr + access.width > bounds->base + bounds->size) {
+                const Bounds& b = it->second;
+                if (addr < b.base || addr + access.width > b.base + b.size) {
                     Fault fault;
                     fault.kind = FaultKind::RegionOverflow;
                     fault.address = addr;
