@@ -2,29 +2,11 @@
 
 namespace lmi::analysis {
 
-const char*
-analysisLevelName(AnalysisLevel level)
-{
-    switch (level) {
-      case AnalysisLevel::Off:    return "off";
-      case AnalysisLevel::Verify: return "verify";
-      case AnalysisLevel::Full:   return "full";
-      case AnalysisLevel::Race:   return "race";
-      case AnalysisLevel::Oracle: return "oracle";
-    }
-    return "?";
-}
-
 AnalysisReport
 analyzeFunction(const ir::IrFunction& f, const AnalysisOptions& opts)
 {
     AnalysisReport report;
-    if (opts.level == AnalysisLevel::Off)
-        return report;
-
-    VerifyOptions vopts;
-    vopts.lmi_invariants = opts.lmi_invariants;
-    report.diagnostics = verifyFunction(f, vopts);
+    report.diagnostics = verifyFunction(f);
     if (report.errors() || opts.level == AnalysisLevel::Verify)
         return report; // later passes assume structurally valid IR
 

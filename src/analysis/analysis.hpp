@@ -15,10 +15,10 @@
  *   3. lint            — LMI-specific advisory findings (warnings).
  *
  * The compiler driver consumes this through
- * CodegenOptions::analysis_level:
+ * CodegenOptions::analysis_level; every level runs the verifier first:
  *
- *   Off     nothing runs (release default; debug builds still verify);
- *   Verify  the verifier gates compilation;
+ *   Verify  the verifier gates compilation (the default; codegen never
+ *           compiles a kernel without it, in any build);
  *   Full    verifier + range + lint; PROVEN_SAFE ops get the elide
  *           hint bit and skip the dynamic OCU check;
  *   Race    Full plus the barrier-aware race/divergence analyzer
@@ -48,13 +48,11 @@
 namespace lmi::analysis {
 
 /** How much of the pipeline the compiler driver runs. */
-enum class AnalysisLevel : uint8_t { Off, Verify, Full, Race, Oracle };
+enum class AnalysisLevel : uint8_t { Verify, Full, Race, Oracle };
 
 struct AnalysisOptions
 {
     AnalysisLevel level = AnalysisLevel::Verify;
-    /** Report LMI pointer invariants from the verifier too. */
-    bool lmi_invariants = false;
     /** Sub-object (narrowed fieldgep extent) mode: see range analysis. */
     bool subobject = false;
     PointerCodec codec{};
@@ -94,7 +92,5 @@ struct AnalysisReport
 /** Run the pipeline on one (flattened) function. */
 AnalysisReport analyzeFunction(const ir::IrFunction& f,
                                const AnalysisOptions& opts = {});
-
-const char* analysisLevelName(AnalysisLevel level);
 
 } // namespace lmi::analysis

@@ -51,7 +51,4 @@ size_t errorCount(const std::vector<Diagnostic>& diags);
 /** Render a diagnostic list as a JSON array. */
 std::string renderDiagnosticsJson(const std::vector<Diagnostic>& diags);
 
-/** Escape a string for embedding in a JSON literal (no quotes added). */
-std::string jsonEscape(const std::string& s);
-
 } // namespace lmi::analysis

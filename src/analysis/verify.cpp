@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "analysis/cfg.hpp"
+#include "common/logging.hpp"
 
 namespace lmi::analysis {
 
@@ -22,10 +23,7 @@ struct DefSite
 class Verifier
 {
   public:
-    Verifier(const IrFunction& f, const VerifyOptions& opts)
-        : f_(f), opts_(opts)
-    {
-    }
+    explicit Verifier(const IrFunction& f) : f_(f) {}
 
     std::vector<Diagnostic> run();
 
@@ -71,10 +69,8 @@ class Verifier
     void checkInst(ValueId v, const IrInst& in);
     void checkPhis(BlockId b);
     void checkDominance();
-    void checkLmiInvariants();
 
     const IrFunction& f_;
-    const VerifyOptions& opts_;
     std::vector<Diagnostic> diags_;
     std::vector<DefSite> defs_;
     Cfg cfg_;
@@ -474,7 +470,7 @@ Verifier::checkInst(ValueId v, const IrInst& in)
 
       case IrOp::Phi:      // checked block-wise in checkPhis()
       case IrOp::Barrier:
-      case IrOp::IntToPtr: // LMI-invariant checks handle these
+      case IrOp::IntToPtr: // analyzePointers enforces the LMI rules
       case IrOp::PtrToInt:
       case IrOp::Tid:
       case IrOp::CtaId:
@@ -533,44 +529,6 @@ Verifier::checkDominance()
     }
 }
 
-void
-Verifier::checkLmiInvariants()
-{
-    for (BlockId b = 0; b < f_.blocks.size(); ++b) {
-        for (ValueId v : f_.blocks[b].insts) {
-            if (!validValue(v))
-                continue;
-            const IrInst& in = f_.inst(v);
-            if (!operandsValid(in))
-                continue;
-            switch (in.op) {
-              case IrOp::IntToPtr:
-                error(v, "inttoptr (immediate-value pointer assignment "
-                         "is rejected, paper XII-B)");
-                break;
-              case IrOp::PtrToInt:
-                error(v, "ptrtoint (pointer laundering through integers "
-                         "is rejected, paper XII-B)");
-                break;
-              case IrOp::Store:
-                if (in.ops.size() == 2 && typeOf(in.ops[1]).isPtr())
-                    error(v, "store of pointer %" +
-                                 std::to_string(in.ops[1]) +
-                                 " to memory (pointer would escape OCU "
-                                 "tracking, paper VI-A)");
-                break;
-              case IrOp::Load:
-                if (in.type.isPtr())
-                    error(v, "load of a pointer-typed value from memory "
-                             "(unsupported under LMI)");
-                break;
-              default:
-                break;
-            }
-        }
-    }
-}
-
 std::vector<Diagnostic>
 Verifier::run()
 {
@@ -591,25 +549,23 @@ Verifier::run()
                 checkInst(v, f_.inst(v));
     }
     checkDominance();
-    if (opts_.lmi_invariants)
-        checkLmiInvariants();
     return std::move(diags_);
 }
 
 } // namespace
 
 std::vector<Diagnostic>
-verifyFunction(const IrFunction& f, const VerifyOptions& opts)
+verifyFunction(const IrFunction& f)
 {
-    return Verifier(f, opts).run();
+    return Verifier(f).run();
 }
 
 std::vector<Diagnostic>
-verifyModule(const IrModule& m, const VerifyOptions& opts)
+verifyModule(const IrModule& m)
 {
     std::vector<Diagnostic> diags;
     for (const auto& f : m.functions) {
-        auto fd = verifyFunction(f, opts);
+        auto fd = verifyFunction(f);
         diags.insert(diags.end(), fd.begin(), fd.end());
         // Cross-function rules: calls resolve and arities match.
         for (const auto& block : f.blocks) {
@@ -643,6 +599,14 @@ verifyModule(const IrModule& m, const VerifyOptions& opts)
         }
     }
     return diags;
+}
+
+void
+verifyOrThrow(const IrFunction& f)
+{
+    for (const Diagnostic& d : verifyFunction(f))
+        if (d.severity >= Severity::Error)
+            lmi_fatal("%s", d.toString().c_str());
 }
 
 } // namespace lmi::analysis

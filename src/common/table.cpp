@@ -113,6 +113,30 @@ csvEscape(const std::string& cell)
 }
 
 std::string
+jsonEscape(const std::string& str)
+{
+    std::string out;
+    out.reserve(str.size());
+    for (char c : str) {
+        switch (c) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+std::string
 padRight(std::string s, size_t width)
 {
     if (s.size() < width)

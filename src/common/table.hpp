@@ -63,6 +63,9 @@ std::string fmtX(double v, int digits = 2);
 /** CSV-quote @p cell when it contains a comma, quote, or newline. */
 std::string csvEscape(const std::string& cell);
 
+/** Escape a string for embedding in a JSON literal (no quotes added). */
+std::string jsonEscape(const std::string& s);
+
 /** @p s left-aligned in a field of @p width (never truncates). */
 std::string padRight(std::string s, size_t width);
 

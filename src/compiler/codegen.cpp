@@ -1037,18 +1037,12 @@ compileKernel(const IrModule& m, const std::string& kernel_name,
         lmi_fatal("no kernel named '%s' in module", kernel_name.c_str());
 
     IrFunction flat = inlineCalls(m, *kernel);
-    verify(flat);
 
     // --- Static analysis pipeline (verifier, ranges, lints). --------
+    // Every level starts with the verifier, so no kernel is lowered
+    // without it.
     analysis::AnalysisOptions aopts;
     aopts.level = opts.analysis_level;
-#ifndef NDEBUG
-    // Debug builds always verify the flattened kernel, catching IR
-    // malformations even for configurations that compile with the
-    // pipeline off.
-    if (aopts.level == analysis::AnalysisLevel::Off)
-        aopts.level = analysis::AnalysisLevel::Verify;
-#endif
     aopts.subobject = opts.subobject;
     aopts.codec = opts.codec;
     analysis::AnalysisReport report = analysis::analyzeFunction(flat, aopts);

@@ -87,13 +87,14 @@ struct CodegenOptions
     bool buffer_id_tags = false;
     /**
      * Static-analysis pipeline depth run over the flattened kernel
-     * before lowering. `Verify` catches malformed IR; `Full` adds the
-     * range analysis, which turns provably violating pointer arithmetic
-     * into compile errors and marks provably safe operations with the E
-     * hint bit so the OCU elides their dynamic checks. Debug builds
-     * always run at least `Verify`.
+     * before lowering. Every level runs the verifier, which rejects
+     * malformed IR with a CompileError; `Verify` (the default) stops
+     * there. `Full` adds the range analysis, which turns provably
+     * violating pointer arithmetic into compile errors and marks
+     * provably safe operations with the E hint bit so the OCU elides
+     * their dynamic checks.
      */
-    analysis::AnalysisLevel analysis_level = analysis::AnalysisLevel::Off;
+    analysis::AnalysisLevel analysis_level = analysis::AnalysisLevel::Verify;
     PointerCodec codec{};
 };
 
@@ -150,8 +151,9 @@ struct CompiledKernel
     ir::IrFunction flat_ir;
     /** The pointer analysis used for hint bits. */
     PointerAnalysis analysis;
-    /** Static-analysis report (empty when analysis_level == Off and the
-     *  build defines NDEBUG). */
+    /** Static-analysis report: the verifier's findings (warnings only,
+     *  since errors abort the compile) plus whatever analysis_level
+     *  adds. */
     analysis::AnalysisReport report;
     /** Stack-frame layout (offsets relative to the frame base). */
     RegionLayout frame;

@@ -2,7 +2,7 @@
 
 #include <unordered_map>
 
-#include "common/logging.hpp"
+#include "analysis/verify.hpp"
 
 namespace lmi {
 
@@ -201,7 +201,7 @@ optimizeFunction(IrFunction& f)
 {
     Optimizer opt(f);
     const OptimizeStats stats = opt.run();
-    verify(f);
+    analysis::verifyOrThrow(f);
     return stats;
 }
 

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/logging.hpp"
-
 namespace lmi::ir {
 
 unsigned
@@ -204,151 +202,6 @@ IrModule::find(const std::string& fname) const
         if (f.name == fname)
             return &f;
     return nullptr;
-}
-
-namespace {
-
-void
-checkOperandCount(const IrFunction& f, const IrInst& in, size_t expected)
-{
-    if (in.ops.size() != expected)
-        lmi_fatal("%s: %s expects %zu operands, has %zu", f.name.c_str(),
-                  irOpName(in.op), expected, in.ops.size());
-}
-
-} // namespace
-
-void
-verify(const IrFunction& f)
-{
-    if (f.blocks.empty())
-        lmi_fatal("%s: function has no blocks", f.name.c_str());
-
-    for (BlockId b = 0; b < f.blocks.size(); ++b) {
-        const IrBlock& block = f.blocks[b];
-        if (block.insts.empty())
-            lmi_fatal("%s: block %s is empty", f.name.c_str(),
-                      block.label.c_str());
-        for (size_t i = 0; i < block.insts.size(); ++i) {
-            const ValueId v = block.insts[i];
-            if (v == kNoValue || v >= f.values.size())
-                lmi_fatal("%s: invalid value id %u", f.name.c_str(), v);
-            const IrInst& in = f.inst(v);
-            const bool last = i + 1 == block.insts.size();
-            if (isTerminator(in.op) != last)
-                lmi_fatal("%s: terminator placement error in block %s",
-                          f.name.c_str(), block.label.c_str());
-
-            for (ValueId o : in.ops)
-                if (o == kNoValue || o >= f.values.size())
-                    lmi_fatal("%s: %s has invalid operand id %u",
-                              f.name.c_str(), irOpName(in.op), o);
-
-            switch (in.op) {
-              case IrOp::Gep:
-              case IrOp::PtrAddByte:
-                checkOperandCount(f, in, 2);
-                if (!f.inst(in.ops[0]).type.isPtr())
-                    lmi_fatal("%s: %s base is not a pointer",
-                              f.name.c_str(), irOpName(in.op));
-                if (!f.inst(in.ops[1]).type.isInt())
-                    lmi_fatal("%s: %s index is not an integer",
-                              f.name.c_str(), irOpName(in.op));
-                break;
-              case IrOp::FieldGep:
-                checkOperandCount(f, in, 1);
-                if (!f.inst(in.ops[0]).type.isPtr())
-                    lmi_fatal("%s: fieldgep base is not a pointer",
-                              f.name.c_str());
-                if (in.aux == 0)
-                    lmi_fatal("%s: fieldgep with zero field size",
-                              f.name.c_str());
-                break;
-              case IrOp::Load:
-                checkOperandCount(f, in, 1);
-                if (!f.inst(in.ops[0]).type.isPtr())
-                    lmi_fatal("%s: load address is not a pointer",
-                              f.name.c_str());
-                break;
-              case IrOp::Store:
-                checkOperandCount(f, in, 2);
-                if (!f.inst(in.ops[0]).type.isPtr())
-                    lmi_fatal("%s: store address is not a pointer",
-                              f.name.c_str());
-                break;
-              case IrOp::AtomicRmw:
-              case IrOp::AtomicStore:
-                checkOperandCount(f, in, 2);
-                if (!f.inst(in.ops[0]).type.isPtr())
-                    lmi_fatal("%s: %s address is not a pointer",
-                              f.name.c_str(), irOpName(in.op));
-                break;
-              case IrOp::AtomicCas:
-                checkOperandCount(f, in, 3);
-                if (!f.inst(in.ops[0]).type.isPtr())
-                    lmi_fatal("%s: atomiccas address is not a pointer",
-                              f.name.c_str());
-                break;
-              case IrOp::AtomicLoad:
-                checkOperandCount(f, in, 1);
-                if (!f.inst(in.ops[0]).type.isPtr())
-                    lmi_fatal("%s: atomicld address is not a pointer",
-                              f.name.c_str());
-                break;
-              case IrOp::Fence:
-                checkOperandCount(f, in, 0);
-                break;
-              case IrOp::Br:
-                checkOperandCount(f, in, 1);
-                if (in.tbb >= f.blocks.size() || in.fbb >= f.blocks.size())
-                    lmi_fatal("%s: br target out of range", f.name.c_str());
-                break;
-              case IrOp::Jump:
-                if (in.tbb >= f.blocks.size())
-                    lmi_fatal("%s: jump target out of range",
-                              f.name.c_str());
-                break;
-              case IrOp::Phi:
-                if (in.ops.size() != in.phi_blocks.size() || in.ops.empty())
-                    lmi_fatal("%s: malformed phi", f.name.c_str());
-                for (BlockId pb : in.phi_blocks)
-                    if (pb >= f.blocks.size())
-                        lmi_fatal("%s: phi predecessor out of range",
-                                  f.name.c_str());
-                break;
-              case IrOp::Param:
-                if (in.imm < 0 || size_t(in.imm) >= f.params.size())
-                    lmi_fatal("%s: param index %lld out of range",
-                              f.name.c_str(),
-                              static_cast<long long>(in.imm));
-                break;
-              case IrOp::SharedRef: {
-                bool found = false;
-                for (const auto& [bname, sz] : f.shared_buffers)
-                    found |= bname == in.name;
-                if (!found)
-                    lmi_fatal("%s: sharedref to unknown buffer '%s'",
-                              f.name.c_str(), in.name.c_str());
-                break;
-              }
-              case IrOp::Malloc:
-              case IrOp::Free:
-                checkOperandCount(f, in, 1);
-                break;
-              default:
-                if (isIntArith(in.op) || in.op == IrOp::ICmp)
-                    checkOperandCount(f, in, 2);
-                break;
-            }
-        }
-    }
-}
-
-void
-verify(const IrModule& m)
-{
-    for (const auto& f : m.functions)
-        verify(f);
 }
 
 } // namespace lmi::ir

@@ -194,12 +194,4 @@ bool isTerminator(IrOp op);
  *  Fence excluded: it touches no memory cell). */
 bool isAtomicAccess(IrOp op);
 
-/**
- * Structural verifier: checks terminators, operand validity, type rules
- * (e.g. Gep base is a pointer, Store value matches pointee width class),
- * and phi/block consistency. Throws FatalError on the first violation.
- */
-void verify(const IrFunction& f);
-void verify(const IrModule& m);
-
 } // namespace lmi::ir

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "analysis/verify.hpp"
 #include "common/logging.hpp"
 
 namespace lmi::ir {
@@ -562,7 +563,7 @@ parseFunction(const std::string& text)
         f.inst(pl.value) = std::move(inst);
     }
 
-    verify(f);
+    analysis::verifyOrThrow(f);
     return f;
 }
 

@@ -16,8 +16,10 @@
  *     ret
  *   }
  *
- * Multiple functions per string form a module. parse errors throw
- * FatalError with a line number.
+ * Multiple functions per string form a module. Parse errors throw
+ * FatalError with a line number. Every parsed function then goes
+ * through the IR verifier (analysis/verify.hpp), so the parser also
+ * rejects, with a FatalError, any IR the verifier rejects.
  */
 
 #pragma once
@@ -28,7 +30,8 @@
 
 namespace lmi::ir {
 
-/** Parse one or more functions. Throws FatalError on malformed input. */
+/** Parse one or more functions. Throws FatalError on malformed text
+ *  or on a function that fails verification. */
 IrModule parseModule(const std::string& text);
 
 /** Parse exactly one function. */

@@ -90,31 +90,6 @@ fmtHex64(uint64_t v)
     return buf;
 }
 
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 uint64_t

@@ -138,7 +138,7 @@ CoverageMatrix::renderJson() const
     for (size_t i = 0; i < cells.size(); ++i) {
         const CoverageCell& c = cells[i];
         s << (i ? "," : "") << "\n  {\"attack\": \""
-          << analysis::jsonEscape(c.attack) << "\", \"variant\": \""
+          << jsonEscape(c.attack) << "\", \"variant\": \""
           << (c.benign ? "benign" : "attack") << "\", \"mechanism\": \""
           << mechanismKindName(c.mechanism) << "\", \"tier\": \""
           << executionTierName(c.tier) << "\", \"oracle\": \""
@@ -146,8 +146,8 @@ CoverageMatrix::renderJson() const
           << (c.detected ? "true" : "false")
           << ", \"compile_rejected\": "
           << (c.compile_rejected ? "true" : "false") << ", \"fault\": \""
-          << analysis::jsonEscape(c.fault) << "\", \"disagreement\": \""
-          << analysis::jsonEscape(c.disagreement) << "\"}";
+          << jsonEscape(c.fault) << "\", \"disagreement\": \""
+          << jsonEscape(c.disagreement) << "\"}";
     }
     s << "\n]\n}\n";
     return s.str();

@@ -4,6 +4,7 @@
 
 #include "alloc/device_heap.hpp"
 #include "alloc/global_allocator.hpp"
+#include "analysis/verify.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "ir/builder.hpp"
@@ -266,7 +267,7 @@ buildChurnFillKernel(unsigned rounds)
         }
     }
     b.ret();
-    verify(f);
+    analysis::verifyOrThrow(f);
     IrModule m;
     m.functions.push_back(std::move(f));
     return m;
@@ -297,7 +298,7 @@ buildChurnDrainKernel(unsigned rounds, unsigned block_threads)
         b.free_(b.intToPtr(b.load(slot), Type::ptr(4)));
     }
     b.ret();
-    verify(f);
+    analysis::verifyOrThrow(f);
     IrModule m;
     m.functions.push_back(std::move(f));
     return m;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "analysis/verify.hpp"
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
 #include "ir/builder.hpp"
@@ -593,7 +594,7 @@ buildWorkloadKernel(const WorkloadProfile& p, RaceSeed seed)
     b.setInsertPoint(exit);
     b.ret();
 
-    verify(f);
+    analysis::verifyOrThrow(f);
     IrModule m;
     m.functions.push_back(std::move(f));
     return m;

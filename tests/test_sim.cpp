@@ -260,6 +260,7 @@ TEST(Sim, FloatArithmetic)
     auto out = b.param(1);
     auto t = b.gtid();
     auto va = b.load(b.gep(a, t));
+    f.inst(va).type = Type::f32(); // the builder types loads as integers
     auto fv = b.ffma(va, b.constFloat(2.5), b.constFloat(1.0));
     b.store(b.gep(out, t), fv);
     b.ret();

@@ -559,7 +559,7 @@ cmdVerify(const GlobalOpts& opts)
 
         if (i)
             json += ",";
-        json += "\n  {\"workload\": \"" + analysis::jsonEscape(profile.name) +
+        json += "\n  {\"workload\": \"" + jsonEscape(profile.name) +
                 "\", \"proven_safe\": " +
                 std::to_string(report.proven_safe) +
                 ", \"proven_violating\": " +
@@ -683,7 +683,7 @@ cmdRaces(const GlobalOpts& opts)
 
         if (i)
             json += ",";
-        json += "\n  {\"workload\": \"" + analysis::jsonEscape(item.name) +
+        json += "\n  {\"workload\": \"" + jsonEscape(item.name) +
                 "\", \"seed\": \"" + raceSeedName(item.seed) +
                 "\", \"pairs\": " + std::to_string(report.pairs.size()) +
                 ", \"racy\": " + std::to_string(report.provenRacy()) +
@@ -763,10 +763,10 @@ cmdCheck(const std::string& test_name, const GlobalOpts& opts)
         std::string faults;
         for (const auto& f : r.report.faults)
             faults += (faults.empty() ? "" : ",") + std::string("\"") +
-                      analysis::jsonEscape(f.toString()) + "\"";
+                      jsonEscape(f.toString()) + "\"";
         if (i)
             json += ",";
-        json += "\n  {\"name\": \"" + analysis::jsonEscape(r.name) +
+        json += "\n  {\"name\": \"" + jsonEscape(r.name) +
                 "\", \"verdict\": \"" + r.verdict +
                 "\", \"pass\": " + (r.pass ? "true" : "false") +
                 ", \"events\": " + std::to_string(r.events) +
