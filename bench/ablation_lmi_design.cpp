@@ -27,8 +27,13 @@ using namespace lmi;
 int
 main(int argc, char** argv)
 {
+    double scale = 1.0;
+    if (argc > 2 || (argc == 2 && !parseReal("scale", argv[1], false,
+                                             &scale))) {
+        std::fprintf(stderr, "usage: %s [scale]\n", argv[0]);
+        return 2;
+    }
     bench::banner("Ablation", "K sweep + delayed termination");
-    const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
 
     // --- 1. Minimum-allocation-size sweep ------------------------------
     // The trade-off only shows on a trace that mixes the device heap's

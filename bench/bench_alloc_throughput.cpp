@@ -106,14 +106,16 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--check") && i + 1 < argc) {
             check_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--tolerance") && i + 1 < argc) {
-            tolerance = std::atof(argv[++i]);
+            if (!parseReal("--tolerance", argv[++i], true, &tolerance))
+                return usage();
         } else if (!std::strcmp(argv[i], "--drain") && i + 1 < argc) {
             uint64_t count = 0;
             if (!parseCount("--drain", argv[++i], UINT_MAX, &count))
                 return usage();
             drain_interval = unsigned(count);
         } else if (!scale_seen) {
-            scale = std::atof(argv[i]);
+            if (!parseReal("scale", argv[i], false, &scale))
+                return usage();
             scale_seen = true;
         } else {
             return usage();

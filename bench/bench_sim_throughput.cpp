@@ -14,9 +14,11 @@
  *
  * Regression mode: `--check FILE [--tolerance PCT]` re-measures and
  * exits non-zero when the aggregate rate fell more than PCT percent
- * (default 30) below the rate recorded in FILE. CI's perf-smoke job
- * runs exactly that against the committed baseline. The check always
- * gates the *serial* rate — thread-scaling numbers vary with the host.
+ * (default 30) below the rate recorded in FILE, or when the peak RSS
+ * after the serial pass rose more than PCT percent above FILE's. CI's
+ * perf-smoke job runs exactly that against the committed baseline. The
+ * check always gates the *serial* rate — thread-scaling numbers vary
+ * with the host.
  *
  * Thread-scaling mode: `--threads 1,2,4,8` re-runs the basket with the
  * simulator's per-launch SM worker pool at each count (results are
@@ -101,11 +103,11 @@ peakRssKb()
     return ru.ru_maxrss; // KiB on Linux
 }
 
-/** Pull "aggregate_mcycles_per_sec": <num> out of a baseline JSON with
- *  a plain scan — the file is our own flat rendering, not arbitrary
- *  JSON. Returns 0 when absent/unreadable. */
+/** Pull top-level "<key>": <num> out of a baseline JSON with a plain
+ *  scan — the file is our own flat rendering, not arbitrary JSON.
+ *  Returns 0 when absent/unreadable. */
 double
-baselineRate(const std::string& path)
+baselineNumber(const std::string& path, const std::string& field)
 {
     std::ifstream in(path);
     if (!in)
@@ -113,11 +115,11 @@ baselineRate(const std::string& path)
     std::ostringstream text;
     text << in.rdbuf();
     const std::string s = text.str();
-    const char* key = "\"aggregate_mcycles_per_sec\":";
+    const std::string key = "\"" + field + "\":";
     const size_t pos = s.find(key);
     if (pos == std::string::npos)
         return 0.0;
-    return std::strtod(s.c_str() + pos + std::strlen(key), nullptr);
+    return std::strtod(s.c_str() + pos + key.size(), nullptr);
 }
 
 } // namespace
@@ -154,7 +156,8 @@ main(int argc, char** argv)
         } else if (!std::strcmp(argv[i], "--check") && i + 1 < argc) {
             check_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--tolerance") && i + 1 < argc) {
-            tolerance = std::atof(argv[++i]);
+            if (!parseReal("--tolerance", argv[++i], true, &tolerance))
+                return usage();
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
             for (const char* p = argv[++i]; *p;) {
                 char* end;
@@ -165,7 +168,8 @@ main(int argc, char** argv)
                 p = *end == ',' ? end + 1 : end;
             }
         } else if (!scale_seen) {
-            scale = std::atof(argv[i]);
+            if (!parseReal("scale", argv[i], false, &scale))
+                return usage();
             scale_seen = true;
         } else {
             return usage();
@@ -345,10 +349,15 @@ main(int argc, char** argv)
                     tier_table.render().c_str());
     }
 
-    // Read the reference rate before writing: --out and --check may
+    // Read the reference values before writing: --out and --check may
     // name the same file (refreshing the tracked baseline in place).
     const double base =
-        check_path.empty() ? 0.0 : baselineRate(check_path);
+        check_path.empty()
+            ? 0.0
+            : baselineNumber(check_path, "aggregate_mcycles_per_sec");
+    const double base_rss =
+        check_path.empty() ? 0.0
+                           : baselineNumber(check_path, "peak_rss_kb");
 
     std::ofstream out(out_path, std::ios::trunc);
     out << "{\n";
@@ -413,9 +422,10 @@ main(int argc, char** argv)
     std::printf("wrote %s\n", out_path.c_str());
 
     if (!check_path.empty()) {
-        if (base <= 0.0) {
+        if (base <= 0.0 || base_rss <= 0.0) {
             std::fprintf(stderr,
-                         "error: no aggregate_mcycles_per_sec in %s\n",
+                         "error: no aggregate_mcycles_per_sec or "
+                         "peak_rss_kb in %s\n",
                          check_path.c_str());
             return 1;
         }
@@ -426,6 +436,16 @@ main(int argc, char** argv)
         if (total.mcps() < floor) {
             std::fprintf(stderr,
                          "error: throughput regressed more than %.0f%%\n",
+                         tolerance);
+            return 1;
+        }
+        const double rss_ceiling = base_rss * (1.0 + tolerance / 100.0);
+        std::printf("memory check: peak RSS %ld KiB vs baseline %.0f "
+                    "(ceiling %.0f, tolerance %.0f%%)\n",
+                    rss_kb, base_rss, rss_ceiling, tolerance);
+        if (double(rss_kb) > rss_ceiling) {
+            std::fprintf(stderr,
+                         "error: peak RSS grew more than %.0f%%\n",
                          tolerance);
             return 1;
         }

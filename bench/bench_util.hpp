@@ -73,7 +73,8 @@ parseBenchArgs(int argc, char** argv, double default_scale)
                 usage();
             args.jobs = unsigned(jobs);
         } else if (!scale_seen) {
-            args.scale = std::atof(argv[i]);
+            if (!parseReal("scale", argv[i], false, &args.scale))
+                usage();
             scale_seen = true;
         } else {
             usage();

@@ -51,6 +51,20 @@ roundUpPow2(uint64_t v)
     return uint64_t(1) << log2Ceil(v);
 }
 
+/**
+ * Number of set bits in @p v. A SWAR count, not std::popcount: without
+ * POPCNT in the target (the x86-64 default) that compiles to a libgcc
+ * __popcountdi2 call, which the per-instruction lane counts would pay.
+ */
+constexpr unsigned
+popCount(uint64_t v)
+{
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return unsigned((v * 0x0101010101010101ull) >> 56);
+}
+
 /** Round @p v up to the next multiple of @p align (align must be pow2). */
 constexpr uint64_t
 alignUp(uint64_t v, uint64_t align)

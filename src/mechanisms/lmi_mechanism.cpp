@@ -1,8 +1,7 @@
 #include "mechanisms/lmi_mechanism.hpp"
 
-#include <bit>
-
 #include "arch/mem_map.hpp"
+#include "common/bitutil.hpp"
 #include "common/logging.hpp"
 
 namespace lmi {
@@ -92,7 +91,7 @@ LmiMechanism::onIntResults(const Instruction& inst, uint32_t mask,
         // checked ones; the OCU power-gates the check (E hint bit).
         if (state_.stats && mask)
             elided_.bump(*state_.stats, "ocu.checks_elided",
-                         uint64_t(std::popcount(mask)));
+                         uint64_t(popCount(mask)));
         return;
     }
     OcuTally tally;

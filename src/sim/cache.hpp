@@ -115,6 +115,86 @@ class CacheModel
 };
 
 /**
+ * A set of line numbers, open-addressed with linear probing and cleared
+ * in O(1) by bumping a generation stamp: a slot is occupied iff its
+ * stamp equals the current generation. Each SM keeps one for the lines
+ * it touched this slice and clears it at every slice barrier, so after
+ * the first slices it neither allocates nor frees.
+ */
+class LineSet
+{
+  public:
+    /** Insert @p line. @return true iff it was not already present. */
+    bool
+    insert(uint64_t line)
+    {
+        if (2 * (size_ + 1) > slots_.size())
+            grow();
+        for (size_t i = home(line);; i = (i + 1) & (slots_.size() - 1)) {
+            Slot& s = slots_[i];
+            if (s.gen != gen_) {
+                s = {line, gen_};
+                ++size_;
+                return true;
+            }
+            if (s.line == line)
+                return false;
+        }
+    }
+
+    size_t size() const { return size_; }
+
+    /** Empty the set, keeping its capacity. */
+    void
+    clear()
+    {
+        size_ = 0;
+        if (++gen_ == 0) { // stamp wrapped: old stamps could match again
+            for (Slot& s : slots_)
+                s.gen = 0;
+            gen_ = 1;
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        uint64_t line = 0;
+        uint32_t gen = 0; ///< occupied iff == LineSet::gen_
+    };
+
+    /** Fibonacci hash onto the power-of-two table. */
+    size_t
+    home(uint64_t line) const
+    {
+        return size_t((line * 0x9e3779b97f4a7c15ull) >> shift_);
+    }
+
+    /** Double the table (16 slots at first) and re-place the live keys;
+     *  keeps the load factor at or below 1/2. */
+    void
+    grow()
+    {
+        std::vector<Slot> old;
+        old.swap(slots_);
+        const size_t cap = old.empty() ? 16 : 2 * old.size();
+        slots_.assign(cap, Slot{});
+        shift_ = 64 - log2Floor(cap);
+        const uint32_t live = gen_;
+        gen_ = 1;
+        size_ = 0;
+        for (const Slot& s : old)
+            if (s.gen == live)
+                insert(s.line);
+    }
+
+    std::vector<Slot> slots_;
+    unsigned shift_ = 64;
+    uint32_t gen_ = 1;
+    size_t size_ = 0;
+};
+
+/**
  * DRAM bandwidth model: a token bucket over absolute cycles. Each line
  * transfer occupies channel time; when requests arrive faster than the
  * channel drains, the excess shows up as queueing latency.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
@@ -10,7 +9,6 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
@@ -22,6 +20,16 @@ namespace {
 
 /** Physical base used to interleave per-thread local memory for timing. */
 constexpr uint64_t kLocalPhysBase = uint64_t(1) << 50;
+
+/**
+ * Cap on a lane's dense stack-frame window: one page, the storage a lane
+ * touching its frame cost when local memory was page-granular. A
+ * block's shared window is capped by the SM's scratchpad
+ * (kSharedCapacity). Bytes past a cap spill to the window's
+ * SparseMemory (same contents, slower), so a huge declared size cannot
+ * inflate the arenas.
+ */
+constexpr uint64_t kFrameWindowCap = SparseMemory::kPageBytes;
 
 double
 asDouble(uint64_t bits)
@@ -268,7 +276,7 @@ struct GpuSim::Warp
     uint32_t exited = 0;
     uint16_t rstride = 32;     ///< register-file row stride (= warp size)
     uint32_t local_slot = 0;   ///< local-arena slot (lane memories)
-    SparseMemory* shared = nullptr; ///< this block's shared-arena slot
+    WindowedMemory* shared = nullptr; ///< this block's shared-arena slot
     /** Register file, register-major (SoA): row r holds all lanes of r,
      *  so the per-instruction lane loop walks contiguous memory. */
     std::vector<uint64_t> regs;
@@ -446,14 +454,22 @@ struct GpuSim::SmCtx
     uint64_t idle_guard = 0;       ///< consecutive no-progress cycles
 
     /** Flat memory arenas: residency bounds cap live blocks/warps, so
-     *  one dense slot pool per SM serves its whole share of the launch.
-     *  Slots are zero-reset when (re)assigned, preserving "fresh memory
-     *  reads zero". Per-SM (not launch-global) so worker threads never
-     *  share them. */
-    std::vector<SparseMemory> shared_arena;
-    std::vector<SparseMemory> local_arena;
+     *  one slot pool per SM serves its whole share of the launch. Each
+     *  slot is a windowed memory over this SM's dense storage (one
+     *  window per block, one per lane of a warp slot); slots are
+     *  zeroed when (re)assigned, preserving "fresh memory reads zero",
+     *  and only then. Per-SM (not launch-global) so worker threads
+     *  never share them. */
+    std::vector<WindowedMemory> shared_arena;
+    std::vector<WindowedMemory> local_arena;
+    std::unique_ptr<uint8_t[]> shared_store;
+    std::unique_ptr<uint8_t[]> local_store;
     std::vector<uint32_t> shared_free;
     std::vector<uint32_t> local_free;
+    /** Register files (regs, reg_ready) of done warps, handed to the
+     *  next warps admitted here instead of freed and reallocated. */
+    std::vector<std::vector<uint64_t>> spare_regs;
+    std::vector<std::vector<uint64_t>> spare_ready;
 
     /** Reusable coalescer scratch. */
     std::vector<uint64_t> lines_scratch;
@@ -465,7 +481,7 @@ struct GpuSim::SmCtx
     std::vector<uint64_t> l2_log;
     /** Lines this SM already took an L2 probe decision on this slice
      *  (present after the first touch, whatever the frozen array said). */
-    std::unordered_set<uint64_t> own_lines;
+    LineSet own_lines;
     std::vector<HeapOp> heap_q;
     std::vector<AtomOp> atom_q;
     std::vector<PendingFault> fault_q;
@@ -487,26 +503,45 @@ struct GpuSim::SmCtx
      * residency caps only matter when enough blocks are pending to hit
      * them, and a kernel with no local-memory instructions needs no
      * local slot storage at all (slot ids are still handed out, they
-     * just index nothing).
+     * just index nothing). @p shared_bytes and @p frame_bytes are the
+     * (capped) window sizes, over [kSharedBase, +shared_bytes) and
+     * [frame_lo, +frame_bytes).
      */
     void
     initArenas(const GpuConfig& cfg, unsigned warps_per_block,
-               bool uses_local)
+               uint64_t shared_bytes, bool uses_local, uint64_t frame_lo,
+               uint64_t frame_bytes)
     {
         const uint32_t resident_blocks = uint32_t(
             std::min<size_t>(cfg.max_blocks_per_sm, pending_blocks.size()));
         const uint32_t resident_warps =
             std::min(cfg.max_warps_per_sm,
                      resident_blocks * warps_per_block);
-        shared_arena.resize(resident_blocks);
+        bindArena(shared_arena, shared_store, resident_blocks, kSharedBase,
+                  shared_bytes);
         shared_free.reserve(resident_blocks);
         for (uint32_t s = 0; s < resident_blocks; ++s)
             shared_free.push_back(s);
         if (uses_local)
-            local_arena.resize(size_t(resident_warps) * cfg.warp_size);
+            bindArena(local_arena, local_store,
+                      size_t(resident_warps) * cfg.warp_size, frame_lo,
+                      frame_bytes);
         local_free.reserve(resident_warps);
         for (uint32_t s = 0; s < resident_warps; ++s)
             local_free.push_back(s);
+    }
+
+    /** @p n windows of @p bytes each over one fresh, unzeroed buffer
+     *  (admitBlocks zeroes a slot when it assigns it). */
+    static void
+    bindArena(std::vector<WindowedMemory>& arena,
+              std::unique_ptr<uint8_t[]>& store, size_t n, uint64_t lo,
+              uint64_t bytes)
+    {
+        store = std::make_unique_for_overwrite<uint8_t[]>(n * bytes);
+        arena = std::vector<WindowedMemory>(n);
+        for (size_t i = 0; i < n; ++i)
+            arena[i].bind(store.get() + i * bytes, lo, bytes);
     }
 };
 
@@ -927,7 +962,7 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
     uint64_t* const dst_row =
         (!is_store && inst.dst >= 0) ? warp.regRow(unsigned(inst.dst))
                                      : nullptr;
-    SparseMemory* const local_base =
+    WindowedMemory* const local_base =
         sm.local_arena.empty()
             ? nullptr // kernel has no local-memory instructions
             : sm.local_arena.data() +
@@ -952,7 +987,7 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
         // view (frozen base + own-store overlay); shared and local are
         // SM-private arenas accessed directly.
         const uint64_t addr = addrs[lane];
-        SparseMemory* mem = nullptr;
+        WindowedMemory* mem = nullptr;
         switch (space) {
           case MemSpace::Global:
             break;
@@ -1128,9 +1163,8 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
                 // slice. The barrier replays l2_log through the real
                 // LRU state in canonical SM order.
                 sm.l2_log.push_back(byte_addr);
-                const bool l2_hit = sm.own_lines.count(line) != 0 ||
+                const bool l2_hit = !sm.own_lines.insert(line) ||
                                     l2_.probe(byte_addr);
-                sm.own_lines.insert(line);
                 if (l2_hit) {
                     ++sm.cnt.l2_hits;
                 } else {
@@ -1312,9 +1346,16 @@ GpuSim::markWarpDone(SmCtx& sm, Warp& warp)
     sm.local_free.push_back(warp.local_slot);
     // Release the dead warp's bulk state: resident-warp scans stay
     // cache-resident across long multi-wave launches, and its local
-    // slot is free for the next admitted warp.
-    std::vector<uint64_t>().swap(warp.regs);
-    std::vector<uint64_t>().swap(warp.reg_ready);
+    // slot is free for the next admitted warp. So is its register file
+    // while blocks are still pending here; after the last admission it
+    // is freed, so the rest of the launch can reuse the memory.
+    if (sm.next_block < sm.pending_blocks.size()) {
+        sm.spare_regs.push_back(std::move(warp.regs));
+        sm.spare_ready.push_back(std::move(warp.reg_ready));
+    } else {
+        std::vector<uint64_t>().swap(warp.regs);
+        std::vector<uint64_t>().swap(warp.reg_ready);
+    }
     std::vector<std::pair<uint64_t, uint32_t>>().swap(warp.stack);
     for (BlockCtx& blk : sm.blocks) {
         if (blk.block_id == warp.block) {
@@ -1360,7 +1401,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
     const Instruction& inst = program_.code[warp.pc];
     const InstDesc& d = idesc_[warp.pc];
     ++sm.cnt.instructions;
-    sm.cnt.thread_instructions += std::popcount(warp.active);
+    sm.cnt.thread_instructions += popCount(warp.active);
 
     const uint64_t cycle = sm.cycle;
     if (launch_.trace) {
@@ -1781,7 +1822,7 @@ GpuSim::admitBlocks(SmCtx& sm)
         sm.shared_free.pop_back();
         sm.shared_arena[bc.shared_slot].reset();
         sm.blocks.push_back(bc);
-        SparseMemory* const shared = &sm.shared_arena[bc.shared_slot];
+        WindowedMemory* const shared = &sm.shared_arena[bc.shared_slot];
 
         for (unsigned wi = 0; wi < warps_per_block; ++wi) {
             Warp w;
@@ -1804,6 +1845,12 @@ GpuSim::admitBlocks(SmCtx& sm)
                                        config_.warp_size +
                                    l]
                         .reset();
+            if (!sm.spare_regs.empty()) {
+                w.regs = std::move(sm.spare_regs.back());
+                w.reg_ready = std::move(sm.spare_ready.back());
+                sm.spare_regs.pop_back();
+                sm.spare_ready.pop_back();
+            }
             w.reg_ready.assign(nregs_, 0);
             w.regs.assign(size_t(config_.warp_size) * nregs_, 0);
             w.stall_until = sm.cycle;
@@ -1816,6 +1863,9 @@ GpuSim::admitBlocks(SmCtx& sm)
             ++sm.live_warps;
         }
     }
+    // Last admission done: no warp will take the spare register files.
+    sm.spare_regs.clear();
+    sm.spare_ready.clear();
 }
 
 void
@@ -2305,7 +2355,7 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
             if (op.is_malloc) {
                 w.reg_ready[unsigned(op.dst)] =
                     op.cycle + config_.malloc_latency +
-                    8 * std::popcount(op.active);
+                    8 * popCount(op.active);
             } else {
                 w.stall_until = op.cycle + config_.malloc_latency / 2;
             }
@@ -2579,8 +2629,15 @@ GpuSim::run()
     const unsigned warps_per_block =
         (launch_.block_threads + config_.warp_size - 1) /
         config_.warp_size;
+    const uint64_t shared_window =
+        std::min(dyn_shared_base_ + launch_.dynamic_shared_bytes,
+                 kSharedCapacity);
+    const uint64_t frame_window =
+        std::min(program_.frame_bytes, kFrameWindowCap);
     for (SmCtx& sm : sms) {
-        sm.initArenas(config_, warps_per_block, uses_local);
+        sm.initArenas(config_, warps_per_block, shared_window, uses_local,
+                      config_.stack_top - program_.frame_bytes,
+                      frame_window);
         admitBlocks(sm);
     }
 

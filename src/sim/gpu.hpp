@@ -43,9 +43,14 @@
  *    instead of once per lane per dynamic instruction;
  *  - the per-lane register file is laid out register-major (SoA), so the
  *    lane loop of one instruction walks contiguous memory;
- *  - per-thread local and per-block shared memories live in dense,
- *    residency-bounded per-SM arenas reused across waves (slots are
- *    zero-reset on reuse), replacing per-access hash-map lookups;
+ *  - per-thread local and per-block shared memories live in dense
+ *    windows over their declared range (stack frame, shared buffers)
+ *    in residency-bounded per-SM arenas allocated once per launch and
+ *    reused across waves (slots are zeroed when assigned); only
+ *    out-of-window bytes reach a hash-mapped SparseMemory spill;
+ *  - done warps hand their register files to the next warp admitted
+ *    on the SM, and each SM's per-slice L2 line set is cleared by a
+ *    generation bump, so steady-state issue does not touch the heap;
  *  - the SM loop is gated by live/barrier/retire counters so block
  *    retirement scans, admission and barrier release run only on the
  *    cycles where they can act, and per-scheduler sleep targets allow

@@ -1,16 +1,22 @@
 /**
  * @file
- * Functional backing store: a sparse, page-granular byte memory.
+ * Functional backing stores.
  *
- * Used for global memory (one instance per device), per-block shared
- * memory, and per-thread local memory. Pages materialize zero-filled on
- * first touch, so the 8 GB global space costs only what kernels touch.
+ * SparseMemory is a sparse, page-granular byte memory. It backs global
+ * memory (one instance per device) and the out-of-window spill of the
+ * windowed memories below. Pages materialize zero-filled on first
+ * touch, so the 8 GB global space costs only what kernels touch.
  *
  * A one-entry last-page cache short-circuits the page map for the common
  * case of consecutive accesses landing on the same page (coalesced warp
  * accesses, streaming loops). Page storage is heap-allocated behind
  * unique_ptr, so the cached pointer stays valid across map rehashes;
  * only reset() invalidates it.
+ *
+ * WindowedMemory backs per-block shared memory and per-thread local
+ * memory: a dense byte window over the declared range (the shared
+ * buffers, the stack frame) with a SparseMemory spill for every byte
+ * outside it, so out-of-bounds accesses still behave like memory.
  */
 
 #pragma once
@@ -188,6 +194,98 @@ class SparseMemory
     /** One-entry cache of the last page touched (index, storage). */
     uint64_t cached_idx_ = kNoPage;
     uint8_t* cached_page_ = nullptr;
+};
+
+/**
+ * Byte-addressable memory with a dense window [lo, lo + size) over
+ * caller-owned storage and a lazily created SparseMemory spill for
+ * every other address. An access that straddles a window edge is split
+ * per byte between the two, so the memory reads back exactly what a
+ * plain SparseMemory would. The engine binds one per block (shared)
+ * and per lane (local) into per-SM arenas that live for the launch.
+ */
+class WindowedMemory
+{
+  public:
+    /** Back [lo, lo + size) with @p window (size bytes, contents
+     *  unspecified until reset()). */
+    void
+    bind(uint8_t* window, uint64_t lo, uint64_t size)
+    {
+        win_ = window;
+        lo_ = lo;
+        size_ = size;
+    }
+
+    /** Read @p n bytes (n <= 8) little-endian into a value. */
+    uint64_t
+    read(uint64_t addr, unsigned n)
+    {
+        uint64_t v = 0;
+        const uint64_t off = addr - lo_; // wraps for addr < lo_
+        if (off < size_ && size_ - off >= n) {
+            copyAccess(&v, win_ + off, n);
+            return v;
+        }
+        auto* out = reinterpret_cast<uint8_t*>(&v);
+        for (unsigned i = 0; i < n; ++i) {
+            const uint64_t o = off + i;
+            if (o < size_)
+                out[i] = win_[o];
+            else if (spill_)
+                out[i] = uint8_t(spill_->read(addr + i, 1));
+        }
+        return v;
+    }
+
+    /** Write the low @p n bytes of @p value. */
+    void
+    write(uint64_t addr, uint64_t value, unsigned n)
+    {
+        const uint64_t off = addr - lo_;
+        if (off < size_ && size_ - off >= n) {
+            copyAccess(win_ + off, &value, n);
+            return;
+        }
+        if (!spill_)
+            spill_ = std::make_unique<SparseMemory>();
+        const auto* in = reinterpret_cast<const uint8_t*>(&value);
+        for (unsigned i = 0; i < n; ++i) {
+            const uint64_t o = off + i;
+            if (o < size_)
+                win_[o] = in[i];
+            else
+                spill_->write(addr + i, in[i], 1);
+        }
+    }
+
+    /** Zero the window and drop the spill: every byte reads 0 again. */
+    void
+    reset()
+    {
+        if (size_)
+            std::memset(win_, 0, size_);
+        if (spill_)
+            spill_->reset();
+    }
+
+  private:
+    /** memcpy with the common access widths spelled out, so each
+     *  compiles to one move instead of a libc call. */
+    static void
+    copyAccess(void* dst, const void* src, unsigned n)
+    {
+        switch (n) {
+          case 8: std::memcpy(dst, src, 8); break;
+          case 4: std::memcpy(dst, src, 4); break;
+          default: std::memcpy(dst, src, n); break;
+        }
+    }
+
+    uint8_t* win_ = nullptr;
+    uint64_t lo_ = 0;
+    uint64_t size_ = 0;
+    std::unique_ptr<SparseMemory> spill_;
 };
 
 } // namespace lmi

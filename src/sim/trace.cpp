@@ -1,9 +1,9 @@
 #include "sim/trace.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <sstream>
 
+#include "common/bitutil.hpp"
 #include "common/table.hpp"
 
 namespace lmi {
@@ -14,7 +14,7 @@ analyzeTrace(const std::vector<TraceEvent>& events)
     TraceAnalysis a;
     for (const TraceEvent& e : events) {
         ++a.instructions;
-        a.thread_instructions += std::popcount(e.active_mask);
+        a.thread_instructions += popCount(e.active_mask);
         ++a.by_opcode[e.op];
         a.hinted += e.hinted;
         if (isIntAlu(e.op))

@@ -1,11 +1,16 @@
 /**
  * @file
  * Direct unit tests for the memory-system models: SparseMemory,
- * CacheModel (set-associative LRU), and DramModel (bandwidth queueing).
+ * WindowedMemory and LineSet (each against a reference), CacheModel
+ * (set-associative LRU), and DramModel (bandwidth queueing).
  */
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "sim/cache.hpp"
 #include "sim/memory.hpp"
 
@@ -97,6 +102,132 @@ TEST(SparseMemory, TopOfAddressSpace)
     mem.write(addr, 0x0123456789ABCDEFull, 8);
     EXPECT_EQ(mem.read(addr, 8), 0x0123456789ABCDEFull);
     EXPECT_EQ(mem.pageCount(), 1u);
+}
+
+/** Window placements: a stack frame just below a page-aligned top, a
+ *  shared range from 0, a window across a page boundary, an empty
+ *  window, and one ending at the top of the address space. */
+struct WindowCase
+{
+    const char* name;
+    uint64_t lo;
+    uint64_t size;
+};
+
+/** Keeps the ctest names (which embed GetParam()) readable. */
+void
+PrintTo(const WindowCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
+class WindowedMemoryDiff : public ::testing::TestWithParam<WindowCase>
+{
+};
+
+TEST_P(WindowedMemoryDiff, MatchesSparseMemoryOnRandomOps)
+{
+    // Seeded reads and writes of width 1/2/4/8 inside the window,
+    // across both edges and far outside it, with occasional reset();
+    // every read must match a plain SparseMemory.
+    const WindowCase wc = GetParam();
+    std::vector<uint8_t> storage(wc.size, 0xA5); // garbage until reset()
+    WindowedMemory mem;
+    mem.bind(storage.data(), wc.lo, wc.size);
+    mem.reset();
+    SparseMemory ref;
+    Rng rng(0x5eed + wc.lo + wc.size);
+    const unsigned widths[] = {1, 2, 4, 8};
+    const uint64_t hi = wc.lo + wc.size;
+    for (int op = 0; op < 20000; ++op) {
+        const unsigned n = widths[rng.below(4)];
+        uint64_t addr;
+        switch (rng.below(4)) {
+          case 0: // inside
+            addr = wc.lo + (wc.size ? rng.below(wc.size) : 0);
+            break;
+          case 1: // straddling or just past the low edge
+            addr = wc.lo - 8 + rng.below(16);
+            break;
+          case 2: // straddling or just past the high edge
+            addr = hi - 8 + rng.below(16);
+            break;
+          default: // anywhere within a few pages
+            addr = wc.lo - 8192 + rng.below(16384 + wc.size);
+            break;
+        }
+        if (rng.below(2000) == 0) {
+            mem.reset();
+            ref.reset();
+        } else if (rng.below(2)) {
+            const uint64_t v = rng.next();
+            mem.write(addr, v, n);
+            ref.write(addr, v, n);
+        } else {
+            ASSERT_EQ(mem.read(addr, n), ref.read(addr, n))
+                << "op " << op << " addr 0x" << std::hex << addr
+                << " width " << std::dec << n;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, WindowedMemoryDiff,
+    ::testing::Values(WindowCase{"Frame", 0x140000 - 192, 192},
+                      WindowCase{"SharedFromZero", 0, 96},
+                      WindowCase{"AcrossPage", SparseMemory::kPageBytes - 40,
+                                 80},
+                      WindowCase{"Empty", 0x2000, 0},
+                      WindowCase{"TopOfAddressSpace", ~uint64_t(0) - 255,
+                                 256}),
+    [](const ::testing::TestParamInfo<WindowCase>& info) {
+        return std::string(info.param.name);
+    });
+
+TEST(WindowedMemory, ResetZeroesWindowAndSpill)
+{
+    std::vector<uint8_t> storage(64, 0xFF);
+    WindowedMemory mem;
+    mem.bind(storage.data(), 0x1000, 64);
+    mem.reset();
+    EXPECT_EQ(mem.read(0x1000, 8), 0u);
+    mem.write(0x103C, 0x1122334455667788ull, 8); // straddles the top
+    mem.write(0x9000, 0xABCDull, 2);             // spill only
+    EXPECT_EQ(mem.read(0x103C, 8), 0x1122334455667788ull);
+    EXPECT_EQ(storage[63], 0x55u); // in-window bytes live in the storage
+    mem.reset();
+    EXPECT_EQ(mem.read(0x103C, 8), 0u);
+    EXPECT_EQ(mem.read(0x9000, 2), 0u);
+}
+
+TEST(LineSet, MatchesUnorderedSetThroughGrowthAndClear)
+{
+    // Seeded inserts over a small key domain (so repeats hit), sets
+    // from a few lines up to several thousand (so the table grows
+    // repeatedly), with clears in between.
+    LineSet set;
+    std::unordered_set<uint64_t> ref;
+    Rng rng(17);
+    for (int round = 0; round < 200; ++round) {
+        const uint64_t domain = 1 + rng.below(round % 10 == 9 ? 20000 : 300);
+        const uint64_t base = rng.next();
+        const int ops = int(rng.below(4000));
+        for (int i = 0; i < ops; ++i) {
+            const uint64_t key = base + rng.below(domain) * 128;
+            ASSERT_EQ(set.insert(key), ref.insert(key).second)
+                << "round " << round;
+            ASSERT_EQ(set.size(), ref.size());
+        }
+        for (const uint64_t key : ref)
+            ASSERT_FALSE(set.insert(key)) << "round " << round;
+        ASSERT_EQ(set.size(), ref.size());
+        set.clear();
+        ref.clear();
+        ASSERT_EQ(set.size(), 0u);
+        // Cleared slots still hold old keys: they must not count.
+        ASSERT_TRUE(set.insert(base));
+        set.clear();
+    }
 }
 
 TEST(CacheModel, HitAfterFill)

@@ -428,5 +428,128 @@ TEST(Sim, UniformBarrierInBranchDoesNotFault)
         ASSERT_EQ(dev.peek32(out + 4 * i), i);
 }
 
+TEST(Sim, ReusedSharedAndLocalSlotsReadZero)
+{
+    // One SM holding two 2-warp blocks at a time runs a 6-block grid in
+    // three waves, so later blocks land on shared and local slots an
+    // earlier block dirtied. Each thread reads its shared word, both
+    // ends of its frame and one word past the shared buffer and past
+    // the frame (kept outside the dense windows) before writing them:
+    // every read must see 0.
+    IrFunction f = IrBuilder::makeKernel(
+        "fresh", {{"seen_shared", Type::ptr(8)},
+                  {"seen_local", Type::ptr(8)},
+                  {"echo", Type::ptr(8)}});
+    IrBuilder b(f);
+    b.setInsertPoint(b.block("entry"));
+    auto t = b.tid();
+    auto g = b.gtid();
+    auto tile = b.sharedBuffer("tile", 64 * 8, 8);
+    auto buf = b.alloca_(64, 8);
+    auto word = b.gep(tile, t);
+    auto past_tile = b.gep(tile, b.iadd(t, b.constInt(64)));
+    auto lo = b.gep(buf, b.constInt(0));
+    auto hi = b.gep(buf, b.constInt(7));
+    auto past_frame = b.gep(buf, b.constInt(9));
+    b.store(b.gep(b.param(0), g), b.ior(b.load(word), b.load(past_tile)));
+    b.store(b.gep(b.param(1), g),
+            b.ior(b.ior(b.load(lo), b.load(hi)), b.load(past_frame)));
+    auto mark = b.iadd(g, b.constInt(1));
+    for (auto p : {word, past_tile, lo, hi, past_frame})
+        b.store(p, mark);
+    b.store(b.gep(b.param(2), g),
+            b.iadd(b.iadd(b.load(word), b.load(past_tile)),
+                   b.iadd(b.iadd(b.load(lo), b.load(hi)),
+                          b.load(past_frame))));
+    b.ret();
+
+    GpuConfig cfg;
+    cfg.num_sms = 1;
+    cfg.max_blocks_per_sm = 2;
+    cfg.max_warps_per_sm = 4;
+    const unsigned blocks = 6, threads = 64, n = blocks * threads;
+    for (const ExecutionTier tier :
+         {ExecutionTier::Detailed, ExecutionTier::Functional}) {
+        Device dev(cfg);
+        const uint64_t seen_shared = dev.cudaMalloc(n * 8);
+        const uint64_t seen_local = dev.cudaMalloc(n * 8);
+        const uint64_t echo = dev.cudaMalloc(n * 8);
+        for (unsigned i = 0; i < n; ++i) {
+            dev.poke64(seen_shared + 8 * i, 0xdead);
+            dev.poke64(seen_local + 8 * i, 0xdead);
+        }
+        const CompiledKernel k = dev.compile(module(f), "fresh");
+        LaunchOptions opts;
+        opts.tier = tier;
+        const RunResult r = dev.launch(k, blocks, threads,
+                                       {seen_shared, seen_local, echo},
+                                       opts);
+        ASSERT_FALSE(r.faulted());
+        for (unsigned i = 0; i < n; ++i) {
+            ASSERT_EQ(dev.peek64(seen_shared + 8 * i), 0u) << "i=" << i;
+            ASSERT_EQ(dev.peek64(seen_local + 8 * i), 0u) << "i=" << i;
+            ASSERT_EQ(dev.peek64(echo + 8 * i), 5u * (i + 1)) << "i=" << i;
+        }
+    }
+}
+
+TEST(Sim, BaselineAccessesPastSharedAndFrameReadBack)
+{
+    // The unprotected baseline lets kernels write past their declared
+    // shared buffer and past their stack frame. Those bytes must behave
+    // like memory: the 8-byte accesses at offset 60 straddle the end of
+    // the 64-byte buffer (and the frame's top edge), the rest land wholly
+    // outside, and unwritten bytes past the edge read 0.
+    IrFunction f = IrBuilder::makeKernel(
+        "past", {{"out", Type::ptr(8)}});
+    IrBuilder b(f);
+    b.setInsertPoint(b.block("entry"));
+    auto t = b.tid();
+    auto out = b.param(0);
+    auto tile = b.sharedBuffer("tile", 64, 8);
+    auto buf = b.alloca_(64, 8);
+    const int64_t offsets[] = {60, 64, 200, 4092, 9000};
+    const unsigned nvals = 2 * std::size(offsets) + 2;
+    auto row = b.imul(t, b.constInt(nvals));
+    unsigned slot = 0;
+    auto emit = [&](ValueId v) {
+        b.store(b.gep(out, b.iadd(row, b.constInt(slot++))), v);
+    };
+    // Shared: lane t owns bytes [off + 16t, off + 16t + 8); local frames
+    // are per lane, so every lane uses the same offsets there.
+    auto lane_off = b.imul(t, b.constInt(16));
+    for (const int64_t off : offsets) {
+        auto v = b.iadd(b.imul(t, b.constInt(1000)), b.constInt(off));
+        auto sp = b.ptrAddBytes(tile, b.iadd(lane_off, b.constInt(off)));
+        auto lp = b.ptrAddBytes(buf, b.constInt(off));
+        b.store(sp, v);
+        b.store(lp, b.iadd(v, b.constInt(7)));
+        emit(b.load(sp));
+        emit(b.load(lp));
+    }
+    emit(b.load(b.ptrAddBytes(tile, b.iadd(lane_off, b.constInt(20000)))));
+    emit(b.load(b.ptrAddBytes(buf, b.constInt(20000))));
+    b.ret();
+
+    Device dev;
+    const unsigned threads = 32;
+    const uint64_t out_buf = dev.cudaMalloc(threads * nvals * 8);
+    const CompiledKernel k = dev.compile(module(std::move(f)), "past");
+    ASSERT_EQ(k.program.static_shared_bytes, 64u);
+    ASSERT_EQ(k.program.frame_bytes, 64u);
+    const RunResult r = dev.launch(k, 1, threads, {out_buf});
+    ASSERT_FALSE(r.faulted());
+    for (unsigned t = 0; t < threads; ++t) {
+        const uint64_t base = out_buf + 8 * uint64_t(t) * nvals;
+        for (size_t i = 0; i < std::size(offsets); ++i) {
+            const uint64_t v = 1000 * t + uint64_t(offsets[i]);
+            EXPECT_EQ(dev.peek64(base + 16 * i), v) << "t=" << t;
+            EXPECT_EQ(dev.peek64(base + 16 * i + 8), v + 7) << "t=" << t;
+        }
+        EXPECT_EQ(dev.peek64(base + 16 * std::size(offsets)), 0u);
+        EXPECT_EQ(dev.peek64(base + 16 * std::size(offsets) + 8), 0u);
+    }
+}
+
 } // namespace
 } // namespace lmi

@@ -201,8 +201,9 @@ usage()
         "  skips the timing model, sampled extrapolates cycles from\n"
         "  periodic detailed slices); coverage defaults to the\n"
         "  detailed+functional tier pair unless --tier narrows it\n"
-        "unknown --flags, malformed counts and empty filters exit 2\n"
-        "with this usage on stderr\n");
+        "unknown --flags, malformed counts, scales that are not a\n"
+        "finite decimal > 0 and empty filters exit 2 with this usage\n"
+        "on stderr\n");
     return 2;
 }
 
@@ -1016,6 +1017,12 @@ main(int argc, char** argv)
     if (args.empty())
         return usage();
     const std::string cmd = args[0];
+    // Optional positional scale args[i]: a finite decimal > 0.
+    auto scaleArg = [&](size_t i, double fallback, double* out) {
+        *out = fallback;
+        return args.size() <= i || parseReal("scale", args[i], false, out);
+    };
+    double scale = 0.0;
     try {
         if (cmd == "list")
             return cmdList();
@@ -1023,20 +1030,17 @@ main(int argc, char** argv)
             MechanismKind kind;
             if (!mechanismFromName(args[2], &kind))
                 return usage();
-            return cmdRun(args[1], kind,
-                          args.size() > 3 ? std::atof(args[3].c_str())
-                                          : 0.5,
-                          opts);
+            if (!scaleArg(3, 0.5, &scale))
+                return usage();
+            return cmdRun(args[1], kind, scale, opts);
         }
         if (cmd == "compare" && args.size() >= 2)
-            return cmdCompare(args[1],
-                              args.size() > 2 ? std::atof(args[2].c_str())
-                                              : 0.5,
-                              opts);
+            return scaleArg(2, 0.5, &scale)
+                       ? cmdCompare(args[1], scale, opts)
+                       : usage();
         if (cmd == "sweep")
-            return cmdSweep(args.size() > 1 ? std::atof(args[1].c_str())
-                                            : 0.5,
-                            opts);
+            return scaleArg(1, 0.5, &scale) ? cmdSweep(scale, opts)
+                                            : usage();
         if (cmd == "disasm" && args.size() >= 3) {
             MechanismKind kind;
             if (!mechanismFromName(args[2], &kind))
@@ -1061,9 +1065,8 @@ main(int argc, char** argv)
         if (cmd == "coverage")
             return cmdCoverage(opts);
         if (cmd == "churn")
-            return cmdChurn(args.size() > 1 ? std::atof(args[1].c_str())
-                                            : 1.0,
-                            opts);
+            return scaleArg(1, 1.0, &scale) ? cmdChurn(scale, opts)
+                                            : usage();
         if (cmd == "security" && args.size() >= 2) {
             MechanismKind kind;
             if (!mechanismFromName(args[1], &kind))
