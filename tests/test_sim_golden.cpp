@@ -1,13 +1,16 @@
 /**
  * @file
- * Golden outputs of the detailed issue path, and the lane-order
- * contract of the warp-granular mechanism hooks.
+ * Golden outputs of the detailed and functional issue paths, and the
+ * lane-order contract of the warp-granular mechanism hooks.
  *
  * The golden tables were recorded from the per-lane engine that
- * predates the warp-granular hooks. They pin:
+ * predates the warp-granular hooks; the functional table was recorded
+ * before the sampled tier, which shared the functional stepper, was
+ * deleted. They pin:
  *  - the FNV-1a digest of every Fig. 12 cell's serializeCellPayload
- *    (28 workloads x 4 mechanisms, scale 0.25, detailed tier), which
- *    covers cycles, the cache profile and every device counter;
+ *    (28 workloads x 4 mechanisms, scale 0.25, detailed and functional
+ *    tiers), which covers cycles, the cache profile and every device
+ *    counter;
  *  - each attack family, plus a store warp that faults in one lane,
  *    under every registry mechanism: the fault kind and address and
  *    the ocu.* / ec.* / gpushield.* counters.
@@ -233,6 +236,121 @@ const std::vector<std::string> kFig12Golden = {
     "segformer/lmi 3bf827d345d924ad",
 };
 
+const std::vector<std::string> kFig12FunctionalGolden = {
+    "backprop/baseline ad81d434158ad1d4",
+    "backprop/baggy-sw 6d4272ebaa6a70ff",
+    "backprop/gpushield 8d5053927e23de13",
+    "backprop/lmi a04a6802ac031c43",
+    "bfs/baseline 8bf36f9419691187",
+    "bfs/baggy-sw c9ec0619fc2a7b23",
+    "bfs/gpushield 18f014a4bcc3994e",
+    "bfs/lmi ba8ae7af3cb004d4",
+    "dwt2d/baseline 06c1945c02e53e29",
+    "dwt2d/baggy-sw f578fc3b1366bfe6",
+    "dwt2d/gpushield a573b57555c7c429",
+    "dwt2d/lmi 81af7d5b033ff067",
+    "gaussian/baseline d46aff0506e50a91",
+    "gaussian/baggy-sw 64d374b749b3d90b",
+    "gaussian/gpushield 5250a4931e0a448d",
+    "gaussian/lmi 1dab0499bd8d3379",
+    "hotspot/baseline 033975c082319404",
+    "hotspot/baggy-sw 88f3823bffc305a7",
+    "hotspot/gpushield 370e25a32b8cc442",
+    "hotspot/lmi 805aa3c6433b4ace",
+    "lavaMD/baseline 84a71e4e6b91f2cd",
+    "lavaMD/baggy-sw 8d0b6efe06edf849",
+    "lavaMD/gpushield 2a603430ea996dc5",
+    "lavaMD/lmi 7bc2776fab12eff8",
+    "lud_cuda/baseline 248292ff2a23d7e4",
+    "lud_cuda/baggy-sw fa68c8fc698f59be",
+    "lud_cuda/gpushield 2f27bf9c2bbdfb95",
+    "lud_cuda/lmi 9ee708d2bf0892e6",
+    "needle/baseline f187e96da448b3c3",
+    "needle/baggy-sw 0403d73a39048597",
+    "needle/gpushield 6308f9c574bd934f",
+    "needle/lmi 698d0056f318befe",
+    "nn/baseline c0b8b0a8ad5093f9",
+    "nn/baggy-sw cfbba19ad51f1cd6",
+    "nn/gpushield fc53d8bb935f571c",
+    "nn/lmi 8abc2821f2cf2857",
+    "particlefilter_float/baseline 6995348775e575b0",
+    "particlefilter_float/baggy-sw 0fc65059aaf7be64",
+    "particlefilter_float/gpushield 1e3477e94343dd67",
+    "particlefilter_float/lmi 56f674a352bbea12",
+    "particlefilter_naive/baseline 856eead53e51f958",
+    "particlefilter_naive/baggy-sw a4714e373c3d3778",
+    "particlefilter_naive/gpushield 5708b479569ffe85",
+    "particlefilter_naive/lmi 24275ea18aecbd2f",
+    "pathfinder/baseline 7687f3acd3bdf883",
+    "pathfinder/baggy-sw 4596003a239d60df",
+    "pathfinder/gpushield 18b002d0d1e49e28",
+    "pathfinder/lmi 88bf712cd003686e",
+    "sc_gpu/baseline 8337ddd79ddabbe7",
+    "sc_gpu/baggy-sw 4da5f24dae02cfb9",
+    "sc_gpu/gpushield 3e187e69f0074a48",
+    "sc_gpu/lmi 653b4581ac7eae6c",
+    "srad_v1/baseline 6f69b2f77e9626b2",
+    "srad_v1/baggy-sw 3173e2137559e884",
+    "srad_v1/gpushield c2ee38bc572ca9b4",
+    "srad_v1/lmi 54f0a874ea41c842",
+    "srad_v2/baseline db2923cf3e3414f7",
+    "srad_v2/baggy-sw 88e7a359c4c0b6cf",
+    "srad_v2/gpushield 54b2dbbbad4f73db",
+    "srad_v2/lmi b48bed9fe3fab502",
+    "AlexNet/baseline 3e152d70146f3e12",
+    "AlexNet/baggy-sw 8f7ad45c80ea050b",
+    "AlexNet/gpushield 4bc87fe3d7b6150f",
+    "AlexNet/lmi 4b8b725e08098713",
+    "CifarNet/baseline 0883caa78a10dbba",
+    "CifarNet/baggy-sw 68480caf8f181423",
+    "CifarNet/gpushield 7fad2f16980cc8bd",
+    "CifarNet/lmi 42cf275c138c8c0f",
+    "GRU/baseline 918d723982359440",
+    "GRU/baggy-sw 85e9c514cdf4c440",
+    "GRU/gpushield c3011aca965a48ec",
+    "GRU/lmi 59d5f08daced7494",
+    "LSTM/baseline 639b21a306796954",
+    "LSTM/baggy-sw 8051ece58e122562",
+    "LSTM/gpushield 51a3412d2405023c",
+    "LSTM/lmi 8cc4585040495a62",
+    "bert/baseline fcf474a239a1fb7f",
+    "bert/baggy-sw 1cef54d81c8abbc6",
+    "bert/gpushield 2fefc291daa7699a",
+    "bert/lmi a193a3d8e9dbafdf",
+    "decoding/baseline 7f1b001a25567749",
+    "decoding/baggy-sw 679a93a3e68b87ff",
+    "decoding/gpushield e5a6c12a6ef7adb5",
+    "decoding/lmi 220f5710ce331811",
+    "swin/baseline cc476c85e4333783",
+    "swin/baggy-sw 7cd0b3bb406b53c4",
+    "swin/gpushield f33a3fb4661d46b7",
+    "swin/lmi 9f24844be3fe469e",
+    "wenet_decoder/baseline 0d0b15cdb69b0ae2",
+    "wenet_decoder/baggy-sw 972f26947b0f5f14",
+    "wenet_decoder/gpushield 6b37a9ca303fbe28",
+    "wenet_decoder/lmi 673d4ade34490533",
+    "wenet_encoder/baseline 7f82ba8b3995dbc4",
+    "wenet_encoder/baggy-sw 7bfbc8cda6dd8bf4",
+    "wenet_encoder/gpushield 94595ad398c594c0",
+    "wenet_encoder/lmi 84072784a33bdd34",
+    "BEVerse/baseline 8f92502f37821fc0",
+    "BEVerse/baggy-sw a882cfdd59f54c00",
+    "BEVerse/gpushield 53dd06e6fa7c89f5",
+    "BEVerse/lmi 95e0ed358e0751fb",
+    "DETR/baseline 36be3c16323554d0",
+    "DETR/baggy-sw 7ad7b8470cec7f23",
+    "DETR/gpushield 6db2e3451653cf9d",
+    "DETR/lmi 994c9660a2e690df",
+    "MOTR/baseline 503b46d2588dcd21",
+    "MOTR/baggy-sw 4226d7d5ad03fc42",
+    "MOTR/gpushield 6f5b3adfa4710a59",
+    "MOTR/lmi 96c90f51379cd8ab",
+    "segformer/baseline 69fc5f27e11d6ee8",
+    "segformer/baggy-sw 4e66f3b1dc8aff92",
+    "segformer/gpushield 35ff539cdc0d8b8e",
+    "segformer/lmi ca0ec5225f32ad1b",
+};
+
 const std::vector<std::string> kAttackGolden = {
     "baseline/intra_padding clean",
     "baseline/subobject_field clean",
@@ -336,7 +454,9 @@ const std::vector<std::string> kAttackGolden = {
 };
 // clang-format on
 
-TEST(Sim, Fig12CellDigestsMatchGolden)
+/** "workload/mechanism digest" for every Fig. 12 cell on @p tier. */
+std::vector<std::string>
+fig12Digests(ExecutionTier tier)
 {
     SweepSpec spec;
     for (const auto& profile : workloadSuite())
@@ -345,12 +465,12 @@ TEST(Sim, Fig12CellDigestsMatchGolden)
     for (MechanismKind kind : hardwareComparisonMechanisms())
         spec.mechanisms.push_back(kind);
     spec.scales = {0.25};
-    spec.tier = ExecutionTier::Detailed;
+    spec.tier = tier;
     const SweepResult sweep = runSweep(spec);
 
     std::vector<std::string> actual;
     for (const CellResult& cell : sweep.cells) {
-        ASSERT_TRUE(cell.ok) << cell.workload << ": " << cell.error;
+        EXPECT_TRUE(cell.ok) << cell.workload << ": " << cell.error;
         Fnv1a h;
         h.str(serializeCellPayload(cell));
         char digest[24];
@@ -359,7 +479,18 @@ TEST(Sim, Fig12CellDigestsMatchGolden)
         actual.push_back(cell.workload + "/" +
                          mechanismKindName(cell.mechanism) + " " + digest);
     }
-    expectGolden(actual, kFig12Golden);
+    return actual;
+}
+
+TEST(Sim, Fig12CellDigestsMatchGolden)
+{
+    for (ExecutionTier tier :
+         {ExecutionTier::Detailed, ExecutionTier::Functional}) {
+        SCOPED_TRACE(std::string("tier=") + executionTierName(tier));
+        expectGolden(fig12Digests(tier),
+                     tier == ExecutionTier::Detailed ? kFig12Golden
+                                                     : kFig12FunctionalGolden);
+    }
 }
 
 TEST(Sim, AttackOutcomesMatchGolden)
