@@ -1,8 +1,8 @@
 #include "runner/sweep.hpp"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/hash.hpp"
@@ -17,10 +17,9 @@ namespace {
  *  v2: payload carries a trailing "end=1" sentinel so truncated files
  *  (a killed writer, a partially synced disk) are rejected instead of
  *  silently deserializing a prefix.
- *  v3: the execution tier joins the fingerprint (plus the sampling
- *  schedule when tier == Sampled) and the payload carries a "tier="
- *  line — a functional/sampled run must never be served from a
- *  detailed-tier cache entry or vice versa. */
+ *  v3: the execution tier joins the fingerprint and the payload
+ *  carries a "tier=" line — a functional run must never be served from
+ *  a detailed-tier cache entry or vice versa. */
 constexpr uint64_t kCellFormatVersion = 3;
 
 constexpr const char* kMagic = "lmi-cell-v1";
@@ -82,6 +81,26 @@ fmtDouble(double v)
     return buf;
 }
 
+/** Parse all of @p v as a number in the form serializeCellPayload
+ *  writes it: an unsigned decimal, or fmtDouble's %.17g (inf and nan
+ *  included). */
+template <typename T>
+bool
+parseWhole(const std::string& v, T* out)
+{
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** "0" or "1". */
+bool
+parseFlag(const std::string& v, bool* out)
+{
+    *out = v == "1";
+    return v == "0" || v == "1";
+}
+
 std::string
 fmtHex64(uint64_t v)
 {
@@ -101,15 +120,6 @@ cellFingerprint(const SweepCell& cell)
     h.str(mechanismKindName(cell.mechanism));
     h.f64(cell.scale);
     h.str(executionTierName(cell.tier));
-    // The sampling schedule only shapes the outcome under Sampled;
-    // hashing it unconditionally would miss valid cache entries when a
-    // caller tweaks sampling params for a detailed sweep.
-    if (cell.tier == ExecutionTier::Sampled) {
-        h.u64(cell.sampling.period_slices);
-        h.u64(cell.sampling.warmup_slices);
-        h.u64(cell.sampling.detailed_slices);
-        h.u64(cell.sampling.light_slices);
-    }
     hashConfig(h, cell.config);
     return h.value();
 }
@@ -170,13 +180,30 @@ deserializeCellPayload(const std::string& text, uint64_t expect_fp,
     if (!std::getline(in, line) || line != kMagic)
         return false;
 
+    // The RunResult counters, one "name=<u64>" line each.
+    static const std::pair<const char*, uint64_t RunResult::*> kCounts[] = {
+        {"cycles", &RunResult::cycles},
+        {"instructions", &RunResult::instructions},
+        {"thread_instructions", &RunResult::thread_instructions},
+        {"ldg", &RunResult::ldg},
+        {"stg", &RunResult::stg},
+        {"lds", &RunResult::lds},
+        {"sts", &RunResult::sts},
+        {"ldl", &RunResult::ldl},
+        {"stl", &RunResult::stl},
+        {"l1_hits", &RunResult::l1_hits},
+        {"l1_misses", &RunResult::l1_misses},
+        {"l2_hits", &RunResult::l2_hits},
+        {"l2_misses", &RunResult::l2_misses},
+        {"dram_accesses", &RunResult::dram_accesses},
+    };
+
     CellResult cell;
     bool fp_seen = false;
     bool end_seen = false;
-    auto u64field = [](const std::string& v) {
-        return std::strtoull(v.c_str(), nullptr, 10);
-    };
-
+    // Every field parses whole-string: a corrupted value ("cycles=abc",
+    // an out-of-range fault kind) makes the entry a miss, never a hit
+    // carrying a wrong number.
     while (std::getline(in, line)) {
         const size_t eq = line.find('=');
         if (eq == std::string::npos)
@@ -184,7 +211,10 @@ deserializeCellPayload(const std::string& text, uint64_t expect_fp,
         const std::string key = line.substr(0, eq);
         const std::string value = line.substr(eq + 1);
         RunResult& r = cell.result;
+        uint64_t u = 0;
+        double g = 0.0;
 
+        bool good = true;
         if (key == "fingerprint") {
             if (value != fmtHex64(expect_fp))
                 return false; // stale entry for another cell/version
@@ -193,75 +223,58 @@ deserializeCellPayload(const std::string& text, uint64_t expect_fp,
         } else if (key == "workload") {
             cell.workload = unescapeLine(value);
         } else if (key == "mechanism") {
-            if (!mechanismFromName(value, &cell.mechanism))
-                return false;
+            good = mechanismFromName(value, &cell.mechanism);
         } else if (key == "tier") {
-            if (!parseExecutionTier(value, &cell.tier))
-                return false;
+            good = parseExecutionTier(value, &cell.tier);
         } else if (key == "scale") {
-            cell.scale = std::strtod(value.c_str(), nullptr);
+            good = parseWhole(value, &cell.scale);
         } else if (key == "ok") {
-            cell.ok = value == "1";
+            good = parseFlag(value, &cell.ok);
         } else if (key == "timed_out") {
-            cell.timed_out = value == "1";
+            good = parseFlag(value, &cell.timed_out);
         } else if (key == "error") {
             cell.error = unescapeLine(value);
-        } else if (key == "cycles") {
-            r.cycles = u64field(value);
-        } else if (key == "instructions") {
-            r.instructions = u64field(value);
-        } else if (key == "thread_instructions") {
-            r.thread_instructions = u64field(value);
-        } else if (key == "ldg") {
-            r.ldg = u64field(value);
-        } else if (key == "stg") {
-            r.stg = u64field(value);
-        } else if (key == "lds") {
-            r.lds = u64field(value);
-        } else if (key == "sts") {
-            r.sts = u64field(value);
-        } else if (key == "ldl") {
-            r.ldl = u64field(value);
-        } else if (key == "stl") {
-            r.stl = u64field(value);
-        } else if (key == "l1_hits") {
-            r.l1_hits = u64field(value);
-        } else if (key == "l1_misses") {
-            r.l1_misses = u64field(value);
-        } else if (key == "l2_hits") {
-            r.l2_hits = u64field(value);
-        } else if (key == "l2_misses") {
-            r.l2_misses = u64field(value);
-        } else if (key == "dram_accesses") {
-            r.dram_accesses = u64field(value);
         } else if (key == "aborted") {
-            r.aborted = value == "1";
+            good = parseFlag(value, &r.aborted);
         } else if (key == "fault") {
             const size_t p1 = value.find('|');
             const size_t p2 =
                 p1 == std::string::npos ? p1 : value.find('|', p1 + 1);
-            if (p2 == std::string::npos)
-                return false;
             Fault f;
-            f.kind = FaultKind(std::atoi(value.substr(0, p1).c_str()));
-            f.address = u64field(value.substr(p1 + 1, p2 - p1 - 1));
-            f.detail = unescapeLine(value.substr(p2 + 1));
-            r.faults.push_back(std::move(f));
+            good = p2 != std::string::npos &&
+                   parseWhole(value.substr(0, p1), &u) &&
+                   u <= uint64_t(FaultKind::BarrierDivergence) &&
+                   parseWhole(value.substr(p1 + 1, p2 - p1 - 1),
+                              &f.address);
+            if (good) {
+                f.kind = FaultKind(u);
+                f.detail = unescapeLine(value.substr(p2 + 1));
+                r.faults.push_back(std::move(f));
+            }
         } else if (key.rfind("rstat.c.", 0) == 0) {
-            r.stats.inc(key.substr(8), u64field(value));
+            if ((good = parseWhole(value, &u)))
+                r.stats.inc(key.substr(8), u);
         } else if (key.rfind("rstat.g.", 0) == 0) {
-            r.stats.set(key.substr(8), std::strtod(value.c_str(), nullptr));
+            if ((good = parseWhole(value, &g)))
+                r.stats.set(key.substr(8), g);
         } else if (key.rfind("dstat.c.", 0) == 0) {
-            cell.device_stats.inc(key.substr(8), u64field(value));
+            if ((good = parseWhole(value, &u)))
+                cell.device_stats.inc(key.substr(8), u);
         } else if (key.rfind("dstat.g.", 0) == 0) {
-            cell.device_stats.set(key.substr(8),
-                                  std::strtod(value.c_str(), nullptr));
+            if ((good = parseWhole(value, &g)))
+                cell.device_stats.set(key.substr(8), g);
         } else if (key == "peak_reserved") {
-            cell.peak_reserved = u64field(value);
+            good = parseWhole(value, &cell.peak_reserved);
         } else if (key == "end") {
             end_seen = value == "1"; // "end=" alone is a cut-off write
+        } else {
+            for (const auto& [name, field] : kCounts)
+                if (key == name)
+                    good = parseWhole(value, &(r.*field));
         }
         // Unknown keys are skipped: newer writers stay readable.
+        if (!good)
+            return false;
     }
     if (!fp_seen || !end_seen)
         return false; // missing sentinel: truncated or foreign payload
@@ -400,7 +413,6 @@ SweepSpec::expand() const
                 cell.mechanism = mechanism;
                 cell.scale = scale;
                 cell.tier = tier;
-                cell.sampling = sampling;
                 cell.config =
                     configure ? configure(profile.name, mechanism, scale,
                                           config)

@@ -40,19 +40,18 @@ struct SweepCell
     double scale = 1.0;
     GpuConfig config;
     /** Execution tier the cell runs under (sim/launch_options.hpp).
-     *  Part of the cache fingerprint: a functional or sampled run must
-     *  never satisfy a detailed-tier cache lookup. */
+     *  Part of the cache fingerprint: a functional run must never
+     *  satisfy a detailed-tier cache lookup. */
     ExecutionTier tier = ExecutionTier::Detailed;
-    /** Sampling schedule; only consulted (and only fingerprinted) when
-     *  tier == Sampled. */
+    /** Unused (see SamplingParams). */
     SamplingParams sampling;
 };
 
 /**
  * Cache key: a hash of everything that determines the (deterministic)
  * simulation outcome — the full workload profile, the mechanism, the
- * scale, the full GpuConfig, the execution tier (plus the sampling
- * schedule when tier == Sampled), and a serialization-format version.
+ * scale, the full GpuConfig, the execution tier, and a
+ * serialization-format version.
  */
 uint64_t cellFingerprint(const SweepCell& cell);
 
@@ -158,11 +157,9 @@ struct SweepSpec
     std::vector<double> scales = {1.0};
 
     /** Execution tier for every cell (Detailed = the historical default;
-     *  Functional and Sampled trade timing fidelity for speed, see
-     *  sim/launch_options.hpp). Feeds the per-cell fingerprint. */
+     *  Functional trades timing for speed, see sim/launch_options.hpp).
+     *  Feeds the per-cell fingerprint. */
     ExecutionTier tier = ExecutionTier::Detailed;
-    /** Sampling schedule, consulted when tier == Sampled. */
-    SamplingParams sampling;
 
     /** Config applied to every cell (per-cell overrides via configure). */
     GpuConfig config;

@@ -92,10 +92,8 @@ struct Launch
      * pinned to 1 (their sinks are inherently order-sensitive).
      */
     unsigned sim_threads = 0;
-    /** Engine tier: detailed timing, functional-only, or sampled. */
+    /** Engine tier: detailed timing or functional-only. */
     ExecutionTier tier = ExecutionTier::Detailed;
-    /** Sampled-tier slice schedule (ignored by the other tiers). */
-    SamplingParams sampling;
     /** Optional instruction-trace sink (NVBit-style capture). */
     TraceSink* trace = nullptr;
     /** Optional dynamic race sanitizer (purely observational). */
@@ -160,33 +158,24 @@ class GpuSim
     void buildDecodeTable();
     ResolvedSrc resolveSrc(const Warp& warp, const InstDesc& d,
                            unsigned idx) const;
-    /** Does slice @p slice_no run the detailed-timing machine? Pure
-     *  function of the launch tier and the sampling schedule. */
-    bool sliceIsDetailed(uint64_t slice_no) const;
-    /** Is @p slice_no a *measured* detailed slice (sampled tier only:
-     *  detailed and past the period's warmup prefix)? */
-    bool sliceIsMeasured(uint64_t slice_no) const;
-    /** Step one SM privately up to the end of slice @p slice_no,
-     *  dispatching to the detailed or functional stepper per the
-     *  launch tier and sampling schedule. */
+    /** Step one SM privately up to the end of slice @p slice_no with
+     *  the launch tier's stepper. */
     void stepSmSlice(SmCtx& sm, uint64_t slice_no);
     /** The cycle-level stepper (the reference machine). */
     void stepSmSliceDetailed(SmCtx& sm, uint64_t slice_no);
     /**
-     * The functional fast-forward stepper: executes up to one slice
-     * quantum of warp instructions round-robin with full architectural
-     * and mechanism semantics but no timing, then pins the SM clock to
-     * the slice boundary. Shares commitSlice with the detailed path,
-     * so cross-SM visibility and determinism guarantees carry over.
+     * The functional stepper: executes up to one slice budget of warp
+     * instructions round-robin with full architectural and mechanism
+     * semantics but no timing, then pins the SM clock to the slice
+     * boundary. Shares commitSlice with the detailed path, so cross-SM
+     * visibility and determinism guarantees carry over.
      */
     void stepSmSliceFunctional(SmCtx& sm, uint64_t slice_no);
     /** Run @p warp functionally until it blocks or @p budget hits 0. */
     void runWarpFunctional(SmCtx& sm, Warp& warp, uint64_t& budget);
-    /** Functional tier: replace the wall-clock max-cycle with the issue
-     *  bound; sampled tier: publish confidence stats and keep the wall
-     *  clock (the machine ran end to end under its own timing). */
-    uint64_t estimateCycles(const std::vector<SmCtx>& sms,
-                            uint64_t max_cycle);
+    /** Functional tier's RunResult::cycles: the issue-bound lower
+     *  bound of the busiest SM (no timing model ran). */
+    uint64_t estimateCycles(const std::vector<SmCtx>& sms) const;
     /**
      * Single-threaded slice barrier: replay store logs and L2 probes,
      * execute deferred heap ops, resolve the fault winner — all in

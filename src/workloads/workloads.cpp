@@ -611,9 +611,8 @@ runWorkload(Device& dev, const WorkloadProfile& profile, double scale,
             std::max(32u, unsigned(p.block_threads * scale));
     } else if (scale > 1.0) {
         // Upscale lengthens each thread's element loop instead of
-        // widening the grid: the footprint grows, occupancy and the
-        // block schedule stay identical, and the run reaches the
-        // steady state the sampled tier needs to converge.
+        // widening the grid: the footprint grows while occupancy and
+        // the block schedule stay identical.
         p.elems_per_thread =
             std::max(1u, unsigned(p.elems_per_thread * scale));
     }

@@ -322,16 +322,44 @@ TEST(ResultCacheTest, RejectsTruncatedPayloadPrefix)
     cell.fingerprint = 43;
     cell.ok = true;
     cell.result.cycles = 9;
+    cell.result.faults.push_back({FaultKind::BarrierDivergence, 64, "d"});
     cell.device_stats.inc("alloc.count", 3);
     const std::string full = serializeCellPayload(cell);
 
     CellResult out;
     ASSERT_TRUE(deserializeCellPayload(full, 43, &out));
+    ASSERT_EQ(out.result.faults.size(), 1u);
+    EXPECT_EQ(out.result.faults[0].kind, FaultKind::BarrierDivergence);
+    std::vector<std::string> bad;
     for (const size_t cut :
          {full.size() - 2, full.size() - 4, full.size() / 2, size_t(20)})
-        EXPECT_FALSE(
-            deserializeCellPayload(full.substr(0, cut), 43, &out))
-            << "accepted a " << cut << "-byte prefix of " << full.size();
+        bad.push_back(full.substr(0, cut));
+    // A corrupted field under a matching fingerprint is no better than
+    // a truncation: every number must parse whole, and a fault kind
+    // must name a real FaultKind.
+    auto corrupt = [&](const std::string& from, const std::string& to) {
+        const size_t at = full.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        std::string s = full;
+        return s.replace(at, from.size(), to);
+    };
+    const std::string end = "end=1\n";
+    bad.push_back(corrupt("cycles=9\n", "cycles=abc\n"));
+    bad.push_back(corrupt("cycles=9\n", "cycles=9x\n"));
+    bad.push_back(corrupt("cycles=9\n", "cycles=-9\n"));
+    bad.push_back(corrupt("cycles=9\n", "cycles=\n"));
+    bad.push_back(corrupt("scale=1\n", "scale=one\n"));
+    bad.push_back(corrupt("ok=1\n", "ok=yes\n"));
+    bad.push_back(corrupt("dstat.c.alloc.count=3\n",
+                          "dstat.c.alloc.count=3.5\n"));
+    bad.push_back(corrupt("peak_reserved=0\n", "peak_reserved=0 \n"));
+    bad.push_back(corrupt(end, "fault=99|0|x\n" + end));
+    bad.push_back(corrupt(end, "fault=1|oops|x\n" + end));
+    bad.push_back(corrupt(end, "fault=1\n" + end));
+    bad.push_back(corrupt(end, "rstat.g.sim.ipc=fast\n" + end));
+    for (const std::string& payload : bad)
+        EXPECT_FALSE(deserializeCellPayload(payload, 43, &out))
+            << "accepted:\n" << payload;
 }
 
 TEST(SweepExport, CsvAndJsonCoverEveryCell)

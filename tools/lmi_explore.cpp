@@ -60,10 +60,9 @@
  * host), `--cache DIR` points the on-disk result cache (also via
  * LMI_CACHE_DIR; sweeps only re-simulate cells whose
  * workload/mechanism/scale/config/tier fingerprint changed), and
- * `--tier detailed|functional|sampled` selects the execution tier
- * (run, compare, sweep, races --dynamic; see sim/launch_options.hpp —
- * functional skips all timing for speed, sampled interleaves detailed
- * slices with functional fast-forward and extrapolates cycles).
+ * `--tier detailed|functional` selects the execution tier (run,
+ * compare, sweep, races --dynamic; see sim/launch_options.hpp —
+ * functional skips all timing for speed).
  * Unknown `--flags` are an error: usage goes to stderr, exit code 2.
  */
 
@@ -114,8 +113,6 @@ struct GlobalOpts
     ExecutionTier tier = ExecutionTier::Detailed;
     /** True when --tier was given (coverage defaults to both tiers). */
     bool tier_set = false;
-    /** Sampled-tier schedule (--sampling P,W,D[,L]). */
-    SamplingParams sampling;
 };
 
 /** LaunchOptions carrying the globally selected tier. */
@@ -124,24 +121,7 @@ tierOptions(const GlobalOpts& opts)
 {
     LaunchOptions lopts;
     lopts.tier = opts.tier;
-    lopts.sampling = opts.sampling;
     return lopts;
-}
-
-/** Parse "P,W,D[,L]" (period, warmup, detailed, light slices) for
- *  --sampling. L keeps its default when omitted. */
-bool
-parseSampling(const std::string& s, SamplingParams* out)
-{
-    SamplingParams p;
-    const int got =
-        std::sscanf(s.c_str(), "%u,%u,%u,%u", &p.period_slices,
-                    &p.warmup_slices, &p.detailed_slices,
-                    &p.light_slices);
-    if (got < 3 || !p.valid())
-        return false;
-    *out = p;
-    return true;
 }
 
 std::vector<std::string>
@@ -173,12 +153,12 @@ usage()
         "usage:\n"
         "  lmi_explore list\n"
         "  lmi_explore run <workload> <mechanism> [scale]\n"
-        "              [--sim-threads N] [--tier T] [--sampling P,W,D[,L]]\n"
+        "              [--sim-threads N] [--tier T]\n"
         "  lmi_explore compare <workload> [scale] [--jobs N]\n"
         "              [--sim-threads N] [--tier T]\n"
         "  lmi_explore sweep [scale] [--jobs N] [--sim-threads N]\n"
         "              [--workloads a,b] [--mechanisms m1,m2]\n"
-        "              [--cache DIR] [--tier T] [--sampling P,W,D[,L]]\n"
+        "              [--cache DIR] [--tier T]\n"
         "              [--csv FILE] [--json FILE]\n"
         "  lmi_explore disasm <workload> <mechanism>\n"
         "  lmi_explore trace <workload> <mechanism> [events]\n"
@@ -192,15 +172,13 @@ usage()
         "              [--csv FILE] [--json FILE]\n"
         "  lmi_explore churn [scale] [--workloads s1,s2] [--json FILE]\n"
         "global flags: --jobs N (0 = all cores), --sim-threads N,\n"
-        "              --cache DIR, --tier detailed|functional|sampled,\n"
-        "              --sampling P,W,D[,L] (sampled-tier schedule)\n"
+        "              --cache DIR, --tier detailed|functional\n"
         "  --jobs runs whole cells in parallel; --sim-threads\n"
         "  parallelizes SM execution inside each launch (results are\n"
         "  byte-identical; jobs x sim-threads is clamped to the host\n"
-        "  cores); --tier trades timing fidelity for speed (functional\n"
-        "  skips the timing model, sampled extrapolates cycles from\n"
-        "  periodic detailed slices); coverage defaults to the\n"
-        "  detailed+functional tier pair unless --tier narrows it\n"
+        "  cores); --tier functional skips the timing model for speed\n"
+        "  (cycles become an issue-bound estimate); coverage defaults\n"
+        "  to the detailed+functional tier pair unless --tier narrows it\n"
         "unknown --flags, malformed counts, scales that are not a\n"
         "finite decimal > 0 and empty filters exit 2 with this usage\n"
         "on stderr\n");
@@ -268,12 +246,6 @@ cmdRun(const std::string& workload, MechanismKind kind, double scale,
     table.addRow({"peak reserved (host allocs)",
                   std::to_string(run.peak_reserved / 1024) + " KiB"});
     table.addRow({"faults", std::to_string(r.faults.size())});
-    if (opts.tier == ExecutionTier::Sampled) {
-        table.addRow({"sampled CPI",
-                      fmtF(r.stats.gauge("sim.sampled.cpi"), 4)});
-        table.addRow({"sampled ci95",
-                      fmtPct(r.stats.gauge("sim.sampled.ci95_rel_pct"))});
-    }
     std::printf("%s", table.render().c_str());
 
     if (dev.stats().counter("ocu.checks") ||
@@ -305,7 +277,6 @@ cmdCompare(const std::string& workload, double scale,
         spec.mechanisms.push_back(kind);
     spec.scales = {scale};
     spec.tier = opts.tier;
-    spec.sampling = opts.sampling;
     spec.jobs = opts.jobs;
     spec.sim_threads = opts.sim_threads;
     spec.cache_dir = opts.cache_dir;
@@ -361,7 +332,6 @@ cmdSweep(double scale, const GlobalOpts& opts)
     }
     spec.scales = {scale};
     spec.tier = opts.tier;
-    spec.sampling = opts.sampling;
     spec.jobs = opts.jobs;
     spec.sim_threads = opts.sim_threads;
     spec.cache_dir = opts.cache_dir;
@@ -980,21 +950,23 @@ main(int argc, char** argv)
                                   : opts.mechanisms_filter) = value;
         } else if (flagValue("--tier", &value)) {
             opts.tier_set = true;
+            if (value == "sampled") {
+                std::fprintf(stderr, "error: the sampled tier was removed "
+                                     "(expected detailed|functional)\n");
+                return usage();
+            }
             if (!parseExecutionTier(value, &opts.tier)) {
                 std::fprintf(stderr,
                              "error: unknown tier %s (expected "
-                             "detailed|functional|sampled)\n",
+                             "detailed|functional)\n",
                              value.c_str());
                 return usage();
             }
-        } else if (flagValue("--sampling", &value)) {
-            if (!parseSampling(value, &opts.sampling)) {
-                std::fprintf(stderr,
-                             "error: bad --sampling %s (expected "
-                             "P,W,D[,L] with W+D+L <= P, D >= 1)\n",
-                             value.c_str());
-                return usage();
-            }
+        } else if (arg == "--sampling") {
+            std::fprintf(stderr, "error: --sampling was removed with the "
+                                 "sampled tier (expected --tier "
+                                 "detailed|functional)\n");
+            return usage();
         } else if (flagValue("--cache", &opts.cache_dir) ||
                    flagValue("--csv", &opts.csv_path) ||
                    flagValue("--json", &opts.json_path) ||
