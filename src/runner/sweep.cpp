@@ -213,7 +213,6 @@ deserializeCellPayload(const std::string& text, uint64_t expect_fp,
         RunResult& r = cell.result;
         uint64_t u = 0;
         double g = 0.0;
-
         bool good = true;
         if (key == "fingerprint") {
             if (value != fmtHex64(expect_fp))
