@@ -1,6 +1,7 @@
 #include "analysis/model_check.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -138,21 +139,53 @@ rangesOverlap(uint64_t a, uint64_t wa, uint64_t b, uint64_t wb)
 /** One buffered (not yet globally visible) store. */
 struct Buffered
 {
-    uint64_t addr = 0;
     uint64_t val = 0;
+    uint8_t cta = 0;   ///< dense CTA index of the issuing agent
+    uint8_t aid = 0;   ///< dense address id
+    uint8_t slot = 0;  ///< flush slot of the address
     uint8_t width = 4;
 };
 
-/** Full exploration state, copied per DFS frame (litmus logs are tiny). */
+/** A heap range: live allocation or freed extent. */
+struct HeapRange
+{
+    uint64_t base = 0;
+    uint64_t size = 0;
+};
+
+/**
+ * Full exploration state, one per DFS frame. Every field is a flat
+ * vector: an array over dense ids or a short list. Copy-assigning a
+ * child frame's state from its parent's reuses the child's capacity,
+ * so it allocates nothing once the frame is warm.
+ */
 struct State
 {
-    uint64_t executed = 0;                       ///< event bitmask
-    std::map<uint64_t, uint64_t> mem;            ///< M (absent = 0)
-    std::vector<std::map<uint64_t, uint64_t>> view; ///< per-CTA dirty view
-    std::vector<std::vector<Buffered>> buf;      ///< per-CTA store buffer
-    std::map<uint64_t, uint64_t> live;           ///< heap base -> size
-    std::vector<std::pair<uint64_t, uint64_t>> freed; ///< base, size
+    uint64_t executed = 0;          ///< event bitmask
+    std::vector<uint64_t> mem;      ///< M by address id (never written = 0)
+    std::vector<uint64_t> view;     ///< n_ctas x n_addr CTA-local values
+    std::vector<uint64_t> in_view;  ///< per CTA: address ids held in view
+    std::vector<Buffered> buf;      ///< all store buffers, FIFO per CTA
+    std::vector<HeapRange> live;    ///< allocated bases (distinct)
+    std::vector<HeapRange> freed;   ///< in free order
     std::vector<uint64_t> watch_vals;
+};
+
+/** The live allocation at @p base, or live.end(). */
+std::vector<HeapRange>::iterator
+liveAt(State& st, uint64_t base)
+{
+    return std::find_if(st.live.begin(), st.live.end(),
+                        [&](const HeapRange& r) { return r.base == base; });
+}
+
+/** One DFS depth: the state reached there and its transition sets. */
+struct Frame
+{
+    State st;
+    std::vector<uint64_t> trans; ///< enabled transitions, in order
+    std::vector<uint64_t> sleep; ///< transitions proven redundant here
+    std::vector<uint64_t> done;  ///< siblings already explored
 };
 
 class Checker
@@ -170,24 +203,26 @@ class Checker
     void buildAgents();
     void buildPpo();
     void buildWatch();
-    void buildFlushUniverse();
+    void buildAddresses();
+    void buildFrames();
 
     // --- operational model ---------------------------------------------
-    uint64_t readView(State& st, uint32_t cta, uint64_t addr,
+    uint64_t readView(const State& st, uint32_t cta, uint8_t aid,
                       unsigned width) const;
-    void writeM(State& st, uint64_t addr, uint64_t val,
-                unsigned width) const;
+    void writeView(State& st, uint32_t cta, uint8_t aid,
+                   uint64_t val) const;
     void drain(State& st, uint32_t cta) const;
-    void flushAddr(State& st, uint32_t cta, uint64_t addr) const;
-    void checkAccess(State& st, size_t e, bool is_write);
+    void flushSlot(State& st, uint32_t cta, uint8_t slot) const;
+    void buffer(State& st, size_t e, uint64_t val) const;
+    void checkAccess(const State& st, size_t e, bool is_write);
     void execEvent(State& st, size_t e);
     void applyFlush(State& st, uint64_t id) const;
 
     // --- exploration ----------------------------------------------------
-    std::vector<uint64_t> enabled(const State& st) const;
+    void enabled(const State& st, std::vector<uint64_t>& out) const;
     void apply(State& st, uint64_t id);
     bool dependent(uint64_t a, uint64_t b) const;
-    void explore(const State& st, const std::vector<uint64_t>& sleep);
+    void explore(size_t depth);
 
     // --- witness race pass ----------------------------------------------
     void racePass();
@@ -206,13 +241,20 @@ class Checker
     std::vector<uint64_t> pred_;           ///< ppo predecessor masks
     std::vector<int> watch_slot_;          ///< event -> outcome slot or -1
     size_t n_watch_ = 0;
-    std::map<uint64_t, size_t> flush_idx_; ///< bufferable addr -> id slot
+    size_t n_addr_ = 0;                    ///< distinct event addresses
+    std::vector<uint8_t> addr_id_;         ///< event -> dense address id
+    /** Bufferable addresses, numbered in first-appearance order. */
+    std::vector<uint8_t> flush_slot_;      ///< event -> slot or kNoSlot
+    std::vector<uint64_t> slot_addr_;      ///< slot -> address
+    std::vector<Frame> frames_;            ///< DFS depth -> frame
     std::set<std::tuple<int, uint64_t, uint64_t>> fault_keys_;
     std::set<std::tuple<uint64_t, uint64_t, uint64_t>> race_keys_;
 
     /** Transition ids: [0, kMaxModelEvents) execute event i;
-     *  kMaxModelEvents + cta * |flush addrs| + a flush addr slot. */
+     *  kMaxModelEvents + cta * |flush slots| + a flush slot. */
     static constexpr uint64_t kFlushBase = kMaxModelEvents;
+    /** Flush slot of an address no event can buffer. */
+    static constexpr uint8_t kNoSlot = 0xff;
 };
 
 void
@@ -303,64 +345,121 @@ Checker::buildWatch()
             watch_slot_[e] = int(n_watch_++);
 }
 
+/**
+ * Dense ids for every event's address (at most kMaxModelEvents), and
+ * flush slots for the bufferable ones: stores and cta-scope RMW/CAS,
+ * numbered by first appearance in the log.
+ */
 void
-Checker::buildFlushUniverse()
+Checker::buildAddresses()
 {
+    std::map<uint64_t, uint8_t> ids, slots;
+    addr_id_.resize(n_);
+    for (size_t i = 0; i < n_; ++i)
+        addr_id_[i] =
+            ids.emplace(log_[i].addr, uint8_t(ids.size())).first->second;
+    n_addr_ = ids.size();
+
     for (size_t i = 0; i < n_; ++i) {
         const MemEvent& e = log_[i];
         const bool bufferable =
             e.kind == Kind::Store ||
             ((e.kind == Kind::Rmw || e.kind == Kind::Cas) &&
              uint8_t(e.scope) < uint8_t(MemScope::Gpu));
-        if (bufferable)
-            flush_idx_.emplace(e.addr, flush_idx_.size());
+        if (bufferable && slots.emplace(e.addr, uint8_t(slots.size())).second)
+            slot_addr_.push_back(e.addr);
+    }
+    flush_slot_.assign(n_, kNoSlot);
+    for (size_t i = 0; i < n_; ++i)
+        if (auto it = slots.find(log_[i].addr); it != slots.end())
+            flush_slot_[i] = it->second;
+}
+
+/**
+ * One frame per DFS depth. A path executes each of the n events once
+ * and flushes each buffered store (at most one per event) once, so it
+ * is at most 2n transitions long. Frames are sized up front so
+ * references stay valid across the recursion.
+ */
+void
+Checker::buildFrames()
+{
+    frames_.resize(2 * n_ + 2);
+    for (Frame& f : frames_) {
+        f.st.mem.assign(n_addr_, 0);
+        f.st.view.assign(n_ctas_ * n_addr_, 0);
+        f.st.in_view.assign(n_ctas_, 0);
+        f.st.buf.reserve(n_);
+        f.st.live.reserve(n_);
+        f.st.freed.reserve(n_);
+        f.st.watch_vals.assign(n_watch_, 0);
+        f.trans.reserve(2 * n_);
+        f.sleep.reserve(2 * n_);
+        f.done.reserve(2 * n_);
     }
 }
 
 uint64_t
-Checker::readView(State& st, uint32_t cta, uint64_t addr,
+Checker::readView(const State& st, uint32_t cta, uint8_t aid,
                   unsigned width) const
 {
-    const auto& view = st.view[cta];
-    if (auto it = view.find(addr); it != view.end())
-        return maskToWidth(it->second, width);
-    if (auto it = st.mem.find(addr); it != st.mem.end())
-        return maskToWidth(it->second, width);
-    return 0;
+    if (st.in_view[cta] & bit(aid))
+        return maskToWidth(st.view[cta * n_addr_ + aid], width);
+    return maskToWidth(st.mem[aid], width);
 }
 
 void
-Checker::writeM(State& st, uint64_t addr, uint64_t val,
-                unsigned width) const
+Checker::writeView(State& st, uint32_t cta, uint8_t aid,
+                   uint64_t val) const
 {
-    st.mem[addr] = maskToWidth(val, width);
+    st.view[cta * n_addr_ + aid] = val;
+    st.in_view[cta] |= bit(aid);
 }
 
 void
 Checker::drain(State& st, uint32_t cta) const
 {
-    for (const Buffered& b : st.buf[cta])
-        writeM(st, b.addr, b.val, b.width);
-    st.buf[cta].clear();
+    auto keep = st.buf.begin();
+    for (const Buffered& b : st.buf) {
+        if (b.cta == cta)
+            st.mem[b.aid] = maskToWidth(b.val, b.width);
+        else
+            *keep++ = b;
+    }
+    st.buf.erase(keep, st.buf.end());
 }
 
+/** Make @p cta's oldest buffered store to slot @p slot visible in M. */
 void
-Checker::flushAddr(State& st, uint32_t cta, uint64_t addr) const
+Checker::flushSlot(State& st, uint32_t cta, uint8_t slot) const
 {
-    auto& buf = st.buf[cta];
-    auto it = std::find_if(buf.begin(), buf.end(), [&](const Buffered& b) {
-        return b.addr == addr;
-    });
-    if (it == buf.end())
+    auto it = std::find_if(st.buf.begin(), st.buf.end(),
+                           [&](const Buffered& b) {
+                               return b.cta == cta && b.slot == slot;
+                           });
+    if (it == st.buf.end())
         return;
-    writeM(st, it->addr, it->val, it->width);
-    buf.erase(it);
+    st.mem[it->aid] = maskToWidth(it->val, it->width);
+    st.buf.erase(it);
+}
+
+/** Enqueue event @p e's write of @p val in its CTA's store buffer. */
+void
+Checker::buffer(State& st, size_t e, uint64_t val) const
+{
+    Buffered b;
+    b.val = val;
+    b.cta = uint8_t(cta_[e]);
+    b.aid = addr_id_[e];
+    b.slot = flush_slot_[e];
+    b.width = log_[e].width;
+    st.buf.push_back(b);
 }
 
 void
 Checker::addFault(ModelCheckFault::Kind kind, uint64_t addr, size_t e)
 {
-    if (!fault_keys_.emplace(int(kind), log_[e].pc, addr).second)
+    if (!fault_keys_.insert({int(kind), log_[e].pc, addr}).second)
         return;
     ModelCheckFault f;
     f.kind = kind;
@@ -373,11 +472,11 @@ Checker::addFault(ModelCheckFault::Kind kind, uint64_t addr, size_t e)
 /** Temporal check at event execution time: an access overlapping a
  *  range freed earlier *in this execution* is a use-after-free. */
 void
-Checker::checkAccess(State& st, size_t e, bool is_write)
+Checker::checkAccess(const State& st, size_t e, bool is_write)
 {
     const MemEvent& ev = log_[e];
-    for (const auto& [base, size] : st.freed)
-        if (rangesOverlap(ev.addr, ev.width, base, size ? size : 1)) {
+    for (const HeapRange& r : st.freed)
+        if (rangesOverlap(ev.addr, ev.width, r.base, r.size ? r.size : 1)) {
             addFault(is_write ? ModelCheckFault::Kind::UseAfterFreeStore
                               : ModelCheckFault::Kind::UseAfterFreeLoad,
                      ev.addr, e);
@@ -390,27 +489,27 @@ Checker::execEvent(State& st, size_t e)
 {
     const MemEvent& ev = log_[e];
     const uint32_t c = cta_[e];
+    const uint8_t aid = addr_id_[e];
     st.executed |= bit(e);
     const bool gpu_scope = uint8_t(ev.scope) >= uint8_t(MemScope::Gpu);
 
     switch (ev.kind) {
       case Kind::Load: {
-          const uint64_t v = readView(st, c, ev.addr, ev.width);
+          const uint64_t v = readView(st, c, aid, ev.width);
           if (watch_slot_[e] >= 0)
               st.watch_vals[size_t(watch_slot_[e])] = v;
           checkAccess(st, e, false);
           break;
       }
       case Kind::Store: {
+          const uint64_t v = maskToWidth(ev.value, ev.width);
           if (gpu_scope && hasRelease(ev.order)) {
               drain(st, c);
-              writeM(st, ev.addr, ev.value, ev.width);
-              st.view[c][ev.addr] = maskToWidth(ev.value, ev.width);
+              st.mem[aid] = v;
           } else {
-              st.view[c][ev.addr] = maskToWidth(ev.value, ev.width);
-              st.buf[c].push_back(
-                  {ev.addr, maskToWidth(ev.value, ev.width), ev.width});
+              buffer(st, e, v);
           }
+          writeView(st, c, aid, v);
           checkAccess(st, e, true);
           break;
       }
@@ -424,40 +523,29 @@ Checker::execEvent(State& st, size_t e)
               if (hasRelease(ev.order))
                   drain(st, c);
               else
-                  flushAddr(st, c, ev.addr);
-              auto it = st.mem.find(ev.addr);
-              old = it == st.mem.end()
-                        ? 0
-                        : maskToWidth(it->second, ev.width);
-              bool write = false;
-              uint64_t next = old;
-              if (ev.kind == Kind::Cas) {
-                  write = old == maskToWidth(ev.value2, ev.width);
-                  next = maskToWidth(ev.value, ev.width);
-              } else if (ev.aop != AtomicOp::Ld) {
-                  write = true;
-                  next = applyAtomicRmw(ev.aop, old, ev.value, ev.width);
-              }
-              if (write) {
-                  writeM(st, ev.addr, next, ev.width);
-                  st.view[c][ev.addr] = maskToWidth(next, ev.width);
-              }
+                  flushSlot(st, c, flush_slot_[e]);
+              old = maskToWidth(st.mem[aid], ev.width);
           } else {
               // cta scope: atomic within the CTA view only; the update
               // drains to M like an ordinary buffered store.
-              old = readView(st, c, ev.addr, ev.width);
-              bool write = false;
-              uint64_t next = old;
-              if (ev.kind == Kind::Cas) {
-                  write = old == maskToWidth(ev.value2, ev.width);
-                  next = maskToWidth(ev.value, ev.width);
-              } else if (ev.aop != AtomicOp::Ld) {
-                  write = true;
-                  next = applyAtomicRmw(ev.aop, old, ev.value, ev.width);
-              }
-              if (write) {
-                  st.view[c][ev.addr] = next;
-                  st.buf[c].push_back({ev.addr, next, ev.width});
+              old = readView(st, c, aid, ev.width);
+          }
+          bool write = false;
+          uint64_t next = old;
+          if (ev.kind == Kind::Cas) {
+              write = old == maskToWidth(ev.value2, ev.width);
+              next = maskToWidth(ev.value, ev.width);
+          } else if (ev.aop != AtomicOp::Ld) {
+              write = true;
+              next = applyAtomicRmw(ev.aop, old, ev.value, ev.width);
+          }
+          if (write) {
+              if (gpu_scope) {
+                  st.mem[aid] = maskToWidth(next, ev.width);
+                  writeView(st, c, aid, st.mem[aid]);
+              } else {
+                  writeView(st, c, aid, next);
+                  buffer(st, e, next);
               }
           }
           if (watch_slot_[e] >= 0)
@@ -472,29 +560,31 @@ Checker::execEvent(State& st, size_t e)
       case Kind::Barrier:
           break; // rendezvous + acq_rel ordering are static (ppo)
       case Kind::Malloc: {
-          st.live[ev.addr] = ev.value;
+          if (auto it = liveAt(st, ev.addr); it != st.live.end())
+              it->size = ev.value;
+          else
+              st.live.push_back({ev.addr, ev.value});
           // Reuse of a freed range revalidates it.
           st.freed.erase(
               std::remove_if(st.freed.begin(), st.freed.end(),
-                             [&](const std::pair<uint64_t, uint64_t>& r) {
+                             [&](const HeapRange& r) {
                                  return rangesOverlap(ev.addr,
                                                       ev.value ? ev.value
                                                                : 1,
-                                                      r.first,
-                                                      r.second ? r.second
-                                                               : 1);
+                                                      r.base,
+                                                      r.size ? r.size : 1);
                              }),
               st.freed.end());
           break;
       }
       case Kind::Free: {
-          if (auto it = st.live.find(ev.addr); it != st.live.end()) {
-              st.freed.emplace_back(ev.addr, it->second);
+          if (auto it = liveAt(st, ev.addr); it != st.live.end()) {
+              st.freed.push_back(*it);
               st.live.erase(it);
           } else {
               bool was_freed = false;
-              for (const auto& [base, size] : st.freed)
-                  was_freed |= base == ev.addr;
+              for (const HeapRange& r : st.freed)
+                  was_freed |= r.base == ev.addr;
               addFault(was_freed ? ModelCheckFault::Kind::DoubleFree
                                  : ModelCheckFault::Kind::InvalidFree,
                        ev.addr, e);
@@ -508,35 +598,36 @@ void
 Checker::applyFlush(State& st, uint64_t id) const
 {
     const uint64_t slot = id - kFlushBase;
-    const uint32_t c = uint32_t(slot / flush_idx_.size());
-    const size_t aidx = size_t(slot % flush_idx_.size());
-    for (const auto& [addr, idx] : flush_idx_)
-        if (idx == aidx) {
-            flushAddr(st, c, addr);
-            return;
-        }
+    flushSlot(st, uint32_t(slot / slot_addr_.size()),
+              uint8_t(slot % slot_addr_.size()));
 }
 
-std::vector<uint64_t>
-Checker::enabled(const State& st) const
+/**
+ * The enabled transitions of @p st, into @p out. The order is the
+ * determinism contract: events ascending by log index, then per CTA
+ * one flush per buffered address, in buffer order.
+ */
+void
+Checker::enabled(const State& st, std::vector<uint64_t>& out) const
 {
-    std::vector<uint64_t> t;
-    for (size_t e = 0; e < n_; ++e)
-        if (!(st.executed & bit(e)) && !(pred_[e] & ~st.executed))
-            t.push_back(e);
-    if (t.empty())
-        return t; // all events done: residual flushes are unobservable
+    out.clear();
+    for (uint64_t todo = ~st.executed & (n_ < 64 ? bit(n_) - 1 : ~0ull);
+         todo; todo &= todo - 1) {
+        const size_t e = size_t(__builtin_ctzll(todo));
+        if (!(pred_[e] & ~st.executed))
+            out.push_back(e);
+    }
+    if (out.empty() || st.buf.empty())
+        return; // all events done: residual flushes are unobservable
     for (uint32_t c = 0; c < n_ctas_; ++c) {
         uint64_t seen = 0; // flush transitions, deduped per address
-        for (const Buffered& b : st.buf[c]) {
-            const size_t aidx = flush_idx_.at(b.addr);
-            if (seen & bit(aidx))
+        for (const Buffered& b : st.buf) {
+            if (b.cta != c || (seen & bit(b.slot)))
                 continue;
-            seen |= bit(aidx);
-            t.push_back(kFlushBase + c * flush_idx_.size() + aidx);
+            seen |= bit(b.slot);
+            out.push_back(kFlushBase + c * slot_addr_.size() + b.slot);
         }
     }
-    return t;
 }
 
 void
@@ -557,10 +648,10 @@ bool
 Checker::dependent(uint64_t a, uint64_t b) const
 {
     const auto flush_cta = [&](uint64_t id) {
-        return uint32_t((id - kFlushBase) / flush_idx_.size());
+        return uint32_t((id - kFlushBase) / slot_addr_.size());
     };
     const auto flush_slot = [&](uint64_t id) {
-        return size_t((id - kFlushBase) % flush_idx_.size());
+        return size_t((id - kFlushBase) % slot_addr_.size());
     };
 
     if (a < kFlushBase && b < kFlushBase) {
@@ -587,42 +678,47 @@ Checker::dependent(uint64_t a, uint64_t b) const
     if (!isAccess(e))
         return false;
     // Conservative address match (flush width is dynamic; assume 8).
-    for (const auto& [addr, idx] : flush_idx_)
-        if (idx == flush_slot(fl))
-            return rangesOverlap(e.addr, e.width, addr, 8);
-    return false;
+    return rangesOverlap(e.addr, e.width, slot_addr_[flush_slot(fl)], 8);
 }
 
+/**
+ * Explore from frames_[depth], whose state and sleep set the caller
+ * filled. Children are built in frames_[depth + 1] by copy-assignment,
+ * so the walk allocates only when it records a new outcome tuple.
+ */
 void
-Checker::explore(const State& st, const std::vector<uint64_t>& sleep)
+Checker::explore(size_t depth)
 {
     if (report_.executions >= cfg_.max_executions) {
         report_.hit_bound = true;
         return;
     }
-    const std::vector<uint64_t> trans = enabled(st);
-    if (trans.empty()) {
+    Frame& f = frames_[depth];
+    enabled(f.st, f.trans);
+    if (f.trans.empty()) {
         ++report_.executions;
-        report_.outcomes.insert(st.watch_vals);
+        report_.outcomes.insert(f.st.watch_vals);
         return;
     }
-    std::vector<uint64_t> done;
-    for (uint64_t t : trans) {
-        if (std::find(sleep.begin(), sleep.end(), t) != sleep.end()) {
+    assert(depth + 1 < frames_.size()); // paths are at most 2n long
+    Frame& child = frames_[depth + 1];
+    f.done.clear();
+    for (uint64_t t : f.trans) {
+        if (std::find(f.sleep.begin(), f.sleep.end(), t) != f.sleep.end()) {
             ++report_.pruned;
             continue;
         }
-        State child = st;
-        apply(child, t);
-        std::vector<uint64_t> child_sleep;
-        for (uint64_t s : sleep)
+        child.st = f.st;
+        apply(child.st, t);
+        child.sleep.clear();
+        for (uint64_t s : f.sleep)
             if (!dependent(s, t))
-                child_sleep.push_back(s);
-        for (uint64_t s : done)
+                child.sleep.push_back(s);
+        for (uint64_t s : f.done)
             if (!dependent(s, t))
-                child_sleep.push_back(s);
-        explore(child, child_sleep);
-        done.push_back(t);
+                child.sleep.push_back(s);
+        explore(depth + 1);
+        f.done.push_back(t);
         if (report_.hit_bound)
             return;
     }
@@ -748,14 +844,11 @@ Checker::run()
     report_.agents = n_agents_;
     buildPpo();
     buildWatch();
-    buildFlushUniverse();
+    buildAddresses();
     racePass();
 
-    State init;
-    init.view.resize(n_ctas_);
-    init.buf.resize(n_ctas_);
-    init.watch_vals.assign(n_watch_, 0);
-    explore(init, {});
+    buildFrames();
+    explore(0);
     return report_;
 }
 

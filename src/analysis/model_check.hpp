@@ -37,9 +37,17 @@
  *
  * Exploration is a DFS over (enabled event, flush) transitions with
  * DPOR-style sleep sets pruning commuting permutations, bounded by a
- * configurable execution count. Each maximal execution records the
- * tuple of values observed by the *watch loads* (by default every
- * atomic load in the log) — the litmus outcome — plus any faults:
+ * configurable execution count. Transitions are tried in a fixed
+ * order (events by log index, then each CTA's flushes in buffer
+ * order), which is what makes execution and pruned counts, outcomes
+ * and fault order deterministic. The state is flat: addresses get
+ * dense ids at preprocessing, M and each V_c are arrays over them, and
+ * the DFS keeps one pre-sized frame per depth that it copy-assigns
+ * into, so a transition allocates nothing.
+ *
+ * Each maximal execution records the tuple of values observed by the
+ * *watch loads* (by default every atomic load in the log) — the
+ * litmus outcome — plus any faults:
  * use-after-free / freed-memory corruption (an access overlapping a
  * range freed earlier in that execution) and heap-protocol violations
  * (double free, free of an unallocated base). A separate single-pass

@@ -34,6 +34,23 @@ RaceReport::count(RaceVerdict v) const
     return n;
 }
 
+bool
+congruentInWindow(int64_t konst, int64_t gcd, int64_t lo, int64_t hi)
+{
+    // The smallest x >= lo with x == konst (mod gcd) is lo + r with
+    // r = (konst - lo) mod gcd. r is the difference of two floor
+    // remainders, each in [0, gcd), so nothing overflows; hi - lo is
+    // exact in uint64 because lo <= hi.
+    const auto floorMod = [gcd](int64_t v) {
+        const int64_t m = v % gcd;
+        return m < 0 ? m + gcd : m;
+    };
+    int64_t r = floorMod(konst) - floorMod(lo);
+    if (r < 0)
+        r += gcd;
+    return uint64_t(r) <= uint64_t(hi) - uint64_t(lo);
+}
+
 namespace {
 
 /** Bound on brute-force thread-offset enumeration per access pair. */
@@ -179,13 +196,7 @@ struct Residual
             return true; // sum == [konst, konst]; membership just checked
         if (gcd <= 1)
             return true;
-        // Smallest x >= lo with x == konst (mod gcd); x < lo + gcd so
-        // it fits in int64 alongside lo <= hi.
-        const __int128 diff = __int128(konst) - lo;
-        const __int128 q = diff >= 0 ? diff / gcd
-                                     : -((-diff + gcd - 1) / gcd);
-        const __int128 x = __int128(konst) - q * gcd;
-        return x <= hi;
+        return congruentInWindow(konst, gcd, lo, hi);
     }
 };
 

@@ -133,6 +133,13 @@ struct RaceReport
     }
 };
 
+/**
+ * The residual solver's congruence step: true when [@p lo, @p hi]
+ * (lo <= hi) holds a value congruent to @p konst modulo @p gcd
+ * (gcd >= 1). Exact over the whole int64 range in 64-bit arithmetic.
+ */
+bool congruentInWindow(int64_t konst, int64_t gcd, int64_t lo, int64_t hi);
+
 /** Run the race/divergence analysis over one (flattened) function. */
 RaceReport analyzeRaces(const ir::IrFunction& f,
                         const RaceAnalysisOptions& opts = {});

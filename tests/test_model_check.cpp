@@ -287,7 +287,7 @@ seededCase(uint64_t seed)
         add(K::Free, agent()).addr = rng.chance(0.5) ? kHeapBase : 0x3000;
 
     sc.cfg.max_executions = seed % 4 == 3 ? 1 + rng.below(40) : 3000;
-    if (rng.chance(0.15)) { // explicit watch list, duplicates included
+    if (rng.chance(0.15)) { // explicit watch list; may repeat or overrun
         for (size_t k = 0; k < 3; ++k)
             sc.cfg.watch.push_back(size_t(rng.below(sc.log.size() + 1)));
     }

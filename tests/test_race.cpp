@@ -9,7 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "analysis/race_analysis.hpp"
+#include "common/rng.hpp"
 #include "compiler/codegen.hpp"
 #include "ir/builder.hpp"
 #include "sim/device.hpp"
@@ -40,6 +45,81 @@ analyze(const IrFunction& f, unsigned block_threads = 64,
     opts.block_threads = block_threads;
     opts.grid_blocks = grid_blocks;
     return analysis::analyzeRaces(f, opts);
+}
+
+// ---------------------------------------------------------------------
+// Residual solver arithmetic.
+// ---------------------------------------------------------------------
+
+/** The congruence step computed in 128 bits, as the solver once did:
+ *  the smallest x >= lo with x == konst (mod gcd), then x <= hi. */
+bool
+congruentInWindowWide(int64_t konst, int64_t gcd, int64_t lo, int64_t hi)
+{
+    const __int128 diff = __int128(konst) - lo;
+    const __int128 q = diff >= 0 ? diff / gcd : -((-diff + gcd - 1) / gcd);
+    const __int128 x = __int128(konst) - q * gcd;
+    return x <= hi;
+}
+
+TEST(RaceAnalysis, CongruentWindowMatchesWideArithmetic)
+{
+    using analysis::congruentInWindow;
+    constexpr int64_t kMin = INT64_MIN, kMax = INT64_MAX;
+    const std::vector<int64_t> gcds = {1, 2, 3, 7, 4096,
+                                       int64_t(1) << 62, kMax / 2 + 1,
+                                       kMax - 1, kMax};
+    // Saturated hull ends, small values, and the neighbours of each
+    // stride and its negation.
+    std::vector<int64_t> values = {kMin, kMin + 1, kMin + 2, -2, -1, 0,
+                                   1, 2, kMax - 2, kMax - 1, kMax};
+    for (int64_t g : gcds)
+        for (int64_t d : {-1, 0, 1}) {
+            int64_t v;
+            if (!__builtin_add_overflow(g, d, &v))
+                values.push_back(v);
+            if (!__builtin_sub_overflow(d, g, &v))
+                values.push_back(v);
+        }
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+
+    size_t checked = 0;
+    for (int64_t g : gcds)
+        for (int64_t konst : values)
+            for (int64_t lo : values)
+                for (int64_t hi : values) {
+                    if (lo > hi)
+                        continue;
+                    ASSERT_EQ(congruentInWindow(konst, g, lo, hi),
+                              congruentInWindowWide(konst, g, lo, hi))
+                        << "konst=" << konst << " gcd=" << g
+                        << " lo=" << lo << " hi=" << hi;
+                    ++checked;
+                }
+    EXPECT_GT(checked, 100000u);
+
+    Rng rng(7);
+    for (int i = 0; i < 100000; ++i) {
+        const int64_t g =
+            rng.chance(0.5) ? int64_t(1 + rng.below(64))
+                            : int64_t(1 + rng.below(uint64_t(kMax)));
+        const int64_t konst = int64_t(rng.next());
+        int64_t lo = int64_t(rng.next()), hi = int64_t(rng.next());
+        if (lo > hi)
+            std::swap(lo, hi);
+        ASSERT_EQ(congruentInWindow(konst, g, lo, hi),
+                  congruentInWindowWide(konst, g, lo, hi))
+            << "konst=" << konst << " gcd=" << g << " lo=" << lo
+            << " hi=" << hi;
+    }
+
+    // Hand-checked edges.
+    EXPECT_TRUE(congruentInWindow(5, 2, kMin, kMin + 1));
+    EXPECT_FALSE(congruentInWindow(0, kMax, 1, kMax - 1));
+    EXPECT_TRUE(congruentInWindow(0, kMax, 1, kMax));
+    EXPECT_FALSE(congruentInWindow(kMax, kMax, kMin, kMin)); // kMin = -kMax-1
+    EXPECT_TRUE(congruentInWindow(kMax, kMax, kMin + 1, kMin + 1));
 }
 
 // ---------------------------------------------------------------------

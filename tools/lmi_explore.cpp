@@ -1021,12 +1021,12 @@ main(int argc, char** argv)
         }
         if (cmd == "trace" && args.size() >= 3) {
             MechanismKind kind;
-            if (!mechanismFromName(args[2], &kind))
+            uint64_t events = 20;
+            if (!mechanismFromName(args[2], &kind) ||
+                (args.size() > 3 &&
+                 !parseCount("event count", args[3], SIZE_MAX, &events)))
                 return usage();
-            return cmdTrace(args[1], kind,
-                            args.size() > 3
-                                ? size_t(std::atoll(args[3].c_str()))
-                                : 20);
+            return cmdTrace(args[1], kind, size_t(events));
         }
         if (cmd == "verify")
             return cmdVerify(opts);
