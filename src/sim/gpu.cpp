@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -273,14 +274,19 @@ struct GpuSim::Warp
     uint64_t pc = 0;
     uint32_t active = 0;       ///< current-path mask
     uint32_t exited = 0;
-    uint16_t rstride = 32;     ///< register-file row stride (= warp size)
-    uint32_t local_slot = 0;   ///< local-arena slot (lane memories)
+    uint16_t rstride = 32;     ///< value-row stride (= warp size)
+    /** Residency slot: indexes the per-SM local-memory and register
+     *  arenas. */
+    uint32_t local_slot = 0;
     WindowedMemory* shared = nullptr; ///< this block's shared-arena slot
-    /** Register file, register-major (SoA): row r holds all lanes of r,
-     *  so the per-instruction lane loop walks contiguous memory. */
-    std::vector<uint64_t> regs;
+    /** Value rows (RegLayout), register-major (SoA): row r holds all
+     *  lanes of the registers mapped to r, so the per-instruction lane
+     *  loop walks contiguous memory. Points into SmCtx::reg_store. */
+    uint64_t* regs = nullptr;
     std::array<uint32_t, kNumPredRegs> preds{};
-    std::vector<uint64_t> reg_ready;      ///< per-register ready cycle
+    /** Ready cycle per scoreboard slot (RegLayout), in SmCtx::reg_store
+     *  next to the rows. */
+    uint64_t* reg_ready = nullptr;
     std::array<uint64_t, kNumPredRegs> pred_ready{};
     std::vector<std::pair<uint64_t, uint32_t>> stack; ///< (pc, mask)
     uint64_t stall_until = 0;
@@ -292,24 +298,12 @@ struct GpuSim::Warp
     uint64_t barrier_pc = 0;
     bool done = false;
 
-    uint64_t&
-    reg(unsigned lane, unsigned r)
-    {
-        return regs[size_t(r) * rstride + lane];
-    }
-
-    uint64_t
-    regv(unsigned lane, unsigned r) const
-    {
-        return regs[size_t(r) * rstride + lane];
-    }
-
-    uint64_t* regRow(unsigned r) { return regs.data() + size_t(r) * rstride; }
+    uint64_t* regRow(unsigned row) { return regs + size_t(row) * rstride; }
 
     const uint64_t*
-    regRow(unsigned r) const
+    regRow(unsigned row) const
     {
-        return regs.data() + size_t(r) * rstride;
+        return regs + size_t(row) * rstride;
     }
 };
 
@@ -332,7 +326,8 @@ struct GpuSim::SmCtx
         uint32_t warp = 0;        ///< index into SmCtx::warps
         uint64_t cycle = 0;       ///< issue cycle
         uint64_t seq = 0;         ///< per-SM event order
-        int16_t dst = -1;         ///< malloc result register
+        int16_t dst_row = -1;     ///< malloc result: value row
+        int16_t dst_slot = -1;    ///< malloc result: scoreboard slot
         uint32_t active = 0;      ///< active mask at issue
         /** Per-lane operand: requested size (malloc) or pointer (free). */
         std::array<uint64_t, 32> vals{};
@@ -351,7 +346,8 @@ struct GpuSim::SmCtx
         uint32_t warp = 0;        ///< index into SmCtx::warps
         uint64_t cycle = 0;       ///< issue cycle
         uint64_t seq = 0;         ///< per-SM event order
-        int16_t dst = -1;         ///< old-value result register (-1: St)
+        int16_t dst_row = -1;     ///< old-value result row (-1: none)
+        int16_t dst_slot = -1;    ///< old-value result scoreboard slot
         uint32_t active = 0;      ///< active mask at issue
         std::array<uint64_t, 32> addrs{}; ///< translated per-lane address
         std::array<uint64_t, 32> vals{};  ///< RMW operand / CAS desired
@@ -433,10 +429,13 @@ struct GpuSim::SmCtx
     std::unique_ptr<uint8_t[]> local_store;
     std::vector<uint32_t> shared_free;
     std::vector<uint32_t> local_free;
-    /** Register files (regs, reg_ready) of done warps, handed to the
-     *  next warps admitted here instead of freed and reallocated. */
-    std::vector<std::vector<uint64_t>> spare_regs;
-    std::vector<std::vector<uint64_t>> spare_ready;
+    /** Register arena, indexed by warp slot (`local_free` ids): per
+     *  slot, the RegLayout value rows then the scoreboard, reg_words
+     *  words in all. Uninitialised; admission zeroes the scoreboard and
+     *  the rows of registers live at entry, the only rows a kernel can
+     *  read before writing. */
+    std::unique_ptr<uint64_t[]> reg_store;
+    size_t reg_words = 0;
 
     /** Reusable coalescer scratch. */
     std::vector<uint64_t> lines_scratch;
@@ -470,12 +469,13 @@ struct GpuSim::SmCtx
      * local slot storage at all (slot ids are still handed out, they
      * just index nothing). @p shared_bytes and @p frame_bytes are the
      * (capped) window sizes, over [kSharedBase, +shared_bytes) and
-     * [frame_lo, +frame_bytes).
+     * [frame_lo, +frame_bytes); @p warp_reg_words sizes a warp's
+     * register slot.
      */
     void
     initArenas(const GpuConfig& cfg, unsigned warps_per_block,
                uint64_t shared_bytes, bool uses_local, uint64_t frame_lo,
-               uint64_t frame_bytes)
+               uint64_t frame_bytes, size_t warp_reg_words)
     {
         const uint32_t resident_blocks = uint32_t(
             std::min<size_t>(cfg.max_blocks_per_sm, pending_blocks.size()));
@@ -494,6 +494,9 @@ struct GpuSim::SmCtx
         local_free.reserve(resident_warps);
         for (uint32_t s = 0; s < resident_warps; ++s)
             local_free.push_back(s);
+        reg_words = warp_reg_words;
+        reg_store = std::make_unique_for_overwrite<uint64_t[]>(
+            size_t(resident_warps) * reg_words);
     }
 
     /** @p n windows of @p bytes each over one fresh, unzeroed buffer
@@ -512,9 +515,10 @@ struct GpuSim::SmCtx
 
 /**
  * Predecoded per-instruction metadata: operand kinds (with constant-bank
- * reads folded — the bank is written once at launch), scoreboard source
- * registers, and the destination/guard fields the readiness check needs.
- * Built once per launch so the issue path never re-inspects Operands.
+ * reads folded — the bank is written once at launch), each register
+ * operand's value row and scoreboard slot (RegLayout), and the
+ * destination/guard fields the readiness check needs. Built once per
+ * launch so the issue path never re-inspects Operands.
  */
 struct GpuSim::InstDesc
 {
@@ -522,7 +526,7 @@ struct GpuSim::InstDesc
     {
         enum class K : uint8_t { Const, Reg, Special };
         K kind = K::Const;
-        uint16_t reg = 0;
+        uint16_t row = 0; ///< value row (K::Reg)
         SpecialReg sr = SpecialReg::TidX;
         uint64_t constv = 0;
     };
@@ -531,8 +535,10 @@ struct GpuSim::InstDesc
     enum class Kind : uint8_t { Ctrl, Mem, Alu };
 
     Src src[kMaxSrcs];
-    int16_t src_reg[kMaxSrcs] = {-1, -1, -1}; ///< scoreboard reads
-    int16_t dst = -1;
+    int16_t src_slot[kMaxSrcs] = {-1, -1, -1}; ///< scoreboard reads
+    int16_t dst_row = -1;  ///< destination register's value row
+    int16_t dst_slot = -1; ///< destination register's scoreboard slot
+    int16_t dst_pred = -1; ///< ISETP's destination predicate
     int16_t guard_pred = -1;
     Kind kind = Kind::Alu;
     bool is_isetp = false;
@@ -558,6 +564,18 @@ struct GpuSim::ResolvedSrc
     get(unsigned lane) const
     {
         return row ? row[lane] : base + stride * lane;
+    }
+
+    /** The lanes as a row: the register row itself, or the first
+     *  @p lanes values written to @p scratch. */
+    const uint64_t*
+    asRow(std::array<uint64_t, 32>& scratch, unsigned lanes) const
+    {
+        if (row)
+            return row;
+        for (unsigned lane = 0; lane < lanes; ++lane)
+            scratch[lane] = get(lane);
+        return scratch.data();
     }
 };
 
@@ -699,18 +717,11 @@ GpuSim::GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
       heap_(heap),
       program_(program),
       launch_(std::move(launch)),
-      l2_(config.l2_size, config.l2_assoc, config.line_bytes)
+      l2_(config.l2_size, config.l2_assoc, config.line_bytes),
+      layout_(layoutRegisters(program))
 {
-    // Register file width: highest register index any instruction names.
-    unsigned max_reg = kStackPtrReg;
-    for (const auto& inst : program_.code) {
-        if (inst.dst > int(max_reg) && inst.op != Opcode::ISETP)
-            max_reg = unsigned(inst.dst);
-        for (const auto& src : inst.src)
-            if (src.isReg())
-                max_reg = std::max(max_reg, unsigned(src.value));
-    }
-    nregs_ = max_reg + 1;
+    // Before decoding: the decode table indexes the layout by register.
+    program_.validate();
 
     // Constant bank: stack pointer (Fig. 7), dynamic-shared base, and
     // kernel parameters.
@@ -758,11 +769,13 @@ GpuSim::buildDecodeTable()
             switch (op.kind) {
               case Operand::Kind::None:
                 break; // Const 0
-              case Operand::Kind::Reg:
+              case Operand::Kind::Reg: {
+                const uint16_t slot = layout_.slot_of[op.value];
                 ds.kind = InstDesc::Src::K::Reg;
-                ds.reg = uint16_t(op.value);
-                d.src_reg[s] = int16_t(op.value);
+                ds.row = layout_.row_of[slot];
+                d.src_slot[s] = int16_t(slot);
                 break;
+              }
               case Operand::Kind::Imm:
                 ds.constv = op.value;
                 break;
@@ -779,9 +792,15 @@ GpuSim::buildDecodeTable()
                 break;
             }
         }
-        d.dst = int16_t(inst.dst);
-        d.guard_pred = int16_t(inst.guard_pred);
         d.is_isetp = inst.op == Opcode::ISETP;
+        if (d.is_isetp) {
+            d.dst_pred = int16_t(inst.dst);
+        } else if (inst.dst >= 0) {
+            const uint16_t slot = layout_.slot_of[size_t(inst.dst)];
+            d.dst_slot = int16_t(slot);
+            d.dst_row = int16_t(layout_.row_of[slot]);
+        }
+        d.guard_pred = int16_t(inst.guard_pred);
         d.is_mem = isMemory(inst.op);
         if (d.is_mem) {
             d.is_store = isStore(inst.op);
@@ -825,7 +844,7 @@ GpuSim::resolveSrc(const Warp& warp, const InstDesc& d, unsigned idx) const
         r.base = s.constv;
         break;
       case InstDesc::Src::K::Reg:
-        r.row = warp.regs.data() + size_t(s.reg) * warp.rstride;
+        r.row = warp.regRow(s.row);
         break;
       case InstDesc::Src::K::Special:
         switch (s.sr) {
@@ -911,7 +930,6 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
     const InstDesc& d = idesc_[warp.pc];
     const MemSpace space = d.space;
     const bool is_store = d.is_store;
-    const unsigned addr_reg = unsigned(inst.src[0].value);
 
     std::vector<uint64_t>& lines = sm.lines_scratch;
     lines.clear();
@@ -919,12 +937,14 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
     const uint64_t total_threads =
         uint64_t(launch_.grid_blocks) * launch_.block_threads;
 
-    const uint64_t* addr_row = warp.regRow(addr_reg);
+    std::array<uint64_t, 32> addr_lanes;
+    const uint64_t* addr_row =
+        resolveSrc(warp, d, 0).asRow(addr_lanes, warp.lanes);
     const ResolvedSrc store_val =
         is_store ? resolveSrc(warp, d, 1) : ResolvedSrc{};
     uint64_t* const dst_row =
-        (!is_store && inst.dst >= 0) ? warp.regRow(unsigned(inst.dst))
-                                     : nullptr;
+        (!is_store && d.dst_row >= 0) ? warp.regRow(unsigned(d.dst_row))
+                                      : nullptr;
     WindowedMemory* const local_base =
         sm.local_arena.empty()
             ? nullptr // kernel has no local-memory instructions
@@ -1077,8 +1097,8 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
                   extra + queue_wait;
     }
 
-    if (!is_store && inst.dst >= 0)
-        warp.reg_ready[unsigned(inst.dst)] = sm.cycle + latency;
+    if (!is_store && d.dst_slot >= 0)
+        warp.reg_ready[unsigned(d.dst_slot)] = sm.cycle + latency;
     // Stores retire through the write queue; the warp itself moves on.
 }
 
@@ -1097,14 +1117,16 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
     // Everything except a pure atomic load writes memory.
     const bool writes = is_cas || inst.aop != AtomicOp::Ld;
 
-    const uint64_t* addr_row = warp.regRow(unsigned(inst.src[0].value));
+    std::array<uint64_t, 32> addr_lanes;
+    const uint64_t* addr_row =
+        resolveSrc(warp, d, 0).asRow(addr_lanes, warp.lanes);
     // Value operands: RMW operand / CAS expected, and CAS desired.
     const ResolvedSrc v1 = inst.src[1].kind != Operand::Kind::None
                                ? resolveSrc(warp, d, 1)
                                : ResolvedSrc{};
     const ResolvedSrc v2 = is_cas ? resolveSrc(warp, d, 2) : ResolvedSrc{};
     uint64_t* const dst_row =
-        inst.dst >= 0 ? warp.regRow(unsigned(inst.dst)) : nullptr;
+        d.dst_row >= 0 ? warp.regRow(unsigned(d.dst_row)) : nullptr;
 
     MemAccess access = memAccess(sm, warp, inst, writes, addr_row);
     access.width = width;
@@ -1123,7 +1145,8 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
         op.warp = uint32_t(&warp - sm.warps.data());
         op.cycle = sm.cycle;
         op.seq = sm.event_seq++;
-        op.dst = int16_t(inst.dst);
+        op.dst_row = d.dst_row;
+        op.dst_slot = d.dst_slot;
         op.active = warp.active;
     }
 
@@ -1185,8 +1208,8 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
         return;
     }
     if (space == MemSpace::Shared) {
-        if (!functional && inst.dst >= 0)
-            warp.reg_ready[unsigned(inst.dst)] =
+        if (!functional && d.dst_slot >= 0)
+            warp.reg_ready[unsigned(d.dst_slot)] =
                 sm.cycle + config_.shared_latency + check.extra_cycles;
         return;
     }
@@ -1217,14 +1240,14 @@ GpuSim::warpReadyAt(const Warp& warp) const
     uint64_t t = warp.stall_until;
     const InstDesc& d = idesc_[warp.pc];
     for (unsigned i = 0; i < kMaxSrcs; ++i) {
-        const int r = d.src_reg[i];
-        if (r >= 0)
-            t = std::max(t, warp.reg_ready[unsigned(r)]);
+        const int slot = d.src_slot[i];
+        if (slot >= 0)
+            t = std::max(t, warp.reg_ready[unsigned(slot)]);
     }
-    if (d.is_isetp)
-        t = std::max(t, warp.pred_ready[unsigned(d.dst)]);
-    else if (d.dst >= 0)
-        t = std::max(t, warp.reg_ready[unsigned(d.dst)]);
+    if (d.dst_pred >= 0)
+        t = std::max(t, warp.pred_ready[unsigned(d.dst_pred)]);
+    else if (d.dst_slot >= 0)
+        t = std::max(t, warp.reg_ready[unsigned(d.dst_slot)]);
     if (d.guard_pred >= 0)
         t = std::max(t, warp.pred_ready[unsigned(d.guard_pred)]);
     return t;
@@ -1236,19 +1259,10 @@ GpuSim::markWarpDone(SmCtx& sm, Warp& warp)
     warp.done = true;
     sm.ready[size_t(&warp - sm.warps.data())] = ~uint64_t(0);
     --sm.live_warps;
+    // The warp's slot (local memories and registers) is free for the
+    // next admitted warp; its stack is released so resident-warp scans
+    // stay cache-resident across long multi-wave launches.
     sm.local_free.push_back(warp.local_slot);
-    // Release the dead warp's bulk state: resident-warp scans stay
-    // cache-resident across long multi-wave launches, and its local
-    // slot is free for the next admitted warp. So is its register file
-    // while blocks are still pending here; after the last admission it
-    // is freed, so the rest of the launch can reuse the memory.
-    if (sm.next_block < sm.pending_blocks.size()) {
-        sm.spare_regs.push_back(std::move(warp.regs));
-        sm.spare_ready.push_back(std::move(warp.reg_ready));
-    } else {
-        std::vector<uint64_t>().swap(warp.regs);
-        std::vector<uint64_t>().swap(warp.reg_ready);
-    }
     std::vector<std::pair<uint64_t, uint32_t>>().swap(warp.stack);
     for (BlockCtx& blk : sm.blocks) {
         if (blk.block_id == warp.block) {
@@ -1429,7 +1443,8 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         op.warp = uint32_t(&warp - sm.warps.data());
         op.cycle = cycle;
         op.seq = sm.event_seq++;
-        op.dst = int16_t(inst.dst);
+        op.dst_row = d.dst_row;
+        op.dst_slot = d.dst_slot;
         op.active = warp.active;
         const ResolvedSrc v = resolveSrc(warp, d, 0);
         for (unsigned lane = 0; lane < warp.lanes; ++lane)
@@ -1466,16 +1481,28 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
     const ResolvedSrc s0 = resolveSrc(warp, d, 0);
     const ResolvedSrc s1 = resolveSrc(warp, d, 1);
     const ResolvedSrc s2 = resolveSrc(warp, d, 2);
+    const uint32_t full_mask =
+        warp.lanes >= 32 ? ~uint32_t(0) : ((1u << warp.lanes) - 1);
 
     if (d.is_isetp) {
         // One comparison switch per instruction; the lane loop under it
         // builds the predicate mask, and inactive lanes keep their bits.
+        // Only active lanes are compared: an inactive lane's slot in a
+        // value row may hold another register's value (RegLayout).
         const auto lanesWhere = [&](auto cmp) {
-            uint32_t set = 0;
-            for (unsigned lane = 0; lane < warp.lanes; ++lane)
-                set |= uint32_t(cmp(int64_t(s0.get(lane)),
+            const auto test = [&](unsigned lane) {
+                return uint32_t(cmp(int64_t(s0.get(lane)),
                                     int64_t(s1.get(lane))))
                        << lane;
+            };
+            uint32_t set = 0;
+            if (warp.active == full_mask) {
+                for (unsigned lane = 0; lane < warp.lanes; ++lane)
+                    set |= test(lane);
+            } else {
+                for (uint32_t m = warp.active; m != 0; m &= m - 1)
+                    set |= test(unsigned(std::countr_zero(m)));
+            }
             return set;
         };
         uint32_t set = 0;
@@ -1487,15 +1514,15 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
           case CmpOp::GT: set = lanesWhere(std::greater<>()); break;
           case CmpOp::GE: set = lanesWhere(std::greater_equal<>()); break;
         }
-        uint32_t& pred = warp.preds[unsigned(inst.dst)];
-        pred = (pred & ~warp.active) | (set & warp.active);
-        warp.pred_ready[unsigned(inst.dst)] = cycle + latency;
+        uint32_t& pred = warp.preds[unsigned(d.dst_pred)];
+        pred = (pred & ~warp.active) | set;
+        warp.pred_ready[unsigned(d.dst_pred)] = cycle + latency;
         ++warp.pc;
         return true;
     }
 
     uint64_t* const dst_row =
-        inst.dst >= 0 ? warp.regRow(unsigned(inst.dst)) : nullptr;
+        d.dst_row >= 0 ? warp.regRow(unsigned(d.dst_row)) : nullptr;
     // Hinted (pointer-producing) ops compute into a scratch row, so the
     // OCU hook sees every lane's input operand and result before the
     // destination, which may alias an input, is written.
@@ -1506,8 +1533,6 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
     // The opcode dispatch is hoisted out of the lane loop, and a
     // fully-active warp with an output row takes a maskless loop the
     // compiler can vectorize.
-    const uint32_t full_mask =
-        warp.lanes >= 32 ? ~uint32_t(0) : ((1u << warp.lanes) - 1);
 #define LMI_ALU_LOOP(expr)                                              \
     do {                                                                \
         if (warp.active == full_mask && out_row) {                      \
@@ -1598,21 +1623,16 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
                 ? s0
                 : (inst.op == Opcode::IMAD ? s2 : s1);
         std::array<uint64_t, 32> ptr_lanes;
-        const uint64_t* ptr_in = p.row;
-        if (!ptr_in) {
-            for (unsigned lane = 0; lane < warp.lanes; ++lane)
-                ptr_lanes[lane] = p.get(lane);
-            ptr_in = ptr_lanes.data();
-        }
-        mech_.onIntResults(inst, warp.active, ptr_in, out_row);
+        mech_.onIntResults(inst, warp.active,
+                           p.asRow(ptr_lanes, warp.lanes), out_row);
         if (dst_row)
             for (unsigned lane = 0; lane < warp.lanes; ++lane)
                 if (warp.active & (1u << lane))
                     dst_row[lane] = out_row[lane];
     }
 
-    if (inst.dst >= 0)
-        warp.reg_ready[unsigned(inst.dst)] = cycle + latency;
+    if (d.dst_slot >= 0)
+        warp.reg_ready[unsigned(d.dst_slot)] = cycle + latency;
     ++warp.pc;
     return true;
 }
@@ -1736,14 +1756,14 @@ GpuSim::admitBlocks(SmCtx& sm)
                                        config_.warp_size +
                                    l]
                         .reset();
-            if (!sm.spare_regs.empty()) {
-                w.regs = std::move(sm.spare_regs.back());
-                w.reg_ready = std::move(sm.spare_ready.back());
-                sm.spare_regs.pop_back();
-                sm.spare_ready.pop_back();
-            }
-            w.reg_ready.assign(nregs_, 0);
-            w.regs.assign(size_t(config_.warp_size) * nregs_, 0);
+            // Fresh registers read zero: a kernel reads a register before
+            // writing it only if it is live at entry, so only those rows
+            // (and the scoreboard) need zeroing in a reused slot.
+            w.regs = sm.reg_store.get() + size_t(w.local_slot) * sm.reg_words;
+            w.reg_ready = w.regs + size_t(layout_.rows) * config_.warp_size;
+            std::fill_n(w.reg_ready, layout_.slots(), uint64_t(0));
+            for (const uint16_t row : layout_.zero_rows)
+                std::fill_n(w.regRow(row), config_.warp_size, uint64_t(0));
             w.stall_until = sm.cycle;
             const uint32_t idx = uint32_t(sm.warps.size());
             sm.ready.push_back(warpReadyAt(w));
@@ -1754,9 +1774,6 @@ GpuSim::admitBlocks(SmCtx& sm)
             ++sm.live_warps;
         }
     }
-    // Last admission done: no warp will take the spare register files.
-    sm.spare_regs.clear();
-    sm.spare_ready.clear();
 }
 
 void
@@ -2092,7 +2109,8 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                         e.value = size;
                         launch_.memlog->record(e);
                     }
-                    w.reg(lane, unsigned(op.dst)) = ptr;
+                    if (op.dst_row >= 0)
+                        w.regRow(unsigned(op.dst_row))[lane] = ptr;
                 } else {
                     const uint64_t ptr = op.vals[lane];
                     MaybeFault f = mech_.onDeviceFree(ptr);
@@ -2114,9 +2132,10 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                 }
             }
             if (op.is_malloc) {
-                w.reg_ready[unsigned(op.dst)] =
-                    op.cycle + config_.malloc_latency +
-                    8 * popCount(op.active);
+                if (op.dst_slot >= 0)
+                    w.reg_ready[unsigned(op.dst_slot)] =
+                        op.cycle + config_.malloc_latency +
+                        8 * popCount(op.active);
             } else {
                 w.stall_until = op.cycle + config_.malloc_latency / 2;
             }
@@ -2172,16 +2191,16 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                         st.writer = -1;
                     }
                 }
-                if (op.dst >= 0)
-                    w.reg(lane, unsigned(op.dst)) =
+                if (op.dst_row >= 0)
+                    w.regRow(unsigned(op.dst_row))[lane] =
                         maskToWidth(old, op.width);
             }
             // Result ready / store retired after a hierarchy round
             // trip (atomics resolve at the L2 on this machine).
             const uint64_t done_at =
                 op.cycle + config_.l1_latency + config_.l2_latency;
-            if (op.dst >= 0)
-                w.reg_ready[unsigned(op.dst)] = done_at;
+            if (op.dst_slot >= 0)
+                w.reg_ready[unsigned(op.dst_slot)] = done_at;
             else
                 w.stall_until = done_at;
             w.heap_pending = false;
@@ -2259,7 +2278,6 @@ GpuSim::resolveThreads(unsigned used_sms) const
 RunResult
 GpuSim::run()
 {
-    program_.validate();
     mech_.onKernelLaunch(program_);
 
     // Round-robin block placement over SMs.
@@ -2291,10 +2309,13 @@ GpuSim::run()
                  kSharedCapacity);
     const uint64_t frame_window =
         std::min(program_.frame_bytes, kFrameWindowCap);
+    // A warp's register slot: its value rows, then its scoreboard.
+    const size_t warp_reg_words =
+        size_t(layout_.rows) * config_.warp_size + layout_.slots();
     for (SmCtx& sm : sms) {
         sm.initArenas(config_, warps_per_block, shared_window, uses_local,
                       config_.stack_top - program_.frame_bytes,
-                      frame_window);
+                      frame_window, warp_reg_words);
         admitBlocks(sm);
     }
 

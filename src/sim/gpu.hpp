@@ -72,6 +72,7 @@
 #include "sim/mem_event.hpp"
 #include "sim/memory.hpp"
 #include "sim/race_sanitizer.hpp"
+#include "sim/reg_layout.hpp"
 #include "sim/result.hpp"
 #include "sim/trace.hpp"
 
@@ -224,10 +225,11 @@ class GpuSim
     const Program& program_;
     Launch launch_;
 
-    unsigned nregs_ = 0;
     uint64_t dyn_shared_base_ = 0;
     std::vector<uint8_t> cbank_;
     CacheModel l2_;
+    /** Scoreboard slots and value rows of the program's registers. */
+    RegLayout layout_;
     RunResult result_;
 
     /** Per-instruction predecoded operand/scoreboard metadata. */

@@ -15,7 +15,9 @@
  *       Run a full (workload x mechanism) grid through the
  *       ExperimentRunner and print/export the results.
  *   lmi_explore disasm <workload> <mechanism>
- *       Print the generated SASS-like code (hint bits visible).
+ *       Print the generated SASS-like code (hint bits visible) under a
+ *       header line with the register layout (named registers, value
+ *       rows, rows zeroed at admission).
  *   lmi_explore security <mechanism>
  *       Run the 38-case violation suite and print per-case outcomes.
  *   lmi_explore trace <workload> <mechanism> [events]
@@ -83,6 +85,7 @@
 #include "runner/experiment_runner.hpp"
 #include "security/coverage.hpp"
 #include "security/violations.hpp"
+#include "sim/reg_layout.hpp"
 #include "sim/trace.hpp"
 #include "workloads/churn.hpp"
 #include "workloads/litmus.hpp"
@@ -399,7 +402,9 @@ cmdDisasm(const std::string& workload, MechanismKind kind)
     const WorkloadProfile& profile = findWorkload(workload);
     const CompiledKernel ck =
         dev.compile(buildWorkloadKernel(profile), profile.name);
-    std::printf("%s", ck.program.disassemble().c_str());
+    std::printf("// %s\n%s",
+                layoutRegisters(ck.program).summary().c_str(),
+                ck.program.disassemble().c_str());
     return 0;
 }
 
