@@ -1,7 +1,12 @@
 /**
  * @file
- * Register-file semantics on hand-built ISA programs.
+ * Register layout and register-file semantics on hand-built ISA
+ * programs.
  *
+ *  - layoutRegisters never gives two simultaneously live registers one
+ *    value row (a diamond, a loop-carried value, a divergent loop exit,
+ *    an entry-live register, and the generated programs below), checked
+ *    against a plain set-based liveness;
  *  - a register read before it is written reads zero, also in a warp
  *    slot an earlier warp of a multi-wave grid dirtied;
  *  - ~200 generated SIMT programs (ALU ops, S2R, ISETP, guarded
@@ -18,10 +23,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bitset>
 #include <functional>
 
 #include "common/rng.hpp"
 #include "sim/device.hpp"
+#include "sim/reg_layout.hpp"
 
 namespace lmi {
 namespace {
@@ -77,6 +84,224 @@ kernel(std::string name, std::vector<Instruction> code)
 }
 
 const Operand kOutParam = Operand::cbank(Program::kParamBase);
+
+Program
+program(std::vector<Instruction> code)
+{
+    Program p;
+    p.name = "layout";
+    p.code = std::move(code);
+    return p;
+}
+
+using RegSet = std::bitset<kNumRegs>;
+
+/** Reference liveness: live-in register sets per instruction, by plain
+ *  iteration to a fixed point over the engine's CFG. */
+std::vector<RegSet>
+referenceLiveIn(const Program& p)
+{
+    const size_t n = p.code.size();
+    std::vector<RegSet> in(n);
+    const auto succs = [&](size_t i) {
+        std::vector<size_t> s;
+        const Instruction& inst = p.code[i];
+        if (inst.op == Opcode::BRA)
+            s.push_back(size_t(inst.branch_target));
+        const bool stops = inst.op == Opcode::EXIT ||
+                           inst.op == Opcode::TRAP ||
+                           (inst.op == Opcode::BRA &&
+                            inst.guard_pred == kNoPred);
+        if (!stops && i + 1 < n)
+            s.push_back(i + 1);
+        return s;
+    };
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (size_t i = 0; i < n; ++i) {
+            const Instruction& inst = p.code[i];
+            RegSet live;
+            for (const size_t s : succs(i))
+                live |= in[s];
+            if (inst.dst >= 0 && inst.op != Opcode::ISETP &&
+                !isStore(inst.op))
+                live.reset(size_t(inst.dst));
+            for (const Operand& o : inst.src)
+                if (o.isReg())
+                    live.set(o.value);
+            if (live != in[i]) {
+                in[i] = live;
+                changed = true;
+            }
+        }
+    }
+    return in;
+}
+
+/** No two registers live at one point share a row, no write clobbers a
+ *  live register's row, and entry-live registers own zeroed rows. */
+void
+expectLiveRowsDisjoint(const Program& p, const RegLayout& layout)
+{
+    const std::vector<RegSet> in = referenceLiveIn(p);
+    const auto rowOf = [&](size_t r) {
+        EXPECT_NE(layout.slot_of[r], RegLayout::kUnnamed) << "R" << r;
+        return layout.row_of[layout.slot_of[r]];
+    };
+    const auto expectDisjoint = [&](const RegSet& live, size_t at) {
+        std::vector<int> holder(layout.rows, -1);
+        for (size_t r = 0; r < kNumRegs; ++r) {
+            if (!live[r])
+                continue;
+            const unsigned row = rowOf(r);
+            ASSERT_LT(row, layout.rows);
+            EXPECT_EQ(holder[row], -1)
+                << "R" << holder[row] << " and R" << r << " share row "
+                << row << " at " << at << "\n" << p.disassemble();
+            holder[row] = int(r);
+        }
+    };
+    for (size_t i = 0; i < p.code.size(); ++i) {
+        expectDisjoint(in[i], i);
+        const Instruction& inst = p.code[i];
+        if (inst.dst < 0 || inst.op == Opcode::ISETP || isStore(inst.op))
+            continue;
+        // Every writing instruction falls through.
+        const RegSet out = i + 1 < p.code.size() ? in[i + 1] : RegSet();
+        for (size_t r = 0; r < kNumRegs; ++r) {
+            if (out[r] && r != size_t(inst.dst)) {
+                EXPECT_NE(rowOf(r), rowOf(size_t(inst.dst)))
+                    << "writing R" << inst.dst << " at " << i
+                    << " clobbers live R" << r;
+            }
+        }
+    }
+    for (size_t r = 0; r < kNumRegs; ++r) {
+        if (!in[0][r])
+            continue;
+        const unsigned row = rowOf(r);
+        EXPECT_NE(std::find(layout.zero_rows.begin(),
+                            layout.zero_rows.end(), row),
+                  layout.zero_rows.end())
+            << "entry-live R" << r << " is not zeroed";
+        for (size_t q = 0; q < kNumRegs; ++q) {
+            if (q != r && layout.slot_of[q] != RegLayout::kUnnamed) {
+                EXPECT_NE(rowOf(q), row)
+                    << "entry-live R" << r << " shares with R" << q;
+            }
+        }
+    }
+}
+
+const Operand kTid = Operand::special(SpecialReg::TidX);
+
+TEST(RegLayout, DiamondKeepsArmValuesApartFromValuesLiveAcross)
+{
+    // R2 lives across both arms; each arm writes R5 (a phi) through an
+    // arm-local temporary; the join reads R2 and R5.
+    const Program p = program({
+        /*0*/ ins(Opcode::S2R, 2, kTid),
+        /*1*/ isetp(0, CmpOp::LT, Operand::reg(2), Operand::imm(16)),
+        /*2*/ bra(6, 0),
+        /*3*/ ins(Opcode::IADD, 7, Operand::reg(2), Operand::imm(1)),
+        /*4*/ ins(Opcode::IMUL, 5, Operand::reg(7), Operand::imm(3)),
+        /*5*/ bra(8),
+        /*6*/ ins(Opcode::ISUB, 9, Operand::reg(2), Operand::imm(1)),
+        /*7*/ ins(Opcode::SHL, 5, Operand::reg(9), Operand::imm(2)),
+        /*8*/ ins(Opcode::IADD, 11, Operand::reg(5), Operand::reg(2)),
+        /*9*/ stg(2, 11, 0),
+        /*10*/ ins(Opcode::EXIT, -1),
+    });
+    const RegLayout layout = layoutRegisters(p);
+    expectLiveRowsDisjoint(p, layout);
+    EXPECT_EQ(layout.slots(), 5u);
+    EXPECT_TRUE(layout.zero_rows.empty());
+    // The two arm temporaries are never live together: one row.
+    EXPECT_EQ(layout.row_of[layout.slot_of[7]],
+              layout.row_of[layout.slot_of[9]]);
+    EXPECT_LT(layout.rows, layout.slots());
+}
+
+TEST(RegLayout, LoopCarriedValueKeepsItsRowAroundTheBackEdge)
+{
+    // R10 accumulates across iterations, R12 counts down; R13 lives
+    // only between its write and the next instruction.
+    const Program p = program({
+        /*0*/ ins(Opcode::MOV, 10, Operand::imm(0)),
+        /*1*/ ins(Opcode::S2R, 11, kTid),
+        /*2*/ ins(Opcode::LOP_AND, 12, Operand::reg(11), Operand::imm(3)),
+        /*3*/ ins(Opcode::IADD, 13, Operand::reg(10), Operand::reg(12)),
+        /*4*/ ins(Opcode::IADD, 10, Operand::reg(13), Operand::imm(1)),
+        /*5*/ ins(Opcode::ISUB, 12, Operand::reg(12), Operand::imm(1)),
+        /*6*/ isetp(1, CmpOp::GT, Operand::reg(12), Operand::imm(0)),
+        /*7*/ bra(3, 1),
+        /*8*/ stg(11, 10, 0),
+        /*9*/ ins(Opcode::EXIT, -1),
+    });
+    const RegLayout layout = layoutRegisters(p);
+    expectLiveRowsDisjoint(p, layout);
+    const auto row = [&](unsigned r) {
+        return layout.row_of[layout.slot_of[r]];
+    };
+    EXPECT_NE(row(10), row(12));
+    EXPECT_NE(row(10), row(11));
+    EXPECT_NE(row(12), row(11));
+    // ISETP's destination is predicate 1, not R1.
+    EXPECT_EQ(layout.slot_of[1], RegLayout::kUnnamed);
+    EXPECT_TRUE(layout.zero_rows.empty());
+}
+
+TEST(RegLayout, DivergentLoopExitKeepsBothExitValuesLive)
+{
+    // Lanes leave the loop early (guarded forward BRA) carrying R20, or
+    // at the latch carrying R21; the exit block reads both.
+    const Program p = program({
+        /*0*/ ins(Opcode::S2R, 3, kTid),
+        /*1*/ ins(Opcode::MOV, 20, Operand::imm(5)),
+        /*2*/ ins(Opcode::MOV, 21, Operand::imm(7)),
+        /*3*/ ins(Opcode::IADD, 22, Operand::reg(3), Operand::reg(21)),
+        /*4*/ isetp(0, CmpOp::GT, Operand::reg(22), Operand::imm(40)),
+        /*5*/ bra(11, 0),
+        /*6*/ ins(Opcode::IADD, 21, Operand::reg(21), Operand::imm(9)),
+        /*7*/ ins(Opcode::IADD, 23, Operand::reg(20), Operand::reg(3)),
+        /*8*/ ins(Opcode::LOP_XOR, 20, Operand::reg(23), Operand::imm(1)),
+        /*9*/ isetp(1, CmpOp::LT, Operand::reg(21), Operand::imm(60)),
+        /*10*/ bra(3, 1),
+        /*11*/ ins(Opcode::IADD, 24, Operand::reg(20), Operand::reg(21)),
+        /*12*/ stg(3, 24, 0),
+        /*13*/ ins(Opcode::EXIT, -1),
+    });
+    const RegLayout layout = layoutRegisters(p);
+    expectLiveRowsDisjoint(p, layout);
+    const auto row = [&](unsigned r) {
+        return layout.row_of[layout.slot_of[r]];
+    };
+    EXPECT_NE(row(20), row(21));
+    EXPECT_NE(row(20), row(22));
+    EXPECT_TRUE(layout.zero_rows.empty());
+}
+
+TEST(RegLayout, EntryLiveRegisterOwnsAZeroedRow)
+{
+    // R8 is read before any write on the taken path and written first
+    // on the fall-through path; R9 is written before every read.
+    const Program p = program({
+        /*0*/ ins(Opcode::S2R, 2, kTid),
+        /*1*/ isetp(0, CmpOp::LT, Operand::reg(2), Operand::imm(8)),
+        /*2*/ bra(4, 0),
+        /*3*/ ins(Opcode::MOV, 8, Operand::imm(77)),
+        /*4*/ ins(Opcode::IADD, 9, Operand::reg(8), Operand::imm(1)),
+        /*5*/ stg(2, 9, 0),
+        /*6*/ ins(Opcode::MOV, 9, Operand::imm(3)),
+        /*7*/ ins(Opcode::EXIT, -1),
+    });
+    const RegLayout layout = layoutRegisters(p);
+    expectLiveRowsDisjoint(p, layout);
+    ASSERT_EQ(layout.zero_rows.size(), 1u);
+    EXPECT_EQ(layout.row_of[layout.slot_of[8]], layout.zero_rows[0]);
+    EXPECT_EQ(layout.summary(),
+              "registers: 3 named, 3 value rows, 1 zeroed at admission");
+}
 
 TEST(Sim, ReusedRegisterSlotsReadZero)
 {
@@ -400,6 +625,18 @@ interpret(const std::vector<Instruction>& code, unsigned block,
     }
     ADD_FAILURE() << "generated program did not terminate";
     return stored;
+}
+
+TEST(RegLayout, GeneratedProgramsKeepLiveRowsDisjoint)
+{
+    for (unsigned seed = 1; seed <= 200; ++seed) {
+        ProgramGen gen(seed);
+        const Program p = program(gen.generate());
+        const RegLayout layout = layoutRegisters(p);
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        expectLiveRowsDisjoint(p, layout);
+        EXPECT_LE(layout.rows, layout.slots());
+    }
 }
 
 TEST(Simt, GeneratedProgramsMatchScalarModel)
