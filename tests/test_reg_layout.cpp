@@ -9,7 +9,7 @@
  *    against a plain set-based liveness;
  *  - a register read before it is written reads zero, also in a warp
  *    slot an earlier warp of a multi-wave grid dirtied;
- *  - ~200 generated SIMT programs (ALU ops, S2R, ISETP, guarded
+ *  - 200 generated SIMT programs (ALU ops, S2R, ISETP, guarded
  *    forward and backward branches with tid-dependent trip counts,
  *    read-before-write registers, two diverging warps per block) store
  *    every register at EXIT, and both engine tiers must store what a
@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <array>
 #include <bitset>
-#include <functional>
 
 #include "common/rng.hpp"
 #include "sim/device.hpp"
