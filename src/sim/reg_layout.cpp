@@ -1,7 +1,6 @@
 #include "sim/reg_layout.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 
 namespace lmi {
@@ -55,16 +54,6 @@ fallsThrough(const Instruction& inst)
 {
     return inst.op != Opcode::EXIT && inst.op != Opcode::TRAP &&
            !(inst.op == Opcode::BRA && inst.guard_pred == kNoPred);
-}
-
-/** Call @p fn(bit) for every set bit of the @p words-word set @p set. */
-template <typename Fn>
-void
-forEachBit(const uint64_t* set, size_t words, Fn&& fn)
-{
-    for (size_t w = 0; w < words; ++w)
-        for (uint64_t b = set[w]; b != 0; b &= b - 1)
-            fn(unsigned(w * 64 + unsigned(std::countr_zero(b))));
 }
 
 } // namespace
@@ -236,13 +225,13 @@ layoutRegisters(const Program& program)
     // Registers live at entry read zero until written: own rows, the
     // only ones admission zeroes.
     std::vector<bool> entry_live(slots, false);
-    forEachBit(&live_in[0], words, [&](unsigned s) {
-        if (s == scratch)
-            return;
-        entry_live[s] = true;
-        layout.row_of[s] = uint16_t(layout.zero_rows.size());
-        layout.zero_rows.push_back(uint16_t(layout.zero_rows.size()));
-    });
+    for (size_t s = 0; s < slots; ++s) {
+        if (live_in[s / 64] & bit(s)) {
+            entry_live[s] = true;
+            layout.row_of[s] = uint16_t(layout.zero_rows.size());
+            layout.zero_rows.push_back(uint16_t(layout.zero_rows.size()));
+        }
+    }
     const size_t first_shared = layout.zero_rows.size();
 
     // Greedy coloring of the rest in first-write order (the order a
