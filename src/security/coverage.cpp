@@ -90,6 +90,23 @@ checkAgreement(const CoverageCell& cell, const AttackScenario& scenario)
     return ""; // an undetected attack is a coverage gap, not a bug
 }
 
+/** @p first: the same (scenario, variant, mechanism) on the first tier. */
+std::string
+checkTierInvariance(const CoverageCell& cell, const CoverageCell& first)
+{
+    if (cell.detected == first.detected &&
+        cell.compile_rejected == first.compile_rejected)
+        return "";
+    const auto outcome = [](const CoverageCell& c) {
+        return c.compile_rejected ? std::string("rejected")
+               : c.detected       ? "fault (" + c.fault + ")"
+                                  : std::string("clean");
+    };
+    return "tier mismatch: " + outcome(cell) + " here, " +
+           outcome(first) + " on the " + executionTierName(first.tier) +
+           " tier";
+}
+
 } // namespace
 
 size_t
@@ -98,17 +115,6 @@ CoverageMatrix::disagreements() const
     size_t n = 0;
     for (const CoverageCell& c : cells)
         n += !c.disagreement.empty();
-    return n;
-}
-
-size_t
-CoverageMatrix::detectedCount(MechanismKind kind,
-                              ExecutionTier tier) const
-{
-    size_t n = 0;
-    for (const CoverageCell& c : cells)
-        n += !c.benign && c.mechanism == kind && c.tier == tier &&
-             c.detected;
     return n;
 }
 
@@ -216,6 +222,7 @@ runCoverage(std::vector<MechanismKind> mechanisms,
         for (bool benign : {false, true}) {
             const StaticVerdict sv = oracleVerdict(scenario, benign);
             for (MechanismKind kind : mechanisms) {
+                const size_t first = matrix.cells.size();
                 for (ExecutionTier tier : tiers) {
                     CoverageCell cell;
                     cell.attack = scenario.name;
@@ -226,6 +233,10 @@ runCoverage(std::vector<MechanismKind> mechanisms,
                     cell.oracle_all_safe = sv.all_safe;
                     runDynamic(scenario, benign, kind, tier, &cell);
                     cell.disagreement = checkAgreement(cell, scenario);
+                    if (cell.disagreement.empty() &&
+                        matrix.cells.size() > first)
+                        cell.disagreement =
+                            checkTierInvariance(cell, matrix.cells[first]);
                     matrix.cells.push_back(std::move(cell));
                 }
             }

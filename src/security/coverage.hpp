@@ -18,13 +18,17 @@
  *  - a benign twin the oracle fails to fully prove is itself a
  *    disagreement (the suite is constructed to be provable);
  *  - an attack variant must contain an access with the scenario's
- *    expected violation verdict.
+ *    expected violation verdict;
+ *  - a cell's detection (fault or compiler rejection) must match the
+ *    same (scenario, variant, mechanism) on the first tier run — a
+ *    tier-dependent detection is an engine bug.
  *
  * An attack a mechanism does *not* detect is a coverage gap, not a
  * disagreement — recording those gaps per mechanism is the matrix's
  * entire point (the paper's fine-grained-detection claim made
- * machine-checkable). CI pins the full matrix via
- * tools/check_coverage.py against tools/coverage_expected.json.
+ * machine-checkable). `lmi_explore coverage` exits non-zero on any
+ * disagreement, and ctest (`lmi_explore_coverage_golden`) byte-compares
+ * its JSON with tools/coverage_expected.json.
  */
 
 #pragma once
@@ -68,8 +72,6 @@ struct CoverageMatrix
     std::vector<CoverageCell> cells;
 
     size_t disagreements() const;
-    /** Detected attack cells for @p kind on @p tier. */
-    size_t detectedCount(MechanismKind kind, ExecutionTier tier) const;
 
     std::string renderCsv() const;
     std::string renderJson() const;

@@ -172,20 +172,10 @@ Device::launch(const CompiledKernel& kernel, unsigned grid_blocks,
                   kernel.program.name.c_str(), params.size(),
                   kernel.program.num_params);
 
-    Launch launch;
-    launch.grid_blocks = grid_blocks;
-    launch.block_threads = block_threads;
-    launch.params = std::move(params);
-    launch.dynamic_shared_bytes = options.dynamic_shared_bytes;
-    launch.sim_threads =
-        options.sim_threads ? options.sim_threads : config_.sim_threads;
-    launch.tier = options.tier;
-    launch.trace = options.trace;
-    launch.sanitizer = options.sanitizer;
-    launch.memlog = options.memlog;
-
+    // GpuSim resolves options.sim_threads == 0 against config_.
     GpuSim sim(config_, *mech_, global_mem_, *heap_alloc_, kernel.program,
-               std::move(launch));
+               Launch{grid_blocks, block_threads, std::move(params),
+                      options});
     RunResult result = sim.run();
     stats_.merge(result.stats);
     return result;

@@ -734,14 +734,14 @@ GpuSim::GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
         // out a coarse extent over it (paper §IX-A).
         uint64_t dyn_base = program_.static_shared_bytes;
         uint64_t dyn_ptr = dyn_base;
-        if (launch_.dynamic_shared_bytes > 0) {
+        if (launch_.options.dynamic_shared_bytes > 0) {
             const PointerCodec codec;
             if (mech_.encodePointers()) {
                 const uint64_t aligned =
-                    codec.alignedSize(launch_.dynamic_shared_bytes);
+                    codec.alignedSize(launch_.options.dynamic_shared_bytes);
                 dyn_base = alignUp(dyn_base, aligned);
                 dyn_ptr = codec.encode(dyn_base,
-                                       launch_.dynamic_shared_bytes);
+                                       launch_.options.dynamic_shared_bytes);
             }
         }
         dyn_shared_base_ = dyn_base;
@@ -910,7 +910,7 @@ GpuSim::memAccess(const SmCtx& sm, const Warp& warp,
     a.sm = sm.sm_id;
     a.frame_base = config_.stack_top - program_.frame_bytes;
     a.stack_top = config_.stack_top;
-    a.shared_limit = dyn_shared_base_ + launch_.dynamic_shared_bytes;
+    a.shared_limit = dyn_shared_base_ + launch_.options.dynamic_shared_bytes;
     a.mask = warp.active;
     a.reg_values = addr_row;
     return a;
@@ -995,12 +995,11 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             dst_row[lane] = mem->read(addr, inst.width);
         }
 
-        if (launch_.sanitizer)
-            launch_.sanitizer->onAccess(space, warp.block,
-                                        warp.warp_in_block, gtid,
-                                        warp.pc, addr, inst.width,
-                                        is_store);
-        if (launch_.memlog && space == MemSpace::Global) {
+        if (launch_.options.sanitizer)
+            launch_.options.sanitizer->onAccess(
+                space, warp.block, warp.warp_in_block, gtid, warp.pc, addr,
+                inst.width, is_store);
+        if (launch_.options.memlog && space == MemSpace::Global) {
             MemEvent e = memEvent(is_store ? MemEvent::Kind::Store
                                            : MemEvent::Kind::Load,
                                   sm, warp, gtid, sm.event_seq++,
@@ -1010,7 +1009,7 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             e.addr = addr;
             e.value = is_store ? store_val.get(lane) : 0;
             e.value2 = is_store ? 0 : dst_row[lane];
-            launch_.memlog->record(e);
+            launch_.options.memlog->record(e);
         }
 
         if (!kFunctional && space != MemSpace::Shared) {
@@ -1178,12 +1177,11 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
             op.cmps[lane] = is_cas ? v1.get(lane) : 0;
         }
 
-        if (launch_.sanitizer)
-            launch_.sanitizer->onAccess(space, warp.block,
-                                        warp.warp_in_block, gtid,
-                                        warp.pc, addr, width, writes,
-                                        /*is_atomic=*/true, inst.scope);
-        if (launch_.memlog && space == MemSpace::Global) {
+        if (launch_.options.sanitizer)
+            launch_.options.sanitizer->onAccess(
+                space, warp.block, warp.warp_in_block, gtid, warp.pc, addr,
+                width, writes, /*is_atomic=*/true, inst.scope);
+        if (launch_.options.memlog && space == MemSpace::Global) {
             MemEvent e = memEvent(
                 is_cas ? MemEvent::Kind::Cas
                 : inst.aop == AtomicOp::Ld ? MemEvent::Kind::Load
@@ -1199,7 +1197,7 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
             e.addr = addr;
             e.value = op.vals[lane];
             e.value2 = op.cmps[lane];
-            launch_.memlog->record(e);
+            launch_.options.memlog->record(e);
         }
     }
 
@@ -1311,7 +1309,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
     sm.cnt.thread_instructions += popCount(warp.active);
 
     const uint64_t cycle = sm.cycle;
-    if (launch_.trace) {
+    if (launch_.options.trace) {
         TraceEvent event;
         event.sm = sm.sm_id;
         event.block = warp.block;
@@ -1321,7 +1319,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         event.op = inst.op;
         event.active_mask = warp.active;
         event.hinted = inst.hints.active;
-        launch_.trace->record(event);
+        launch_.options.trace->record(event);
     }
 
     if (d.kind == InstDesc::Kind::Ctrl)
@@ -1393,13 +1391,13 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
             pendFault(sm, std::move(f));
             return true;
         }
-        if (launch_.memlog) {
+        if (launch_.options.memlog) {
             MemEvent e = memEvent(MemEvent::Kind::Barrier, sm, warp,
                                   warp.first_gtid, sm.event_seq++, cycle);
             e.scope = MemScope::Cta;
             e.order = MemOrder::AcqRel;
             e.pc = warp.pc;
-            launch_.memlog->record(e);
+            launch_.options.memlog->record(e);
         }
         warp.at_barrier = true;
         warp.barrier_pc = warp.pc;
@@ -1415,13 +1413,13 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
         // strong as the fence requests at any scope. The event is still
         // logged — the model checker replays it as an ordering edge
         // when it explores interleavings weaker than the engine's.
-        if (launch_.memlog) {
+        if (launch_.options.memlog) {
             MemEvent e = memEvent(MemEvent::Kind::Fence, sm, warp,
                                   warp.first_gtid, sm.event_seq++, cycle);
             e.scope = inst.scope;
             e.order = inst.order;
             e.pc = warp.pc;
-            launch_.memlog->record(e);
+            launch_.options.memlog->record(e);
         }
         ++warp.pc;
         return true;
@@ -1707,8 +1705,8 @@ GpuSim::releaseBarriers(SmCtx& sm)
             // scheduler planned for.
             std::fill(sm.sched_sleep.begin(), sm.sched_sleep.end(),
                       uint64_t(0));
-            if (launch_.sanitizer)
-                launch_.sanitizer->onBarrierRelease(block.block_id);
+            if (launch_.options.sanitizer)
+                launch_.options.sanitizer->onBarrierRelease(block.block_id);
         }
     }
 }
@@ -1783,8 +1781,8 @@ GpuSim::retireBlocks(SmCtx& sm)
         BlockCtx& blk = sm.blocks[i];
         if (blk.done_warps >= blk.num_warps) {
             sm.shared_free.push_back(blk.shared_slot);
-            if (launch_.sanitizer)
-                launch_.sanitizer->onBlockRetire(blk.block_id);
+            if (launch_.options.sanitizer)
+                launch_.options.sanitizer->onBlockRetire(blk.block_id);
             sm.blocks.erase(sm.blocks.begin() + long(i));
         } else {
             ++i;
@@ -1804,7 +1802,7 @@ GpuSim::retireBlocks(SmCtx& sm)
 void
 GpuSim::stepSmSlice(SmCtx& sm, uint64_t slice_no)
 {
-    if (launch_.tier == ExecutionTier::Functional)
+    if (launch_.options.tier == ExecutionTier::Functional)
         stepSmSliceFunctional(sm, slice_no);
     else
         stepSmSliceDetailed(sm, slice_no);
@@ -2099,15 +2097,15 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                         break;
                     }
                     mech_.onDeviceAlloc(ptr, size);
-                    if (launch_.sanitizer)
-                        launch_.sanitizer->onDeviceAlloc(ptr, size);
-                    if (launch_.memlog) {
+                    if (launch_.options.sanitizer)
+                        launch_.options.sanitizer->onDeviceAlloc(ptr, size);
+                    if (launch_.options.memlog) {
                         MemEvent e = memEvent(MemEvent::Kind::Malloc, sm,
                                               w, w.first_gtid + lane,
                                               op.seq, op.cycle);
                         e.addr = ptr;
                         e.value = size;
-                        launch_.memlog->record(e);
+                        launch_.options.memlog->record(e);
                     }
                     if (op.dst_row >= 0)
                         w.regRow(unsigned(op.dst_row))[lane] = ptr;
@@ -2122,12 +2120,12 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                         faulted = true;
                         break;
                     }
-                    if (launch_.memlog) {
+                    if (launch_.options.memlog) {
                         MemEvent e = memEvent(MemEvent::Kind::Free, sm, w,
                                               w.first_gtid + lane, op.seq,
                                               op.cycle);
                         e.addr = ptr;
-                        launch_.memlog->record(e);
+                        launch_.options.memlog->record(e);
                     }
                 }
             }
@@ -2261,15 +2259,15 @@ GpuSim::estimateCycles(const std::vector<SmCtx>& sms) const
 unsigned
 GpuSim::resolveThreads(unsigned used_sms) const
 {
-    unsigned threads = launch_.sim_threads ? launch_.sim_threads
-                                           : resolveSimThreads(config_);
-    if (threads > 1 &&
-        (launch_.trace || launch_.sanitizer || launch_.memlog)) {
+    const LaunchOptions& o = launch_.options;
+    unsigned threads =
+        o.sim_threads ? o.sim_threads : resolveSimThreads(config_);
+    if (threads > 1 && (o.trace || o.sanitizer || o.memlog)) {
         lmi_inform("sim: %s launch pinned to sim_threads=1 "
                    "(order-sensitive sink attached)",
-                   launch_.trace       ? "traced"
-                   : launch_.sanitizer ? "sanitized"
-                                       : "event-logged");
+                   o.trace       ? "traced"
+                   : o.sanitizer ? "sanitized"
+                                 : "event-logged");
         threads = 1;
     }
     return std::min(std::max(threads, 1u), used_sms);
@@ -2305,7 +2303,7 @@ GpuSim::run()
         (launch_.block_threads + config_.warp_size - 1) /
         config_.warp_size;
     const uint64_t shared_window =
-        std::min(dyn_shared_base_ + launch_.dynamic_shared_bytes,
+        std::min(dyn_shared_base_ + launch_.options.dynamic_shared_bytes,
                  kSharedCapacity);
     const uint64_t frame_window =
         std::min(program_.frame_bytes, kFrameWindowCap);
@@ -2368,7 +2366,7 @@ GpuSim::run()
         result_.dram_accesses += sm.cnt.dram_accesses;
     }
 
-    if (launch_.tier == ExecutionTier::Functional)
+    if (launch_.options.tier == ExecutionTier::Functional)
         max_cycle = estimateCycles(sms);
     result_.cycles =
         uint64_t(double(max_cycle) * (1.0 + mech_.launchOverheadFraction()));
@@ -2376,11 +2374,11 @@ GpuSim::run()
     for (Fault& f : mech_.onKernelEnd())
         result_.faults.push_back(std::move(f));
 
-    if (launch_.sanitizer) {
+    if (launch_.options.sanitizer) {
         result_.stats.inc("race.sanitizer_conflicts",
-                          launch_.sanitizer->conflictCount());
+                          launch_.options.sanitizer->conflictCount());
         result_.stats.inc("race.sanitizer_words",
-                          launch_.sanitizer->wordsTracked());
+                          launch_.options.sanitizer->wordsTracked());
     }
 
     result_.stats.set("sim.l1_hit_rate",

@@ -89,24 +89,10 @@ struct Launch
     unsigned grid_blocks = 1;
     unsigned block_threads = 32;
     std::vector<uint64_t> params;
-    uint64_t dynamic_shared_bytes = 0;
-    /**
-     * Worker threads stepping SMs for this launch. 0 = inherit
-     * GpuConfig::sim_threads (which itself falls back to the
-     * LMI_SIM_THREADS environment variable, then 1). Results are
-     * byte-identical for every value. Traced or sanitized launches are
-     * pinned to 1 (their sinks are inherently order-sensitive).
-     */
-    unsigned sim_threads = 0;
-    /** Engine tier: detailed timing or functional-only. */
-    ExecutionTier tier = ExecutionTier::Detailed;
-    /** Optional instruction-trace sink (NVBit-style capture). */
-    TraceSink* trace = nullptr;
-    /** Optional dynamic race sanitizer (purely observational). */
-    RaceSanitizer* sanitizer = nullptr;
-    /** Optional memory-transaction log for the model checker (also
-     *  order-sensitive, so it pins the launch to one thread). */
-    MemEventSink* memlog = nullptr;
+    /** Tier, observers and thread budget, as passed to Device::launch.
+     *  Traced, sanitized or logged launches are pinned to one worker
+     *  thread (their sinks are inherently order-sensitive). */
+    LaunchOptions options;
 };
 
 /**

@@ -6,8 +6,9 @@ tools/coverage_expected.json and fails when any cell's outcome changes:
 the oracle verdict, the detected flag, the compile_rejected flag, the
 fault kind, or the disagreement string. A non-empty disagreement in the
 fresh run fails even if the golden file somehow recorded one — the
-matrix must stay disagreement-free, not merely stable. CI runs it after
-the coverage job; locally:
+matrix must stay disagreement-free, not merely stable. ctest's
+lmi_explore_coverage_golden byte-compares the same two files; this
+script names the cells that differ. From the repository root:
 
     build/tools/lmi_explore coverage --json coverage.json
     tools/check_coverage.py coverage.json

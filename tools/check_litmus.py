@@ -6,8 +6,9 @@ file tools/litmus_expected.json and fails when any test's verdict-level
 result changes: the verdict string, the pass flag, the fault bits (uaf,
 scope_race), or the explored outcome set. Exploration statistics
 (executions, pruned, hit_bound) are deterministic but implementation-
-defined, so drift there is printed as a note, never a failure. CI runs
-it after the model-check job; locally:
+defined, so drift there is printed as a note, never a failure. A
+changed schema_version fails too. ctest runs it as
+lmi_explore_litmus_golden; by hand, from the repository root:
 
     build/tools/lmi_explore check --json litmus.json
     tools/check_litmus.py litmus.json
@@ -38,10 +39,15 @@ def main():
     with open(args.expected) as f:
         want_doc = json.load(f)
 
+    failures = 0
+    if got_doc.get("schema_version") != want_doc.get("schema_version"):
+        print(f"FAIL: schema_version = {got_doc.get('schema_version')!r},"
+              f" expected {want_doc.get('schema_version')!r}")
+        failures += 1
+
     got = index(got_doc)
     want = index(want_doc)
 
-    failures = 0
     missing = sorted(set(want) - set(got))
     extra = sorted(set(got) - set(want))
     if missing:

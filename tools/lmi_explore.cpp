@@ -36,8 +36,9 @@
  *       with --seeded) and print per-kernel verdict counts. --dynamic
  *       additionally executes each kernel under the simulator's race
  *       sanitizer and reports the observed conflicts next to the
- *       static verdicts. Exits non-zero when a clean kernel has a
- *       ProvenRacy pair or divergent barrier (CI gate).
+ *       static verdicts. Exits non-zero when a clean kernel is flagged
+ *       (or has an Unknown pair) or a seeded one goes unflagged, on
+ *       either side that runs (CI gate).
  *   lmi_explore check [test] [--bound N] [--json FILE]
  *       Run the bounded weak-memory model checker over the litmus
  *       family (or one named test) and compare verdicts against each
@@ -573,8 +574,8 @@ int
 cmdRaces(const GlobalOpts& opts)
 {
     // The work list: every (filtered) clean profile, plus the seeded
-    // variants when asked. Clean kernels gate the exit code; seeded
-    // ones are expected to be flagged and never fail the run.
+    // variants when asked. Clean kernels must come out clean and
+    // seeded ones flagged, on each side that runs.
     struct Item
     {
         std::string name;
@@ -593,7 +594,7 @@ cmdRaces(const GlobalOpts& opts)
         for (const SeededWorkload& sw : raceSeededVariants())
             items.push_back({sw.name, sw.profile, sw.seed});
 
-    size_t clean_flagged = 0;
+    size_t disagreements = 0;
     std::string json = "{\n\"schema_version\": " +
                        std::to_string(kDiagnosticsSchemaVersion) +
                        ",\n\"tier\": \"" +
@@ -620,12 +621,8 @@ cmdRaces(const GlobalOpts& opts)
         for (const auto& d : report.diagnostics)
             std::printf("%s\n", d.toString().c_str());
 
-        const bool flagged =
-            report.provenRacy() || !report.divergent_barriers.empty();
-        if (item.seed == RaceSeed::None && flagged)
-            ++clean_flagged;
-
         size_t dynamic_conflicts = 0;
+        bool dynamic_divergence = false;
         if (opts.dynamic) {
             // Execute the same kernel under the sanitizer; a divergent
             // barrier faults the launch, which counts as "flagged".
@@ -645,6 +642,32 @@ cmdRaces(const GlobalOpts& opts)
             if (run.result.faulted())
                 std::printf("  dynamic: fault: %s\n",
                             run.result.faults[0].detail.c_str());
+            for (const Fault& f : run.result.faults)
+                dynamic_divergence |=
+                    f.kind == FaultKind::BarrierDivergence;
+        }
+
+        const bool static_flagged =
+            report.provenRacy() || !report.divergent_barriers.empty();
+        const bool dynamic_flagged =
+            dynamic_conflicts || dynamic_divergence;
+        const char* disagreement = nullptr;
+        if (item.seed == RaceSeed::None) {
+            if (static_flagged)
+                disagreement = "clean kernel flagged statically";
+            else if (report.unknown())
+                disagreement = "clean kernel has Unknown pairs";
+            else if (dynamic_flagged)
+                disagreement = "clean kernel flagged dynamically";
+        } else if (!static_flagged) {
+            disagreement = "seeded race missed statically";
+        } else if (opts.dynamic && !dynamic_flagged) {
+            disagreement = "seeded race missed dynamically";
+        }
+        if (disagreement) {
+            std::fprintf(stderr, "disagreement: %s: %s\n",
+                         item.name.c_str(), disagreement);
+            ++disagreements;
         }
 
         std::vector<std::string> row = {
@@ -677,14 +700,14 @@ cmdRaces(const GlobalOpts& opts)
     json += "\n]\n}\n";
 
     std::printf("%s", table.render().c_str());
-    std::printf("%zu kernels analyzed, %zu clean kernels flagged\n",
-                items.size(), clean_flagged);
+    std::printf("%zu kernels analyzed, %zu disagreements\n",
+                items.size(), disagreements);
     if (!opts.json_path.empty()) {
         std::ofstream out(opts.json_path, std::ios::trunc);
         out << json;
         std::printf("wrote %s\n", opts.json_path.c_str());
     }
-    return clean_flagged ? 1 : 0;
+    return disagreements ? 1 : 0;
 }
 
 /** Machine-readable litmus output version; bump on field changes so
@@ -695,8 +718,11 @@ std::string
 tupleJson(const std::vector<uint64_t>& tuple)
 {
     std::string out = "[";
-    for (size_t i = 0; i < tuple.size(); ++i)
-        out += (i ? "," : "") + std::to_string(tuple[i]);
+    for (size_t i = 0; i < tuple.size(); ++i) {
+        if (i)
+            out += ',';
+        out += std::to_string(tuple[i]);
+    }
     return out + "]";
 }
 
@@ -734,12 +760,17 @@ cmdCheck(const std::string& test_name, const GlobalOpts& opts)
                         race.toString().c_str());
 
         std::string outcomes;
-        for (const auto& tuple : r.report.outcomes)
-            outcomes += (outcomes.empty() ? "" : ",") + tupleJson(tuple);
+        for (const auto& tuple : r.report.outcomes) {
+            if (!outcomes.empty())
+                outcomes += ',';
+            outcomes += tupleJson(tuple);
+        }
         std::string faults;
-        for (const auto& f : r.report.faults)
-            faults += (faults.empty() ? "" : ",") + std::string("\"") +
-                      jsonEscape(f.toString()) + "\"";
+        for (const auto& f : r.report.faults) {
+            if (!faults.empty())
+                faults += ',';
+            faults += '"' + jsonEscape(f.toString()) + '"';
+        }
         if (i)
             json += ",";
         json += "\n  {\"name\": \"" + jsonEscape(r.name) +
@@ -799,11 +830,11 @@ cmdCoverage(const GlobalOpts& opts)
                 "rejection, . = missed, ! = benign twin flagged\n");
     for (const CoverageCell& c : matrix.cells)
         if (!c.disagreement.empty())
-            std::printf("disagreement: %s %s under %s (%s): %s\n",
-                        c.attack.c_str(), c.benign ? "benign" : "attack",
-                        mechanismKindName(c.mechanism),
-                        executionTierName(c.tier),
-                        c.disagreement.c_str());
+            std::fprintf(stderr, "disagreement: %s %s under %s (%s): %s\n",
+                         c.attack.c_str(), c.benign ? "benign" : "attack",
+                         mechanismKindName(c.mechanism),
+                         executionTierName(c.tier),
+                         c.disagreement.c_str());
     const size_t disagreements = matrix.disagreements();
     std::printf("%zu cells, %zu disagreements\n", matrix.cells.size(),
                 disagreements);
