@@ -11,6 +11,9 @@
  *    (28 workloads x 4 mechanisms, scale 0.25, detailed and functional
  *    tiers), which covers cycles, the cache profile and every device
  *    counter;
+ *  - the same digests for the seven mechanisms Fig. 12 leaves out, at
+ *    scale 0.1 on both tiers (recorded from the engine whose per-SM
+ *    global-memory overlays persisted across slices);
  *  - each attack family, plus a store warp that faults in one lane,
  *    under every registry mechanism: the fault kind and address and
  *    the ocu.* / ec.* / gpushield.* counters.
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -351,6 +355,404 @@ const std::vector<std::string> kFig12FunctionalGolden = {
     "segformer/lmi ca0ec5225f32ad1b",
 };
 
+const std::vector<std::string> kOtherMechanismsGolden = {
+    "backprop/lmi+liveness 2fd856e44f0496e1",
+    "backprop/lmi+subobject d03891ba64b84a76",
+    "backprop/lmi+elide 1b988aaf325e0006",
+    "backprop/gmod 2f249c0d16f081f5",
+    "backprop/cucatch 8c155cd0368decbc",
+    "backprop/memcheck-dbi b6ff6a5a15c96983",
+    "backprop/lmi-dbi a7c6ea4a72124402",
+    "bfs/lmi+liveness b259febd233e5884",
+    "bfs/lmi+subobject e1da0052a2c48f49",
+    "bfs/lmi+elide 7996896e8b305fd7",
+    "bfs/gmod 1ce5ad7ab027ab77",
+    "bfs/cucatch c62e28596065d54d",
+    "bfs/memcheck-dbi fbafc8c49a265740",
+    "bfs/lmi-dbi 599a6fd217ab5e9e",
+    "dwt2d/lmi+liveness 2fabd04c5850589c",
+    "dwt2d/lmi+subobject e8524fabd5cd5d8a",
+    "dwt2d/lmi+elide 2ab229eadf5b2ca7",
+    "dwt2d/gmod 21c0d713c4f8b41b",
+    "dwt2d/cucatch 51bec61eaca0658b",
+    "dwt2d/memcheck-dbi b226742896e3a9e1",
+    "dwt2d/lmi-dbi fc43a794aee4e213",
+    "gaussian/lmi+liveness 591763d55d139974",
+    "gaussian/lmi+subobject afebe7cee7c48834",
+    "gaussian/lmi+elide ae4c7239d8aed899",
+    "gaussian/gmod ceaa16b0e50d13de",
+    "gaussian/cucatch e776cf4616b1c3e4",
+    "gaussian/memcheck-dbi 6712271792df92ce",
+    "gaussian/lmi-dbi 716f1a3ea85d75d1",
+    "hotspot/lmi+liveness 2371f00340261f39",
+    "hotspot/lmi+subobject 5020fabe0da4d9c1",
+    "hotspot/lmi+elide 29c0529893cb6eb5",
+    "hotspot/gmod 80819069bf4afdf1",
+    "hotspot/cucatch 58fe6a87b1913a0b",
+    "hotspot/memcheck-dbi 16b0752959a1008d",
+    "hotspot/lmi-dbi 64d8c25c0f7bd584",
+    "lavaMD/lmi+liveness c2350584f67d2df4",
+    "lavaMD/lmi+subobject a802708c9ca597f7",
+    "lavaMD/lmi+elide a8fd031e8e31588c",
+    "lavaMD/gmod e9d06d9ed59f7b27",
+    "lavaMD/cucatch e2c3d8102884862e",
+    "lavaMD/memcheck-dbi 881f82dfa54e3ac9",
+    "lavaMD/lmi-dbi 245d9a4956f63d6e",
+    "lud_cuda/lmi+liveness e1656a24f2444796",
+    "lud_cuda/lmi+subobject 39435201abec7654",
+    "lud_cuda/lmi+elide 09640f3af3177b6a",
+    "lud_cuda/gmod 828592bdc8c7f2b7",
+    "lud_cuda/cucatch 10b4126dc9868578",
+    "lud_cuda/memcheck-dbi b026de9a515968e4",
+    "lud_cuda/lmi-dbi 8a9b542e6953ddc8",
+    "needle/lmi+liveness 24316fd8af6aa29c",
+    "needle/lmi+subobject 98df99d64a60c080",
+    "needle/lmi+elide 1adb7e247447e146",
+    "needle/gmod 9950e965ba4fb767",
+    "needle/cucatch 7ab64d8cd6b630c0",
+    "needle/memcheck-dbi aa136b515ab6224b",
+    "needle/lmi-dbi e757c6e225f1959a",
+    "nn/lmi+liveness 58875db3351fd326",
+    "nn/lmi+subobject e4960470a4690424",
+    "nn/lmi+elide 8d8977c9a0654b32",
+    "nn/gmod d1ca59123487fff2",
+    "nn/cucatch d0da9c0531794d61",
+    "nn/memcheck-dbi 4f83f48b21a2137f",
+    "nn/lmi-dbi c31327223b3968ae",
+    "particlefilter_float/lmi+liveness 40992c572786503c",
+    "particlefilter_float/lmi+subobject bae0f4d89636577c",
+    "particlefilter_float/lmi+elide 17d26fc8ab82bcff",
+    "particlefilter_float/gmod 83539c2ec0551084",
+    "particlefilter_float/cucatch b58c27c4de607286",
+    "particlefilter_float/memcheck-dbi 6c51875da198e556",
+    "particlefilter_float/lmi-dbi 4d7b38635e901027",
+    "particlefilter_naive/lmi+liveness dc149c8c992e6344",
+    "particlefilter_naive/lmi+subobject efaee80d5e4fbf24",
+    "particlefilter_naive/lmi+elide 1276a931530c8449",
+    "particlefilter_naive/gmod 0fafe2d225ca642c",
+    "particlefilter_naive/cucatch 1a17812373c964e6",
+    "particlefilter_naive/memcheck-dbi 0af8136337222847",
+    "particlefilter_naive/lmi-dbi fc76909118bc90a2",
+    "pathfinder/lmi+liveness 6447fa3dbd2d680f",
+    "pathfinder/lmi+subobject d2adb5357ae22491",
+    "pathfinder/lmi+elide ba6c63f5aaaa3ccf",
+    "pathfinder/gmod 94fc48682674fdc3",
+    "pathfinder/cucatch 912b1b8eddb6a5d1",
+    "pathfinder/memcheck-dbi 580e7ec246004bec",
+    "pathfinder/lmi-dbi 35d2953145a4c2a0",
+    "sc_gpu/lmi+liveness 838b40bef5e06656",
+    "sc_gpu/lmi+subobject 83fd047a8cd0a64f",
+    "sc_gpu/lmi+elide f323d44defc877e2",
+    "sc_gpu/gmod 4c0ddc72ef77118c",
+    "sc_gpu/cucatch c2ff4be1fd9df5b6",
+    "sc_gpu/memcheck-dbi 64e651237b8eb1c8",
+    "sc_gpu/lmi-dbi 222ee154876e9eaf",
+    "srad_v1/lmi+liveness 923c694230b49b99",
+    "srad_v1/lmi+subobject 2f9dfb3e4cdc9fbb",
+    "srad_v1/lmi+elide 95c3e73d810e98e4",
+    "srad_v1/gmod 9c91b6799c2a49bd",
+    "srad_v1/cucatch 756c8768bd1bfc26",
+    "srad_v1/memcheck-dbi 5e90c9b74be2f4da",
+    "srad_v1/lmi-dbi b9885268a6424d52",
+    "srad_v2/lmi+liveness 76e7b44a6adc397e",
+    "srad_v2/lmi+subobject 1d0e9e1497ed576b",
+    "srad_v2/lmi+elide 5cce2ea64d0d8b22",
+    "srad_v2/gmod 722d377fca51e577",
+    "srad_v2/cucatch 2ac34514a8e2e773",
+    "srad_v2/memcheck-dbi 6a407a8625838534",
+    "srad_v2/lmi-dbi 51363a743c49c1a2",
+    "AlexNet/lmi+liveness c747949f61621b39",
+    "AlexNet/lmi+subobject a909a8567edf5f51",
+    "AlexNet/lmi+elide a976458c9adb7460",
+    "AlexNet/gmod 6bc05aee1e962011",
+    "AlexNet/cucatch 2ff7c562d0ab55de",
+    "AlexNet/memcheck-dbi 09e78bc02e7e7948",
+    "AlexNet/lmi-dbi 4bc9bf296f9afcb4",
+    "CifarNet/lmi+liveness d8e769e11519e3cb",
+    "CifarNet/lmi+subobject 39ffb96e7453160b",
+    "CifarNet/lmi+elide 1782f40a1e5306e7",
+    "CifarNet/gmod 3f758d21593968d1",
+    "CifarNet/cucatch 5c37fdc77733631c",
+    "CifarNet/memcheck-dbi a1e508bbc740e736",
+    "CifarNet/lmi-dbi 05f273af7cc7ca85",
+    "GRU/lmi+liveness a60f18c19b934c22",
+    "GRU/lmi+subobject a2b4c123af3471bd",
+    "GRU/lmi+elide 4fe671f843183a4e",
+    "GRU/gmod 27c822f7c01ad5d8",
+    "GRU/cucatch 6caa69d86115151b",
+    "GRU/memcheck-dbi cc71efab534117f3",
+    "GRU/lmi-dbi 40903d32903e1c85",
+    "LSTM/lmi+liveness 3dbfe52a95cf966b",
+    "LSTM/lmi+subobject d64c238868af2c29",
+    "LSTM/lmi+elide f5688d8ce98f4155",
+    "LSTM/gmod 77300c7d7004bef2",
+    "LSTM/cucatch 61cede2b53cb3416",
+    "LSTM/memcheck-dbi ed5f8fc5b991b4f8",
+    "LSTM/lmi-dbi 40d27b2d54cf0abe",
+    "bert/lmi+liveness 8ef199105aa59f56",
+    "bert/lmi+subobject 04a824129389e01c",
+    "bert/lmi+elide b1eba95c27d4f0b6",
+    "bert/gmod 6e9b45ce8e9137c9",
+    "bert/cucatch 845d0d2848f3371a",
+    "bert/memcheck-dbi cdfcefe48f2df5c2",
+    "bert/lmi-dbi a3f7a7d31aa5448a",
+    "decoding/lmi+liveness c8e21d7ee7872f71",
+    "decoding/lmi+subobject 4e7ad0b85d324298",
+    "decoding/lmi+elide ea938fca788fda52",
+    "decoding/gmod 7f8b3b183b434010",
+    "decoding/cucatch 98780cfaa23523d6",
+    "decoding/memcheck-dbi 8c57cca50bf6e617",
+    "decoding/lmi-dbi 11e53c3ff0517a47",
+    "swin/lmi+liveness 63ebb33db4e80ddd",
+    "swin/lmi+subobject 3020f2a9fede1a79",
+    "swin/lmi+elide a3a35877576b487f",
+    "swin/gmod 806b71fe81bb7d85",
+    "swin/cucatch 616bbe28226fb102",
+    "swin/memcheck-dbi 4fe637574ec72d5e",
+    "swin/lmi-dbi db84bceab6715f80",
+    "wenet_decoder/lmi+liveness 526f0921797832e3",
+    "wenet_decoder/lmi+subobject 7461c2dd0a10becb",
+    "wenet_decoder/lmi+elide 10d3dcc02b5bbd58",
+    "wenet_decoder/gmod f2b5201f3fb6e0a9",
+    "wenet_decoder/cucatch a770482582287184",
+    "wenet_decoder/memcheck-dbi acc7c6a5b2771d81",
+    "wenet_decoder/lmi-dbi eebab158da7c323c",
+    "wenet_encoder/lmi+liveness 7a26ab1c897445a0",
+    "wenet_encoder/lmi+subobject 1ce60fddf68f48ca",
+    "wenet_encoder/lmi+elide 93961a4ff0356547",
+    "wenet_encoder/gmod 6edf114fd63e3ed9",
+    "wenet_encoder/cucatch 2b58cbb31a7b2993",
+    "wenet_encoder/memcheck-dbi c4d9ecc979444137",
+    "wenet_encoder/lmi-dbi 556ff7689d1cb6ba",
+    "BEVerse/lmi+liveness 2ac1b80bb0cc65b6",
+    "BEVerse/lmi+subobject 6298da02bc5e7895",
+    "BEVerse/lmi+elide 2f16495c2e67db53",
+    "BEVerse/gmod 947631b30ef1e834",
+    "BEVerse/cucatch 5ebe217351f1da62",
+    "BEVerse/memcheck-dbi a31f436d67162e15",
+    "BEVerse/lmi-dbi 68bc9972995298bc",
+    "DETR/lmi+liveness c5d1595751898c3d",
+    "DETR/lmi+subobject b54c1e9058c1b910",
+    "DETR/lmi+elide d63243307a42691a",
+    "DETR/gmod dcb67c8cabe36ed7",
+    "DETR/cucatch 08e92593561b6c7e",
+    "DETR/memcheck-dbi 7bae8ce1c4f5459e",
+    "DETR/lmi-dbi 842fb2b043e75e3a",
+    "MOTR/lmi+liveness d16832a2baf2280d",
+    "MOTR/lmi+subobject 7858f928b379a2e7",
+    "MOTR/lmi+elide 975ed0b0c8ef4efd",
+    "MOTR/gmod b1cf353cbec760da",
+    "MOTR/cucatch 11c6952444f1cb83",
+    "MOTR/memcheck-dbi 69ef1e085a02bd49",
+    "MOTR/lmi-dbi 83959cbaf88c571e",
+    "segformer/lmi+liveness 7e5afcd3984c6b7f",
+    "segformer/lmi+subobject 07aa4732642abbd3",
+    "segformer/lmi+elide 5c01ee61fc463d90",
+    "segformer/gmod 060b7b1ed9a8b901",
+    "segformer/cucatch 5d3d7b6137932a1f",
+    "segformer/memcheck-dbi 448cffc878ff73f2",
+    "segformer/lmi-dbi b88df61a356f2f0b",
+};
+
+const std::vector<std::string> kOtherMechanismsFunctionalGolden = {
+    "backprop/lmi+liveness 5b7a921f8c28a404",
+    "backprop/lmi+subobject 2b4a4ff61cbed701",
+    "backprop/lmi+elide 1938b5cf98c26d4c",
+    "backprop/gmod 38c2133541375770",
+    "backprop/cucatch c259bc8311752b98",
+    "backprop/memcheck-dbi fb88fe3e0c316f47",
+    "backprop/lmi-dbi 0e292291f9924c93",
+    "bfs/lmi+liveness 0c0a9a77d1e2ca86",
+    "bfs/lmi+subobject 396404ea5d53ac52",
+    "bfs/lmi+elide 724d11d94257e574",
+    "bfs/gmod c15873765d5b15c3",
+    "bfs/cucatch 487842cab5506cc5",
+    "bfs/memcheck-dbi 954fbe947aa27686",
+    "bfs/lmi-dbi e871ab94e5516c03",
+    "dwt2d/lmi+liveness 6dd47b3a4087af98",
+    "dwt2d/lmi+subobject 013b0156721fd4f0",
+    "dwt2d/lmi+elide 80cd7017f5b1a332",
+    "dwt2d/gmod b16d92dd193bf221",
+    "dwt2d/cucatch 64033c334be8595e",
+    "dwt2d/memcheck-dbi 5cb4daff240d38e0",
+    "dwt2d/lmi-dbi fa2d7a7ff228a48d",
+    "gaussian/lmi+liveness cbe04ef408a1e905",
+    "gaussian/lmi+subobject b4ab1ab3f660c41c",
+    "gaussian/lmi+elide 6dfa5041461785ef",
+    "gaussian/gmod 5839f50bc8b7a71c",
+    "gaussian/cucatch 93a7a3705d8ba0a3",
+    "gaussian/memcheck-dbi bdd3d2324f5f6964",
+    "gaussian/lmi-dbi df9c8799b6c0af1c",
+    "hotspot/lmi+liveness 2c438273b7249342",
+    "hotspot/lmi+subobject 8f57fc9f2460d7af",
+    "hotspot/lmi+elide 9635cf2d4ff85248",
+    "hotspot/gmod 5cd2277cf041875c",
+    "hotspot/cucatch 1a1cd865fb8dce32",
+    "hotspot/memcheck-dbi f5318abb4d78509c",
+    "hotspot/lmi-dbi df96a1aa515c1f5d",
+    "lavaMD/lmi+liveness a367eb2c45df406b",
+    "lavaMD/lmi+subobject 4cca3158a27ae779",
+    "lavaMD/lmi+elide 9f6e84d6878c402c",
+    "lavaMD/gmod c4ca17844631f4c6",
+    "lavaMD/cucatch 3ca8d546f5d23a51",
+    "lavaMD/memcheck-dbi db1790fb877313ce",
+    "lavaMD/lmi-dbi f0a47ccee4caf0c4",
+    "lud_cuda/lmi+liveness 2737663e298eb236",
+    "lud_cuda/lmi+subobject 9257311176b3cf85",
+    "lud_cuda/lmi+elide f9cc3b7af6d3efe2",
+    "lud_cuda/gmod f6f48cc0adf371ad",
+    "lud_cuda/cucatch bb808eb2c2b9422a",
+    "lud_cuda/memcheck-dbi c063d9d2969c3822",
+    "lud_cuda/lmi-dbi c88f73c706047d34",
+    "needle/lmi+liveness 3fa222ae16677bdd",
+    "needle/lmi+subobject a3d335a29dc7e68d",
+    "needle/lmi+elide a87547a91cb05fcb",
+    "needle/gmod 00705cae22d580bf",
+    "needle/cucatch abfd857f007d6723",
+    "needle/memcheck-dbi 55efd821be5a5b1b",
+    "needle/lmi-dbi 21fae783de5a82f5",
+    "nn/lmi+liveness 0f6415b79cb6e492",
+    "nn/lmi+subobject 6df4227654cf1406",
+    "nn/lmi+elide 00f09b9390e5d69e",
+    "nn/gmod ee1e6b2178136a2b",
+    "nn/cucatch 57d0a69a1cc78767",
+    "nn/memcheck-dbi 892b20a9cb9405b4",
+    "nn/lmi-dbi 07e020b91d02feb3",
+    "particlefilter_float/lmi+liveness 944f322900dbcf92",
+    "particlefilter_float/lmi+subobject f530b1d8c9ee01a2",
+    "particlefilter_float/lmi+elide 710b278e697682ed",
+    "particlefilter_float/gmod ee4aaafad1f4aa94",
+    "particlefilter_float/cucatch 27c678ca51309c16",
+    "particlefilter_float/memcheck-dbi 76faa56c65a4451d",
+    "particlefilter_float/lmi-dbi 8bdecf174e4fc036",
+    "particlefilter_naive/lmi+liveness 6039f1530d64ae17",
+    "particlefilter_naive/lmi+subobject 6a85b2cd73c93a4b",
+    "particlefilter_naive/lmi+elide 247d568edadd1244",
+    "particlefilter_naive/gmod 3935192b54193aad",
+    "particlefilter_naive/cucatch 786bacc4ed67c537",
+    "particlefilter_naive/memcheck-dbi 59776783edc1aaf6",
+    "particlefilter_naive/lmi-dbi 8112f1ca6d45bd4e",
+    "pathfinder/lmi+liveness e97f0dfa0d5e5112",
+    "pathfinder/lmi+subobject ac36a0fe3e00d2dc",
+    "pathfinder/lmi+elide 5a9bdf70bf26c2d3",
+    "pathfinder/gmod 27efd2a145d0c23a",
+    "pathfinder/cucatch 1bd9eb8ace090252",
+    "pathfinder/memcheck-dbi fb000bda5593c3b4",
+    "pathfinder/lmi-dbi 68e08e6c2c3ae95d",
+    "sc_gpu/lmi+liveness b33ef80e02e6e224",
+    "sc_gpu/lmi+subobject 2dc05fa2b5c0fc42",
+    "sc_gpu/lmi+elide 16583b4780be8f7b",
+    "sc_gpu/gmod c687b1981bc215bc",
+    "sc_gpu/cucatch 63e6595bb58aea9c",
+    "sc_gpu/memcheck-dbi dbd9a21a906b0a0e",
+    "sc_gpu/lmi-dbi e502b6915ab38b2d",
+    "srad_v1/lmi+liveness ad1ebb469390cd20",
+    "srad_v1/lmi+subobject ae0ea25c29a70897",
+    "srad_v1/lmi+elide 5929840024dc3f15",
+    "srad_v1/gmod 06c46c6d97f1add5",
+    "srad_v1/cucatch f19a8a487fa91fc8",
+    "srad_v1/memcheck-dbi 06b5db3e2d17dc3d",
+    "srad_v1/lmi-dbi 551caf7fea486fe5",
+    "srad_v2/lmi+liveness a02676516ca5cd59",
+    "srad_v2/lmi+subobject cb243cfd901d2428",
+    "srad_v2/lmi+elide 2e8ed4d3f0e12923",
+    "srad_v2/gmod fac93fbd81059724",
+    "srad_v2/cucatch 6ef935c8348e3e52",
+    "srad_v2/memcheck-dbi f21ff2abfc26163b",
+    "srad_v2/lmi-dbi 6bb4843da80b2ff7",
+    "AlexNet/lmi+liveness 599e5893e9c3a063",
+    "AlexNet/lmi+subobject 95c026bd4f8eb1f2",
+    "AlexNet/lmi+elide 9c96e44752878ae5",
+    "AlexNet/gmod bc70c83d0205b5fe",
+    "AlexNet/cucatch 50cdac1783ddb2c6",
+    "AlexNet/memcheck-dbi 78f480af6653e83f",
+    "AlexNet/lmi-dbi 1ed25dd4c420c3c2",
+    "CifarNet/lmi+liveness 99ce6bf38a25ca12",
+    "CifarNet/lmi+subobject 96e957882c04485c",
+    "CifarNet/lmi+elide e090f81810ae36f3",
+    "CifarNet/gmod 7aa49a364322114d",
+    "CifarNet/cucatch a4d76d209ba8bd0f",
+    "CifarNet/memcheck-dbi 36d82f5dbe81e5df",
+    "CifarNet/lmi-dbi 408c9b9691663175",
+    "GRU/lmi+liveness 9a7b23729135955b",
+    "GRU/lmi+subobject 72da9a9896adfb2c",
+    "GRU/lmi+elide a9b1ba29955fc503",
+    "GRU/gmod d71016fafad5fe5c",
+    "GRU/cucatch c48f14b7d9c50203",
+    "GRU/memcheck-dbi 0e8e1cf09fcff3e3",
+    "GRU/lmi-dbi aeed8fdcf1865d11",
+    "LSTM/lmi+liveness cd0b3c56b6e14cf4",
+    "LSTM/lmi+subobject 13bc5bf97ea8f3b7",
+    "LSTM/lmi+elide 2cb0561579b65f95",
+    "LSTM/gmod f68be70e5357a7a2",
+    "LSTM/cucatch 075dbb7aec6e67bc",
+    "LSTM/memcheck-dbi ae23cfdc2f295123",
+    "LSTM/lmi-dbi 4b466da2707ddfb0",
+    "bert/lmi+liveness abb3bd11ef5644f8",
+    "bert/lmi+subobject fc21ea0335000b33",
+    "bert/lmi+elide 8f76e30d68fe776a",
+    "bert/gmod fd738c79f3a9e5d3",
+    "bert/cucatch b00667ec20094d1c",
+    "bert/memcheck-dbi f1f20ea722c55dcd",
+    "bert/lmi-dbi 1b65e15308544f56",
+    "decoding/lmi+liveness b593479287940224",
+    "decoding/lmi+subobject a934dbed718b6e51",
+    "decoding/lmi+elide 7dd658954c2be0f2",
+    "decoding/gmod 5c83d5bb182d5f20",
+    "decoding/cucatch 9dd14a516591dc9d",
+    "decoding/memcheck-dbi fa33215240df7e34",
+    "decoding/lmi-dbi ff1595d639708584",
+    "swin/lmi+liveness 8d9890944a3675a7",
+    "swin/lmi+subobject c6be69adb5f25f9d",
+    "swin/lmi+elide 20b63b41821b9e3d",
+    "swin/gmod d8171eabc997f32e",
+    "swin/cucatch 7da6bdeb4ebabeba",
+    "swin/memcheck-dbi 5fb07ff380cb9f93",
+    "swin/lmi-dbi 65c4e29a67094853",
+    "wenet_decoder/lmi+liveness f8435d74b9331fbe",
+    "wenet_decoder/lmi+subobject d5a49a7636e16f01",
+    "wenet_decoder/lmi+elide af04219498422f4a",
+    "wenet_decoder/gmod d62c3c07443947aa",
+    "wenet_decoder/cucatch 19d1fa241e817806",
+    "wenet_decoder/memcheck-dbi 824efe7a400d1f87",
+    "wenet_decoder/lmi-dbi 6c05a7538615c5cb",
+    "wenet_encoder/lmi+liveness 8ca14302d21eb5dd",
+    "wenet_encoder/lmi+subobject 062544234b964843",
+    "wenet_encoder/lmi+elide 4bebd7f472839de4",
+    "wenet_encoder/gmod 38262d37215ac6a4",
+    "wenet_encoder/cucatch 5b8773a5244306f7",
+    "wenet_encoder/memcheck-dbi def2bbadd49309e9",
+    "wenet_encoder/lmi-dbi 0840fbb5943a6067",
+    "BEVerse/lmi+liveness 84f293f05a9f96a4",
+    "BEVerse/lmi+subobject 705b119a668f4a0c",
+    "BEVerse/lmi+elide 9b220e3cc6b5ed3f",
+    "BEVerse/gmod 3d096b59fa4dc061",
+    "BEVerse/cucatch f2df25fcdd888260",
+    "BEVerse/memcheck-dbi bcc3b624eb5d5f5a",
+    "BEVerse/lmi-dbi e38e13898642e6fa",
+    "DETR/lmi+liveness e79331f5fab33d53",
+    "DETR/lmi+subobject 7a0488a0f21f671e",
+    "DETR/lmi+elide d6757307fa3c8e40",
+    "DETR/gmod 2fd33f211c12987d",
+    "DETR/cucatch 988536a25f73b20f",
+    "DETR/memcheck-dbi b282e672a61d28a1",
+    "DETR/lmi-dbi 269d03c6c7fefc48",
+    "MOTR/lmi+liveness af97bafe15ea9d75",
+    "MOTR/lmi+subobject 12b90043acf57fb2",
+    "MOTR/lmi+elide d695c22ab93689f8",
+    "MOTR/gmod 938537c65e110d16",
+    "MOTR/cucatch 65364a1da3d3b3a6",
+    "MOTR/memcheck-dbi a35f9441319a946d",
+    "MOTR/lmi-dbi 1a5ca25603c6eea1",
+    "segformer/lmi+liveness ad96907e9381cb04",
+    "segformer/lmi+subobject 0c12b422ef59ae31",
+    "segformer/lmi+elide ab76301a6fffdb9c",
+    "segformer/gmod f74e770f6f14e554",
+    "segformer/cucatch dba842a00923de38",
+    "segformer/memcheck-dbi 392764cbbb7d0df3",
+    "segformer/lmi-dbi 891caff119f25cb0",
+};
+
 const std::vector<std::string> kAttackGolden = {
     "baseline/intra_padding clean",
     "baseline/subobject_field clean",
@@ -454,17 +856,17 @@ const std::vector<std::string> kAttackGolden = {
 };
 // clang-format on
 
-/** "workload/mechanism digest" for every Fig. 12 cell on @p tier. */
+/** "workload/mechanism digest" for every Fig. 12 workload under each of
+ *  @p mechanisms, at @p scale on @p tier. */
 std::vector<std::string>
-fig12Digests(ExecutionTier tier)
+fig12Digests(ExecutionTier tier, const std::vector<MechanismKind>& mechanisms,
+             double scale)
 {
     SweepSpec spec;
     for (const auto& profile : workloadSuite())
         spec.workloads.push_back(profile.name);
-    spec.mechanisms.push_back(MechanismKind::Baseline);
-    for (MechanismKind kind : hardwareComparisonMechanisms())
-        spec.mechanisms.push_back(kind);
-    spec.scales = {0.25};
+    spec.mechanisms = mechanisms;
+    spec.scales = {scale};
     spec.tier = tier;
     const SweepResult sweep = runSweep(spec);
 
@@ -484,12 +886,34 @@ fig12Digests(ExecutionTier tier)
 
 TEST(Sim, Fig12CellDigestsMatchGolden)
 {
+    std::vector<MechanismKind> mechanisms = {MechanismKind::Baseline};
+    for (MechanismKind kind : hardwareComparisonMechanisms())
+        mechanisms.push_back(kind);
     for (ExecutionTier tier :
          {ExecutionTier::Detailed, ExecutionTier::Functional}) {
         SCOPED_TRACE(std::string("tier=") + executionTierName(tier));
-        expectGolden(fig12Digests(tier),
+        expectGolden(fig12Digests(tier, mechanisms, 0.25),
                      tier == ExecutionTier::Detailed ? kFig12Golden
                                                      : kFig12FunctionalGolden);
+    }
+}
+
+TEST(Sim, OtherMechanismCellDigestsMatchGolden)
+{
+    // Every mechanism the Fig. 12 tables leave out, in enum order.
+    std::vector<MechanismKind> mechanisms;
+    const std::vector<MechanismKind> fig12 = hardwareComparisonMechanisms();
+    for (MechanismKind kind : allMechanisms())
+        if (kind != MechanismKind::Baseline &&
+            std::find(fig12.begin(), fig12.end(), kind) == fig12.end())
+            mechanisms.push_back(kind);
+    for (ExecutionTier tier :
+         {ExecutionTier::Detailed, ExecutionTier::Functional}) {
+        SCOPED_TRACE(std::string("tier=") + executionTierName(tier));
+        expectGolden(fig12Digests(tier, mechanisms, 0.1),
+                     tier == ExecutionTier::Detailed
+                         ? kOtherMechanismsGolden
+                         : kOtherMechanismsFunctionalGolden);
     }
 }
 
