@@ -9,6 +9,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
@@ -67,20 +68,22 @@ resolveSimThreads(const GpuConfig& config)
 // ---------------------------------------------------------------------
 
 /**
- * One SM's view of global memory during a slice.
+ * One SM's view of global memory during a slice: the memory committed
+ * at the last slice barrier plus this SM's own stores of the slice.
  *
- * Reads come from a copy-on-write page overlay backed by the frozen
- * base SparseMemory (via the const peekPage path — the base is never
- * mutated while workers run). Stores land in the overlay (so the SM
- * reads its own writes) and append to a byte-accurate log that the
- * slice barrier replays into the base in canonical SM order.
+ * Reads of a page the SM has not stored to this slice come straight
+ * from the frozen base SparseMemory (via the const peekPage path — the
+ * base is never mutated while workers run). The first store to a page
+ * in a slice copies the page from the base into a private overlay;
+ * stores land there (so the SM reads its own writes) and append to a
+ * byte-accurate log that the slice barrier replays into the base in
+ * canonical SM order.
  *
- * Overlay pages persist across slices to avoid re-copying the working
- * set every kSliceCycles. Cross-slice coherence uses the owner stamps
- * GpuSim maintains per written page (updated only at barriers): on the
- * first touch of an overlay page in a slice, the stamp tells whether
- * any *other* SM stored to the page since this overlay was last synced
- * — if so the page is re-copied from the (already committed) base.
+ * Overlays live for one slice. By the next slice the base holds every
+ * commit through the barrier — this SM's stores, every other SM's and
+ * every global atomic — so a fresh copy is exactly what a kept overlay
+ * would have to be brought up to. Page buffers return to a per-SM pool
+ * instead of the heap.
  */
 class GpuSim::GlobalMemView
 {
@@ -93,30 +96,17 @@ class GpuSim::GlobalMemView
         uint32_t width;
     };
 
-    void
-    init(SparseMemory* base,
-         const std::unordered_map<uint64_t, PageStamp>* stamps,
-         uint32_t sm_id)
-    {
-        base_ = base;
-        stamps_ = stamps;
-        sm_id_ = sm_id;
-    }
+    void init(const SparseMemory* base) { base_ = base; }
 
+    /** Drop every overlay: the barrier committed their stores. */
     void
-    beginSlice(uint64_t slice_no)
+    beginSlice()
     {
-        cur_slice_ = slice_no;
-        // The barrier may have changed the base and the stamps: drop
-        // the intra-slice page caches.
+        for (auto& [page, buf] : overlays_)
+            pool_.push_back(std::move(buf));
+        overlays_.clear();
         r_idx_ = kNoPage;
         w_idx_ = kNoPage;
-        // Overlays are a pure cache once their stores are committed;
-        // bound the retained footprint (streaming kernels write pages
-        // they never revisit). Depends only on SM-local state, so the
-        // drop happens identically under every thread count.
-        if (overlays_.size() > kMaxOverlayPages)
-            overlays_.clear();
     }
 
     uint64_t
@@ -164,36 +154,21 @@ class GpuSim::GlobalMemView
     void clearLog() { log_.clear(); }
 
   private:
-    struct Overlay
-    {
-        std::unique_ptr<std::array<uint8_t, SparseMemory::kPageBytes>> data;
-        /** Base-image slice this overlay was last copied at. */
-        uint64_t synced_slice = 0;
-        /** Last slice the stamp was checked (once per slice suffices:
-         *  stamps only change at barriers). */
-        uint64_t checked_slice = 0;
-    };
+    using PageBuf =
+        std::unique_ptr<std::array<uint8_t, SparseMemory::kPageBytes>>;
 
     static constexpr uint64_t kNoPage = ~uint64_t(0);
-    /** Retained-overlay bound: 512 pages = 2 MiB per SM. */
-    static constexpr size_t kMaxOverlayPages = 512;
 
     const uint8_t*
     readablePage(uint64_t page)
     {
-        if (page == r_idx_)
-            return r_ptr_;
-        const uint8_t* p;
-        auto it = overlays_.find(page);
-        if (it != overlays_.end()) {
-            validate(it->second, page);
-            p = it->second.data->data();
-        } else {
-            p = base_->peekPage(page);
+        if (page != r_idx_) {
+            auto it = overlays_.find(page);
+            r_ptr_ = it != overlays_.end() ? it->second->data()
+                                           : base_->peekPage(page);
+            r_idx_ = page;
         }
-        r_idx_ = page;
-        r_ptr_ = p;
-        return p;
+        return r_ptr_;
     }
 
     uint8_t*
@@ -202,61 +177,33 @@ class GpuSim::GlobalMemView
         if (page == w_idx_)
             return w_ptr_;
         auto [it, fresh] = overlays_.try_emplace(page);
-        Overlay& ov = it->second;
         if (fresh) {
-            // copyFromBase overwrites every byte: skip the zero-fill.
-            ov.data = std::make_unique_for_overwrite<
-                std::array<uint8_t, SparseMemory::kPageBytes>>();
-            copyFromBase(ov, page);
-        } else {
-            validate(ov, page);
+            if (pool_.empty()) {
+                // The copy below overwrites every byte: skip the zero-fill.
+                it->second = std::make_unique_for_overwrite<
+                    std::array<uint8_t, SparseMemory::kPageBytes>>();
+            } else {
+                it->second = std::move(pool_.back());
+                pool_.pop_back();
+            }
+            if (const uint8_t* bp = base_->peekPage(page))
+                std::memcpy(it->second->data(), bp, SparseMemory::kPageBytes);
+            else
+                std::memset(it->second->data(), 0, SparseMemory::kPageBytes);
         }
         w_idx_ = page;
-        w_ptr_ = ov.data->data();
+        w_ptr_ = it->second->data();
         // Reads of this page must now see the overlay.
         r_idx_ = page;
         r_ptr_ = w_ptr_;
         return w_ptr_;
     }
 
-    /** Re-copy from base if another SM stored to @p page since this
-     *  overlay was synced. Checked at most once per slice. */
-    void
-    validate(Overlay& ov, uint64_t page)
-    {
-        if (ov.checked_slice == cur_slice_)
-            return;
-        ov.checked_slice = cur_slice_;
-        auto it = stamps_->find(page);
-        if (it == stamps_->end())
-            return;
-        const PageStamp& st = it->second;
-        const uint64_t foreign =
-            (st.writer >= 0 && uint32_t(st.writer) == sm_id_)
-                ? st.other_slice
-                : st.slice;
-        if (foreign > ov.synced_slice)
-            copyFromBase(ov, page);
-    }
-
-    void
-    copyFromBase(Overlay& ov, uint64_t page)
-    {
-        const uint8_t* bp = base_->peekPage(page);
-        if (bp)
-            std::memcpy(ov.data->data(), bp, SparseMemory::kPageBytes);
-        else
-            std::memset(ov.data->data(), 0, SparseMemory::kPageBytes);
-        // The base holds every commit through the previous slice.
-        ov.synced_slice = cur_slice_ - 1;
-        ov.checked_slice = cur_slice_;
-    }
-
-    SparseMemory* base_ = nullptr;
-    const std::unordered_map<uint64_t, PageStamp>* stamps_ = nullptr;
-    uint32_t sm_id_ = 0;
-    uint64_t cur_slice_ = 0;
-    std::unordered_map<uint64_t, Overlay> overlays_;
+    const SparseMemory* base_ = nullptr;
+    /** This slice's overlays, by page number. */
+    std::unordered_map<uint64_t, PageBuf> overlays_;
+    /** Page buffers of earlier slices' overlays, for reuse. */
+    std::vector<PageBuf> pool_;
     std::vector<StoreRec> log_;
     /** One-entry page caches, valid within a slice. */
     uint64_t r_idx_ = kNoPage;
@@ -1813,11 +1760,11 @@ GpuSim::stepSmSliceFunctional(SmCtx& sm, uint64_t slice_no)
 {
     if (sm.finished || sm.stopped)
         return;
-    sm.gview.beginSlice(slice_no);
+    sm.gview.beginSlice();
 
     // Budget of warp instructions for this slice: the detailed
     // machine's issue ceiling (schedulers × slice cycles) widened 16×,
-    // since the slice barrier (overlay stamp re-sync, store-log and
+    // since the slice barrier (overlay page copies, store-log and
     // L2-log replay, pool hand-off) is pure overhead here and paying it
     // 16× less often is worth ~30% of the tier's wall clock. The budget
     // fixes where cross-SM visibility (stores, heap ops, faults) cuts
@@ -1893,7 +1840,7 @@ GpuSim::stepSmSliceDetailed(SmCtx& sm, uint64_t slice_no)
     const uint64_t slice_end = slice_no * kSliceCycles;
     if (sm.cycle >= slice_end)
         return; // stalled across this whole slice
-    sm.gview.beginSlice(slice_no);
+    sm.gview.beginSlice();
     // The slice barrier's heap/atomic unparking moved readiness behind
     // the cache's back.
     for (const auto& list : sm.sched_live)
@@ -2018,42 +1965,13 @@ GpuSim::stepSmSliceDetailed(SmCtx& sm, uint64_t slice_no)
 // ---------------------------------------------------------------------
 
 bool
-GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
+GpuSim::commitSlice(std::vector<SmCtx>& sms)
 {
-    // (a) Replay global store logs into the base memory in SM order,
-    // tracking which SM(s) wrote each page for the overlay stamps.
-    std::unordered_map<uint64_t, int64_t> writers;
+    // (a) Replay global store logs into the base memory in SM order.
     for (SmCtx& sm : sms) {
-        uint64_t cached_page = ~uint64_t(0);
-        for (const GlobalMemView::StoreRec& rec : sm.gview.log()) {
+        for (const GlobalMemView::StoreRec& rec : sm.gview.log())
             global_mem_.write(rec.addr, rec.value, rec.width);
-            const uint64_t first = rec.addr / SparseMemory::kPageBytes;
-            const uint64_t last =
-                (rec.addr + rec.width - 1) / SparseMemory::kPageBytes;
-            for (uint64_t p = first; p <= last; ++p) {
-                if (p == cached_page && first == last)
-                    continue; // this SM already recorded on p
-                auto [it, fresh] = writers.try_emplace(p, sm.sm_id);
-                if (!fresh && it->second != int64_t(sm.sm_id))
-                    it->second = -2;
-                cached_page = p;
-            }
-        }
         sm.gview.clearLog();
-    }
-    for (const auto& [p, w] : writers) {
-        PageStamp& st = page_stamps_[p];
-        if (w == -2) {
-            st.other_slice = slice_no;
-            st.writer = -1;
-        } else {
-            // A previous stamp by a different SM (or by several) means
-            // that write is "foreign" to the new sole writer.
-            if (st.slice != 0 && st.writer != int32_t(w))
-                st.other_slice = st.slice;
-            st.writer = int32_t(w);
-        }
-        st.slice = slice_no;
     }
 
     // (b) Replay L2 line traffic through the real LRU array in SM
@@ -2154,9 +2072,8 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
     // (c') Execute deferred global atomics in the same canonical
     // (sm, seq) order, against the base memory — which at this point
     // holds every store committed in (a), so an atomic observes all
-    // prior-slice traffic. Lanes apply in lane order. Written pages get
-    // a "foreign to everyone" stamp (the issuing SM's own overlay never
-    // saw the result either, so it must re-sync like the rest).
+    // prior-slice traffic. Lanes apply in lane order. Every SM, the
+    // issuing one included, sees the results from the next slice on.
     for (SmCtx& sm : sms) {
         for (SmCtx::AtomOp& op : sm.atom_q) {
             Warp& w = sm.warps[op.warp];
@@ -2176,19 +2093,8 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no)
                     newv = applyAtomicRmw(op.aop, old, op.vals[lane],
                                           op.width);
                 }
-                if (write) {
+                if (write)
                     global_mem_.write(addr, newv, op.width);
-                    const uint64_t first =
-                        addr / SparseMemory::kPageBytes;
-                    const uint64_t last = (addr + op.width - 1) /
-                                          SparseMemory::kPageBytes;
-                    for (uint64_t p = first; p <= last; ++p) {
-                        PageStamp& st = page_stamps_[p];
-                        st.slice = slice_no;
-                        st.other_slice = slice_no;
-                        st.writer = -1;
-                    }
-                }
                 if (op.dst_row >= 0)
                     w.regRow(unsigned(op.dst_row))[lane] =
                         maskToWidth(old, op.width);
@@ -2291,7 +2197,7 @@ GpuSim::run()
             config_.dram_latency,
             config_.dram_bytes_per_cycle / double(used_sms),
             config_.line_bytes);
-        sms.back().gview.init(&global_mem_, &page_stamps_, s);
+        sms.back().gview.init(&global_mem_);
     }
     for (unsigned b = 0; b < launch_.grid_blocks; ++b)
         sms[b % used_sms].pending_blocks.push_back(b);
@@ -2327,7 +2233,7 @@ GpuSim::run()
                 stepSmSlice(sm, slice_no);
                 all_finished = all_finished && sm.finished;
             }
-            if (commitSlice(sms, slice_no) || all_finished)
+            if (commitSlice(sms) || all_finished)
                 break;
         }
     } else {
@@ -2339,7 +2245,7 @@ GpuSim::run()
                 bool all_finished = true;
                 for (const SmCtx& sm : sms)
                     all_finished = all_finished && sm.finished;
-                if (commitSlice(sms, slice_no) || all_finished)
+                if (commitSlice(sms) || all_finished)
                     break;
             }
         }

@@ -22,10 +22,12 @@
  * SMs only interact through global memory, the shared L2 and the device
  * heap. Execution therefore proceeds in fixed slices of kSliceCycles
  * cycles. Within a slice every SM steps privately against a frozen view
- * of the shared state: global stores go to a per-SM copy-on-write page
- * overlay and a store log, L2 lookups are read-only probes against the
- * frozen tag array (plus the SM's own lines touched this slice), and
- * device malloc/free park the issuing warp. At the slice barrier a
+ * of the shared state: an SM sees the global memory committed at the
+ * last barrier plus its own stores of the slice (held in per-SM page
+ * overlays that live for one slice, and in a store log), L2 lookups are
+ * read-only probes against the frozen tag array (plus the SM's own
+ * lines touched this slice), and device malloc/free park the issuing
+ * warp. At the slice barrier a
  * single thread commits everything in canonical (sm_id, seq) order:
  * store logs replay into the base memory, L2 probes replay through the
  * real LRU array, heap ops execute and unpark their warps, and the
@@ -66,7 +68,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/isa.hpp"
@@ -133,20 +134,6 @@ class GpuSim
      */
     static constexpr uint64_t kSliceCycles = 256;
 
-    /**
-     * Cross-slice write tracking for one global page: the last slice
-     * anyone stored to it, who (−1 = more than one SM in that slice),
-     * and the most recent slice a *different* SM than `writer` did. A
-     * per-SM overlay page synced through slice S is stale iff a write
-     * it would not have produced itself landed after S.
-     */
-    struct PageStamp
-    {
-        uint64_t slice = 0;       ///< last slice with a store (0 = never)
-        uint64_t other_slice = 0; ///< last store by someone != writer
-        int32_t writer = -1;      ///< sole writer in `slice`, or -1
-    };
-
     void buildDecodeTable();
     ResolvedSrc resolveSrc(const Warp& warp, const InstDesc& d,
                            unsigned idx) const;
@@ -174,7 +161,7 @@ class GpuSim
      * canonical (sm_id, seq) order. @return true when the launch
      * aborts on a fault.
      */
-    bool commitSlice(std::vector<SmCtx>& sms, uint64_t slice_no);
+    bool commitSlice(std::vector<SmCtx>& sms);
     unsigned resolveThreads(unsigned used_sms) const;
     /** One issue step; @p kFunctional skips the timing model. The
      *  false instantiation is the historical detailed issue path. */
@@ -225,9 +212,6 @@ class GpuSim
 
     /** Per-instruction predecoded operand/scoreboard metadata. */
     std::vector<InstDesc> idesc_;
-
-    /** Global-page write stamps, updated only at slice barriers. */
-    std::unordered_map<uint64_t, PageStamp> page_stamps_;
 };
 
 } // namespace lmi
