@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -63,67 +62,6 @@ class ProgressLine
     std::mutex mutex_;
 };
 
-/**
- * Work-stealing index queue: every worker owns a deque seeded
- * round-robin; it pops its own work from the front and steals from the
- * back of the busiest victim, keeping contention off the common path.
- */
-class StealingQueues
-{
-  public:
-    StealingQueues(size_t njobs, unsigned nworkers) : queues_(nworkers)
-    {
-        for (size_t i = 0; i < njobs; ++i)
-            queues_[i % nworkers].jobs.push_back(i);
-    }
-
-    static constexpr size_t kNone = ~size_t(0);
-
-    /** Next job index for @p worker; kNone when the batch is drained. */
-    size_t
-    next(unsigned worker)
-    {
-        {
-            PerWorker& own = queues_[worker];
-            std::lock_guard<std::mutex> lock(own.mutex);
-            if (!own.jobs.empty()) {
-                const size_t idx = own.jobs.front();
-                own.jobs.pop_front();
-                return idx;
-            }
-        }
-        // Steal from the victim with the most remaining work.
-        while (true) {
-            size_t best = kNone, best_depth = 0;
-            for (size_t v = 0; v < queues_.size(); ++v) {
-                if (v == worker)
-                    continue;
-                std::lock_guard<std::mutex> lock(queues_[v].mutex);
-                if (queues_[v].jobs.size() > best_depth) {
-                    best_depth = queues_[v].jobs.size();
-                    best = v;
-                }
-            }
-            if (best == kNone)
-                return kNone;
-            std::lock_guard<std::mutex> lock(queues_[best].mutex);
-            if (queues_[best].jobs.empty())
-                continue; // raced with the owner; rescan
-            const size_t idx = queues_[best].jobs.back();
-            queues_[best].jobs.pop_back();
-            return idx;
-        }
-    }
-
-  private:
-    struct PerWorker
-    {
-        std::mutex mutex;
-        std::deque<size_t> jobs;
-    };
-    std::deque<PerWorker> queues_; // deque: PerWorker is immovable
-};
-
 } // namespace
 
 ExperimentRunner::ExperimentRunner(Options options)
@@ -176,15 +114,15 @@ ExperimentRunner::run(const std::vector<std::function<void()>>& jobs)
         for (size_t i = 0; i < jobs.size(); ++i)
             execute(i);
     } else {
-        StealingQueues queues(jobs.size(), nworkers);
+        // Every job is known up front: one shared ticket hands out the
+        // next index.
+        std::atomic<size_t> next{0};
         std::vector<std::thread> workers;
         workers.reserve(nworkers);
         for (unsigned w = 0; w < nworkers; ++w) {
-            workers.emplace_back([&, w] {
-                for (size_t idx = queues.next(w);
-                     idx != StealingQueues::kNone; idx = queues.next(w)) {
+            workers.emplace_back([&] {
+                for (size_t idx = next++; idx < jobs.size(); idx = next++)
                     execute(idx);
-                }
             });
         }
         for (std::thread& t : workers)

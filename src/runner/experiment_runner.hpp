@@ -4,10 +4,11 @@
  *
  * Two layers:
  *
- *  - ExperimentRunner itself is a generic fixed-size pool with a
- *    work-stealing job queue, per-job wall-clock capture, an advisory
- *    per-job timeout, and failure capture — a throwing job is recorded
- *    in its JobOutcome, never fatal to the batch. Anything shaped like
+ *  - ExperimentRunner itself is a generic fixed-size pool whose
+ *    workers take the next job index from one shared atomic ticket,
+ *    with per-job wall-clock capture, an advisory per-job timeout, and
+ *    failure capture — a throwing job is recorded in its JobOutcome,
+ *    never fatal to the batch. Anything shaped like
  *    "run these N independent experiments" (the security suite, custom
  *    harnesses) can use it directly.
  *
