@@ -121,17 +121,17 @@ CoverageMatrix::disagreements() const
 std::string
 CoverageMatrix::renderCsv() const
 {
-    std::ostringstream s;
-    s << "attack,variant,mechanism,tier,oracle,detected,"
-         "compile_rejected,fault,disagreement\n";
+    TextTable table({"attack", "variant", "mechanism", "tier", "oracle",
+                     "detected", "compile_rejected", "fault",
+                     "disagreement"});
     for (const CoverageCell& c : cells)
-        s << c.attack << ',' << (c.benign ? "benign" : "attack") << ','
-          << mechanismKindName(c.mechanism) << ','
-          << executionTierName(c.tier) << ','
-          << accessVerdictName(c.oracle) << ',' << c.detected << ','
-          << c.compile_rejected << ',' << c.fault << ','
-          << c.disagreement << '\n';
-    return s.str();
+        table.addRow({c.attack, c.benign ? "benign" : "attack",
+                      mechanismKindName(c.mechanism),
+                      executionTierName(c.tier),
+                      accessVerdictName(c.oracle), c.detected ? "1" : "0",
+                      c.compile_rejected ? "1" : "0", c.fault,
+                      c.disagreement});
+    return table.renderCsv();
 }
 
 std::string

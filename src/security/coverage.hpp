@@ -28,7 +28,7 @@
  * entire point (the paper's fine-grained-detection claim made
  * machine-checkable). `lmi_explore coverage` exits non-zero on any
  * disagreement, and ctest (`lmi_explore_coverage_golden`) byte-compares
- * its JSON with tools/coverage_expected.json.
+ * its JSON and CSV with tools/coverage_expected.{json,csv}.
  */
 
 #pragma once

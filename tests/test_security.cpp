@@ -2,11 +2,15 @@
  * @file
  * Security-suite tests: the Table III detection matrix must emerge from
  * mechanism semantics, and the baseline must stay clean on everything
- * except runtime-detected free errors.
+ * except runtime-detected free errors. The coverage matrix's CSV keeps
+ * one field per column when a cell's text holds commas.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "security/coverage.hpp"
 #include "security/violations.hpp"
 
 namespace lmi {
@@ -127,6 +131,56 @@ TEST(Security, SpatialAndTemporalTallies)
     EXPECT_EQ(s.spatialTotal(), 22u);
     EXPECT_EQ(s.spatialDetected(), 19u);
     EXPECT_EQ(s.temporalTotal(), 16u);
+}
+
+/** The fields of one RFC-4180 CSV line, unquoted. */
+std::vector<std::string>
+csvFields(const std::string& line)
+{
+    std::vector<std::string> fields(1);
+    bool quoted = false;
+    for (size_t i = 0; i < line.size(); ++i) {
+        const char ch = line[i];
+        if (ch == '"' && quoted && i + 1 < line.size() &&
+            line[i + 1] == '"')
+            fields.back() += line[++i];
+        else if (ch == '"')
+            quoted = !quoted;
+        else if (ch == ',' && !quoted)
+            fields.emplace_back();
+        else
+            fields.back() += ch;
+    }
+    return fields;
+}
+
+TEST(Coverage, CsvKeepsADisagreementInOneField)
+{
+    CoverageMatrix matrix;
+    CoverageCell clean;
+    clean.attack = "off_by_one";
+    clean.mechanism = MechanismKind::Lmi;
+    clean.detected = true;
+    clean.fault = "spatial-overflow";
+    matrix.cells.push_back(clean);
+    CoverageCell odd = clean;
+    odd.tier = ExecutionTier::Functional;
+    odd.detected = false;
+    odd.fault.clear();
+    odd.disagreement = "tier mismatch: clean here, fault "
+                       "(spatial-overflow) on the detailed tier";
+    matrix.cells.push_back(odd);
+
+    std::istringstream csv(matrix.renderCsv());
+    std::vector<std::vector<std::string>> rows;
+    for (std::string line; std::getline(csv, line);)
+        rows.push_back(csvFields(line));
+    ASSERT_EQ(rows.size(), 3u);
+    for (const std::vector<std::string>& row : rows)
+        EXPECT_EQ(row.size(), 9u);
+    EXPECT_EQ(rows[1][5], "1");
+    EXPECT_EQ(rows[2][5], "0");
+    EXPECT_EQ(rows[2].back(), odd.disagreement);
 }
 
 } // namespace
