@@ -18,76 +18,13 @@
 #include <gtest/gtest.h>
 
 #include "common/bitutil.hpp"
+#include "isa_program.hpp"
 #include "sim/device.hpp"
 
 namespace lmi {
 namespace {
 
-Instruction
-ins(Opcode op, int dst, Operand a = {}, Operand b = {}, Operand c = {})
-{
-    Instruction i;
-    i.op = op;
-    i.dst = dst;
-    i.src[0] = a;
-    i.src[1] = b;
-    i.src[2] = c;
-    return i;
-}
-
-Instruction
-isetp(int pred, CmpOp cmp, Operand a, Operand b)
-{
-    Instruction i = ins(Opcode::ISETP, pred, a, b);
-    i.cmp = cmp;
-    return i;
-}
-
-Instruction
-bra(int target, int pred)
-{
-    Instruction i = ins(Opcode::BRA, -1);
-    i.branch_target = target;
-    i.guard_pred = pred;
-    return i;
-}
-
-/** 8-byte global store of register @p value to [@p addr + @p offset]. */
-Instruction
-stg(unsigned addr, unsigned value, int64_t offset)
-{
-    Instruction i = ins(Opcode::STG, -1, Operand::reg(addr),
-                        Operand::reg(value));
-    i.width = 8;
-    i.imm_offset = offset;
-    return i;
-}
-
-/** 8-byte global load of [@p addr + @p offset] into @p dst. */
-Instruction
-ldg(unsigned dst, unsigned addr, int64_t offset)
-{
-    Instruction i = ins(Opcode::LDG, int(dst), Operand::reg(addr));
-    i.width = 8;
-    i.imm_offset = offset;
-    return i;
-}
-
-Instruction
-movImm(unsigned dst, uint64_t v)
-{
-    return ins(Opcode::MOV, int(dst), Operand::imm(v));
-}
-
-CompiledKernel
-kernel(std::string name, std::vector<Instruction> code)
-{
-    CompiledKernel k;
-    k.program.name = std::move(name);
-    k.program.code = std::move(code);
-    k.program.num_params = 1;
-    return k;
-}
+using namespace isa_test;
 
 const Operand kParam0 = Operand::cbank(Program::kParamBase);
 constexpr uint64_t kPage = SparseMemory::kPageBytes;
@@ -227,7 +164,7 @@ TEST(GlobalView, PageCrossingLoadsAndStores)
             ins(Opcode::EXIT, -1),
         });
     forEachEngine([&](Device& dev, const LaunchOptions& opts) {
-        const uint64_t boundary = alignedPages(dev, 2) + kPage;
+        const uint64_t boundary = alignedPages(dev, 3) + kPage;
         dev.poke64(boundary + kPage - 3, kHost);
         const RunResult r = dev.launch(k, 1, 1, {boundary}, opts);
         ASSERT_FALSE(r.faulted());

@@ -26,61 +26,14 @@
 #include <bitset>
 
 #include "common/rng.hpp"
+#include "isa_program.hpp"
 #include "sim/device.hpp"
 #include "sim/reg_layout.hpp"
 
 namespace lmi {
 namespace {
 
-Instruction
-ins(Opcode op, int dst, Operand a = {}, Operand b = {}, Operand c = {})
-{
-    Instruction i;
-    i.op = op;
-    i.dst = dst;
-    i.src[0] = a;
-    i.src[1] = b;
-    i.src[2] = c;
-    return i;
-}
-
-Instruction
-isetp(int pred, CmpOp cmp, Operand a, Operand b)
-{
-    Instruction i = ins(Opcode::ISETP, pred, a, b);
-    i.cmp = cmp;
-    return i;
-}
-
-Instruction
-bra(int target, int pred = kNoPred, bool neg = false)
-{
-    Instruction i = ins(Opcode::BRA, -1);
-    i.branch_target = target;
-    i.guard_pred = pred;
-    i.guard_neg = neg;
-    return i;
-}
-
-Instruction
-stg(unsigned addr_reg, unsigned value_reg, int64_t offset)
-{
-    Instruction i = ins(Opcode::STG, -1, Operand::reg(addr_reg),
-                        Operand::reg(value_reg));
-    i.width = 8;
-    i.imm_offset = offset;
-    return i;
-}
-
-CompiledKernel
-kernel(std::string name, std::vector<Instruction> code)
-{
-    CompiledKernel k;
-    k.program.name = std::move(name);
-    k.program.code = std::move(code);
-    k.program.num_params = 1;
-    return k;
-}
+using namespace isa_test;
 
 const Operand kOutParam = Operand::cbank(Program::kParamBase);
 
