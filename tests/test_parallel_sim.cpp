@@ -158,13 +158,62 @@ TEST(ParallelSim, FaultingRunByteIdenticalAcrossThreadCounts)
     // A run that aborts must pick the same canonical first fault at any
     // worker count (winner = min (cycle, sm, seq), not wall-clock race).
     for (MechanismKind kind :
-         {MechanismKind::Lmi, MechanismKind::MemcheckDbi}) {
+         {MechanismKind::Lmi, MechanismKind::MemcheckDbi,
+          MechanismKind::GpuShield}) {
         SCOPED_TRACE(mechanismKindName(kind));
         const RunSnapshot serial = runOobAt(kind, 1);
         EXPECT_TRUE(serial.result.faulted());
         for (unsigned threads : {2u, 8u}) {
             SCOPED_TRACE("sim_threads=" + std::to_string(threads));
             expectIdentical(serial, runOobAt(kind, threads));
+        }
+    }
+}
+
+/** The ocu.*, ec.* and gpushield.rcache_* counters of @p dev. */
+std::map<std::string, uint64_t>
+mechanismCounters(Device& dev)
+{
+    std::map<std::string, uint64_t> out;
+    for (const auto& [name, value] : dev.stats().counters())
+        if (name.rfind("ocu.", 0) == 0 || name.rfind("ec.", 0) == 0 ||
+            name.rfind("gpushield.rcache_", 0) == 0)
+            out[name] = value;
+    return out;
+}
+
+TEST(ParallelSim, ConsecutiveLaunchesSumMechanismCounters)
+{
+    // Each launch publishes its own mechanism counts exactly once: two
+    // launches on one Device count what two fresh Devices count, so
+    // counts neither leak from one launch into the next nor publish
+    // twice.
+    const WorkloadProfile first = findWorkload("lud_cuda");
+    const WorkloadProfile second = findWorkload("bfs");
+    for (MechanismKind kind :
+         {MechanismKind::Lmi, MechanismKind::LmiElide,
+          MechanismKind::GpuShield}) {
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(std::string(mechanismKindName(kind)) +
+                         " sim_threads=" + std::to_string(threads));
+            auto fresh = [&] {
+                auto dev = std::make_unique<Device>(makeMechanism(kind));
+                dev->setSimThreads(threads);
+                return dev;
+            };
+            const auto a = fresh();
+            runWorkload(*a, first, 0.1);
+            const auto b = fresh();
+            runWorkload(*b, second, 0.1);
+            const auto both = fresh();
+            runWorkload(*both, first, 0.1);
+            runWorkload(*both, second, 0.1);
+
+            std::map<std::string, uint64_t> sum = mechanismCounters(*a);
+            for (const auto& [name, value] : mechanismCounters(*b))
+                sum[name] += value;
+            EXPECT_FALSE(sum.empty());
+            EXPECT_EQ(mechanismCounters(*both), sum);
         }
     }
 }
