@@ -49,34 +49,6 @@ StatRegistry::merge(const StatRegistry& other)
         gauges_[name] = v;
 }
 
-void
-SharedStatRegistry::inc(const std::string& name, uint64_t delta)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    registry_.inc(name, delta);
-}
-
-void
-SharedStatRegistry::set(const std::string& name, double value)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    registry_.set(name, value);
-}
-
-void
-SharedStatRegistry::merge(const StatRegistry& other)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    registry_.merge(other);
-}
-
-StatRegistry
-SharedStatRegistry::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return registry_;
-}
-
 double
 geomean(const std::vector<double>& values)
 {

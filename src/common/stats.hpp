@@ -7,12 +7,9 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace lmi {
@@ -21,22 +18,15 @@ namespace lmi {
  * A bag of named 64-bit counters and double-valued gauges.
  *
  * Simulator components hold a reference to one registry and bump counters
- * by name; benches read them back after the run.
+ * by name; benches read them back after the run. A registry is not
+ * thread-safe: components that count on SM workers keep per-SM tallies
+ * and add them here once per launch, from one thread.
  */
 class StatRegistry
 {
   public:
     /** Add @p delta to counter @p name (creating it at zero). */
     void inc(const std::string& name, uint64_t delta = 1);
-
-    /**
-     * Stable reference to a counter's storage (creating it at zero).
-     *
-     * Hot-path components cache the returned address instead of paying a
-     * name lookup per event; map nodes are stable, so the pointer stays
-     * valid until clear().
-     */
-    uint64_t& slot(const std::string& name) { return counters_[name]; }
 
     /** Set gauge @p name to @p value. */
     void set(const std::string& name, double value);
@@ -62,166 +52,6 @@ class StatRegistry
   private:
     std::map<std::string, uint64_t> counters_;
     std::map<std::string, double> gauges_;
-};
-
-/**
- * Per-thread staging area for StatSlot bumps.
- *
- * The parallel simulator installs one shard per worker thread
- * (StatShard::current()); while a shard is installed, StatSlot::bump
- * accumulates (registry, counter-name) deltas locally instead of
- * touching the registry, so worker threads never race on the shared
- * std::map. flush() drains the accumulated deltas into their target
- * registries by name. Counter sums are commutative and StatRegistry
- * stores counters in a name-sorted map, so the merged totals — and any
- * rendering of them — are independent of which worker counted what.
- *
- * add() keys on the counter-name *pointer* (StatSlot call sites pass
- * string literals, so the pointer is stable per site) through a small
- * direct-mapped cache; colliding or overflowing entries fall back to an
- * exact map keyed by name value.
- */
-class StatShard
-{
-  public:
-    /** The shard installed for the calling thread (nullptr = none). */
-    static StatShard*&
-    current()
-    {
-        thread_local StatShard* cur = nullptr;
-        return cur;
-    }
-
-    void
-    add(StatRegistry* reg, const char* name, uint64_t delta)
-    {
-        const size_t i =
-            (reinterpret_cast<uintptr_t>(name) >> 3) % kWays;
-        Cell& c = cells_[i];
-        if (c.name == name && c.reg == reg) {
-            c.count += delta;
-            return;
-        }
-        if (!c.name) {
-            c.reg = reg;
-            c.name = name;
-            c.count = delta;
-            return;
-        }
-        overflow_[{reg, name}] += delta;
-    }
-
-    /** Drain every accumulated delta into its target registry. */
-    void
-    flush()
-    {
-        for (Cell& c : cells_) {
-            if (c.name)
-                c.reg->inc(c.name, c.count);
-            c = Cell{};
-        }
-        for (const auto& [key, count] : overflow_)
-            key.first->inc(key.second, count);
-        overflow_.clear();
-    }
-
-  private:
-    static constexpr size_t kWays = 128;
-
-    struct Cell
-    {
-        StatRegistry* reg = nullptr;
-        const char* name = nullptr;
-        uint64_t count = 0;
-    };
-
-    std::array<Cell, kWays> cells_{};
-    std::map<std::pair<StatRegistry*, std::string>, uint64_t> overflow_;
-};
-
-/**
- * RAII installer for a thread's StatShard.
- *
- * Worker threads construct one on entry; destruction restores the
- * previous shard (shards nest, though in practice the stack is one
- * deep). Flushing is explicit and single-threaded — the owner calls
- * shard.flush() after the workers have quiesced.
- */
-class StatShardScope
-{
-  public:
-    explicit StatShardScope(StatShard& shard)
-        : prev_(StatShard::current())
-    {
-        StatShard::current() = &shard;
-    }
-
-    ~StatShardScope() { StatShard::current() = prev_; }
-
-    StatShardScope(const StatShardScope&) = delete;
-    StatShardScope& operator=(const StatShardScope&) = delete;
-
-  private:
-    StatShard* prev_;
-};
-
-/**
- * A lazily bound pointer to one StatRegistry counter.
- *
- * bump() costs a test-and-increment after the first event instead of a
- * per-event map lookup. Binding lazily (on the first bump) preserves the
- * registry's reporting semantics: a counter exists only if its event ever
- * fired. When the calling thread has a StatShard installed, the delta is
- * staged there instead (and the slot does not bind), keeping parallel
- * simulator workers off the shared registry.
- */
-class StatSlot
-{
-  public:
-    void
-    bump(StatRegistry& reg, const char* name, uint64_t delta = 1)
-    {
-        if (StatShard* shard = StatShard::current()) {
-            shard->add(&reg, name, delta);
-            return;
-        }
-        if (!counter_)
-            counter_ = &reg.slot(name);
-        *counter_ += delta;
-    }
-
-  private:
-    uint64_t* counter_ = nullptr;
-};
-
-/**
- * Mutex-guarded aggregation point for concurrent producers.
- *
- * StatRegistry itself stays lock-free because simulator components bump
- * counters on the launch hot path and every job in a parallel sweep owns
- * a private Device (and therefore a private registry). Cross-thread
- * aggregation — sweep-wide totals in the ExperimentRunner — goes through
- * this wrapper instead: producers merge() their private registries in,
- * and readers take a consistent snapshot() at any time.
- */
-class SharedStatRegistry
-{
-  public:
-    /** Add @p delta to counter @p name. */
-    void inc(const std::string& name, uint64_t delta = 1);
-
-    /** Set gauge @p name to @p value. */
-    void set(const std::string& name, double value);
-
-    /** Merge a producer's private registry into the shared one. */
-    void merge(const StatRegistry& other);
-
-    /** Consistent copy of the current totals. */
-    StatRegistry snapshot() const;
-
-  private:
-    mutable std::mutex mutex_;
-    StatRegistry registry_;
 };
 
 /** Geometric mean of @p values; values must be positive. */

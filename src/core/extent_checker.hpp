@@ -44,8 +44,20 @@ struct EcResult
     MaybeFault fault;
 };
 
+/** ec.* events counted apart from the registry: by one check(), or by
+ *  one SM over a launch, then record()ed in one step. */
+struct EcTally
+{
+    uint64_t checks = 0;
+    uint64_t faults = 0;
+};
+
 /**
  * Functional model of the LSU-resident extent checker.
+ *
+ * checkLane() is const, so SM workers may check lanes concurrently; each
+ * SM counts into its own EcTally, and the owner record()s their sum once
+ * per launch.
  */
 class ExtentChecker
 {
@@ -65,25 +77,20 @@ class ExtentChecker
     EcResult
     check(uint64_t ptr, PoisonCause cause = PoisonCause::Unknown)
     {
-        countChecks(1);
-        return checkLane(ptr, cause);
-    }
-
-    /** Add @p n checks to ec.checks; zero creates no counter. */
-    void
-    countChecks(uint64_t n)
-    {
-        if (stats_ && n)
-            checks_.bump(*stats_, "ec.checks", n);
+        EcTally tally;
+        tally.checks = 1;
+        EcResult r = checkLane(ptr, cause, tally);
+        record(tally);
+        return r;
     }
 
     /**
-     * check() for one lane of a warp, without the ec.checks count: the
-     * warp counts its lanes once through countChecks(). A warp stops at
-     * its first faulting lane, so ec.faults still moves once per fault.
+     * check() for one lane of a warp. A fault goes to @p tally; the
+     * checks do not: the warp adds its checked lanes once. A warp stops
+     * at its first faulting lane, so ec.faults moves once per fault.
      */
     EcResult
-    checkLane(uint64_t ptr, PoisonCause cause)
+    checkLane(uint64_t ptr, PoisonCause cause, EcTally& tally) const
     {
         const uint64_t addr = PointerCodec::addressOf(ptr);
         if (PointerCodec::isDereferenceable(ptr))
@@ -96,35 +103,45 @@ class ExtentChecker
             PointerCodec::extentOf(ptr) == kPoisonSpatial)
             cause = PoisonCause::Spatial;
 
-        if (stats_)
-            faults_.bump(*stats_, "ec.faults");
-        Fault fault;
-        fault.address = addr;
-        switch (cause) {
-          case PoisonCause::Spatial:
-            fault.kind = FaultKind::SpatialOverflow;
-            fault.detail = "dereference of OCU-poisoned pointer";
-            break;
-          case PoisonCause::Freed:
-            fault.kind = FaultKind::UseAfterFree;
-            fault.detail = "dereference of freed pointer";
-            break;
-          case PoisonCause::ScopeExit:
-            fault.kind = FaultKind::UseAfterScope;
-            fault.detail = "dereference of out-of-scope stack pointer";
-            break;
-          case PoisonCause::Unknown:
-            fault.kind = FaultKind::InvalidExtent;
-            fault.detail = "dereference of pointer with zero extent";
-            break;
-        }
-        return {addr, fault};
+        ++tally.faults;
+        return {addr, poisonFault(addr, cause)};
+    }
+
+    /** Add @p tally to the ec.* counters; zero counts create none. */
+    void
+    record(const EcTally& tally)
+    {
+        if (!stats_)
+            return;
+        if (tally.checks)
+            stats_->inc("ec.checks", tally.checks);
+        if (tally.faults)
+            stats_->inc("ec.faults", tally.faults);
     }
 
   private:
+    /** The fault a dereference of a zero-extent pointer raises. */
+    static Fault
+    poisonFault(uint64_t addr, PoisonCause cause)
+    {
+        switch (cause) {
+          case PoisonCause::Spatial:
+            return {FaultKind::SpatialOverflow, addr,
+                    "dereference of OCU-poisoned pointer"};
+          case PoisonCause::Freed:
+            return {FaultKind::UseAfterFree, addr,
+                    "dereference of freed pointer"};
+          case PoisonCause::ScopeExit:
+            return {FaultKind::UseAfterScope, addr,
+                    "dereference of out-of-scope stack pointer"};
+          case PoisonCause::Unknown:
+            break;
+        }
+        return {FaultKind::InvalidExtent, addr,
+                "dereference of pointer with zero extent"};
+    }
+
     StatRegistry* stats_;
-    StatSlot checks_;
-    StatSlot faults_;
     bool sub_extents_ = false;
 };
 

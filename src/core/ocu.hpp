@@ -49,8 +49,8 @@ struct OcuResult
     bool violation;
 };
 
-/** ocu.* events of one warp instruction, counted before they are
- *  added to the registry in one step. */
+/** ocu.* events counted apart from the registry: by one check(), or by
+ *  one SM over a launch, then record()ed in one step. */
 struct OcuTally
 {
     uint64_t checks = 0;
@@ -65,8 +65,8 @@ struct OcuTally
  * queue only exists to time-align operands with results in a pipelined
  * ALU and has no architectural effect, so it is represented purely by the
  * latency constant consumed by the timing model. checkLane() is const,
- * so SM workers may check lanes of different warps concurrently; each
- * warp counts into its own OcuTally and record()s it once.
+ * so SM workers may check lanes concurrently; each SM counts into its
+ * own OcuTally, and the owner record()s their sum once per launch.
  */
 class Ocu
 {
@@ -150,12 +150,11 @@ class Ocu
         if (!stats_)
             return;
         if (tally.checks)
-            checks_.bump(*stats_, "ocu.checks", tally.checks);
+            stats_->inc("ocu.checks", tally.checks);
         if (tally.violations)
-            violations_.bump(*stats_, "ocu.violations", tally.violations);
+            stats_->inc("ocu.violations", tally.violations);
         if (tally.invalid_input)
-            invalid_input_.bump(*stats_, "ocu.invalid_input",
-                                tally.invalid_input);
+            stats_->inc("ocu.invalid_input", tally.invalid_input);
     }
 
     /** The codec this unit was built with. */
@@ -164,9 +163,6 @@ class Ocu
   private:
     PointerCodec codec_;
     StatRegistry* stats_;
-    StatSlot checks_;
-    StatSlot violations_;
-    StatSlot invalid_input_;
     bool sub_extents_ = false;
 };
 

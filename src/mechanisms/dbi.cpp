@@ -112,13 +112,15 @@ LmiDbiMechanism::transformBinary(const Program& p)
 }
 
 void
-LmiDbiMechanism::onIntResults(const Instruction& inst, uint32_t mask,
-                              const uint64_t* ptr_in, uint64_t* out)
+LmiDbiMechanism::onIntResults(const Instruction& inst, uint32_t sm,
+                              uint32_t mask, const uint64_t* ptr_in,
+                              uint64_t* out)
 {
     // Functionally identical to the OCU, but performed by the injected
     // instruction sequence: mask the unmodifiable bits and poison the
     // result when they changed.
     (void)inst;
+    (void)sm;
     forEachLane(mask, [&](unsigned lane) {
         const uint64_t p = ptr_in[lane];
         const unsigned e = PointerCodec::extentOf(p);

@@ -110,7 +110,7 @@ class LmiDbiMechanism : public ProtectionMechanism
         return options_.jit_fraction;
     }
     /** The injected check sequence poisons the pointer in software. */
-    void onIntResults(const Instruction& inst, uint32_t mask,
+    void onIntResults(const Instruction& inst, uint32_t sm, uint32_t mask,
                       const uint64_t* ptr_in, uint64_t* out) override;
     WarpMemCheck onMemAccesses(const MemAccess& access,
                                uint64_t* addrs) override;

@@ -26,24 +26,6 @@ GpuShieldMechanism::bind(DeviceState state)
 }
 
 uint64_t
-GpuShieldMechanism::rcacheHits() const
-{
-    uint64_t total = 0;
-    for (const SmState& sm : sms_)
-        total += sm.rcache.hits();
-    return total;
-}
-
-uint64_t
-GpuShieldMechanism::rcacheMisses() const
-{
-    uint64_t total = 0;
-    for (const SmState& sm : sms_)
-        total += sm.rcache.misses();
-    return total;
-}
-
-uint64_t
 GpuShieldMechanism::canonical(uint64_t ptr) const
 {
     return untag(ptr);
@@ -63,9 +45,8 @@ WarpMemCheck
 GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
 {
     SmState& sm = sms_[access.sm < sms_.size() ? access.sm : 0];
-    uint64_t probes = 0, misses = 0;
 
-    const WarpMemCheck r = checkLanes(access, addrs, [&](uint64_t reg) {
+    return checkLanes(access, addrs, [&](uint64_t reg) {
         MemCheck result;
         const uint64_t addr = untag(reg) + uint64_t(access.imm_offset);
         result.address = addr;
@@ -91,9 +72,9 @@ GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
                     result.extra_cycles = options_.miss_penalty;
                     result.serialize_cycles =
                         options_.miss_fill_occupancy;
-                    ++misses;
+                    ++sm.misses;
                 }
-                ++probes;
+                ++sm.probes;
 
                 const Bounds& b = it->second;
                 if (addr < b.base || addr + access.width > b.base + b.size) {
@@ -139,14 +120,31 @@ GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
         }
         return result;
     });
+}
 
+void
+GpuShieldMechanism::onKernelLaunch(const Program& p)
+{
+    (void)p;
+    for (SmState& sm : sms_)
+        sm.probes = sm.misses = 0;
+}
+
+std::vector<Fault>
+GpuShieldMechanism::onKernelEnd()
+{
+    uint64_t probes = 0, misses = 0;
+    for (const SmState& sm : sms_) {
+        probes += sm.probes;
+        misses += sm.misses;
+    }
     if (state_.stats) {
         if (misses)
-            misses_.bump(*state_.stats, "gpushield.rcache_misses", misses);
+            state_.stats->inc("gpushield.rcache_misses", misses);
         if (probes)
-            probes_.bump(*state_.stats, "gpushield.rcache_probes", probes);
+            state_.stats->inc("gpushield.rcache_probes", probes);
     }
-    return r;
+    return {};
 }
 
 } // namespace lmi

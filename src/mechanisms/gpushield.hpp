@@ -61,10 +61,8 @@ class GpuShieldMechanism : public ProtectionMechanism
     uint64_t onHostAlloc(uint64_t ptr, uint64_t requested) override;
     WarpMemCheck onMemAccesses(const MemAccess& access,
                                uint64_t* addrs) override;
-
-    /** RCache statistics, summed over SMs (Fig. 12 analysis). */
-    uint64_t rcacheHits() const;
-    uint64_t rcacheMisses() const;
+    void onKernelLaunch(const Program& p) override;
+    std::vector<Fault> onKernelEnd() override;
 
   private:
     struct Bounds
@@ -85,6 +83,8 @@ class GpuShieldMechanism : public ProtectionMechanism
         /** Per-buffer last-touched granule (sequential-prefetch
          *  detector). */
         std::unordered_map<uint64_t, uint64_t> last_granule;
+        /** gpushield.rcache_* events of the current launch. */
+        uint64_t probes = 0, misses = 0;
     };
 
     Options options_;
@@ -97,8 +97,6 @@ class GpuShieldMechanism : public ProtectionMechanism
     std::vector<SmState> sms_;
     std::unordered_map<uint64_t, Bounds> bounds_table_;
     uint64_t next_id_ = 1;
-    StatSlot probes_;
-    StatSlot misses_;
 };
 
 } // namespace lmi

@@ -1,5 +1,7 @@
 #include "mechanisms/lmi_mechanism.hpp"
 
+#include <algorithm>
+
 #include "arch/mem_map.hpp"
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
@@ -7,7 +9,7 @@
 namespace lmi {
 
 LmiMechanism::LmiMechanism(Options options)
-    : options_(options), ocu_(options.codec), ec_()
+    : options_(options), ocu_(options.codec), ec_(), sms_(1)
 {
 }
 
@@ -30,6 +32,8 @@ LmiMechanism::bind(DeviceState state)
                   "mutually exclusive");
     ocu_ = Ocu(options_.codec, state_.stats, options_.subobject);
     ec_ = ExtentChecker(state_.stats, options_.subobject);
+    sms_.assign(state_.config ? std::max(1u, state_.config->num_sms) : 1,
+                SmTally{});
     if (options_.liveness_tracking) {
         LivenessTracker::Config cfg;
         cfg.page_invalidate_opt = options_.page_invalidate_opt;
@@ -83,22 +87,20 @@ LmiMechanism::onDeviceFree(uint64_t ptr)
 }
 
 void
-LmiMechanism::onIntResults(const Instruction& inst, uint32_t mask,
-                           const uint64_t* ptr_in, uint64_t* out)
+LmiMechanism::onIntResults(const Instruction& inst, uint32_t sm,
+                           uint32_t mask, const uint64_t* ptr_in,
+                           uint64_t* out)
 {
+    SmTally& tally = sms_[sm < sms_.size() ? sm : 0];
     if (inst.hints.elide_check) {
         // The compiler proved these results bit-identical to the
         // checked ones; the OCU power-gates the check (E hint bit).
-        if (state_.stats && mask)
-            elided_.bump(*state_.stats, "ocu.checks_elided",
-                         uint64_t(popCount(mask)));
+        tally.elided += uint64_t(popCount(mask));
         return;
     }
-    OcuTally tally;
     forEachLane(mask, [&](unsigned lane) {
-        out[lane] = ocu_.checkLane(ptr_in[lane], out[lane], tally).out;
+        out[lane] = ocu_.checkLane(ptr_in[lane], out[lane], tally.ocu).out;
     });
-    ocu_.record(tally);
 }
 
 unsigned
@@ -142,13 +144,16 @@ LmiMechanism::classifyZeroExtent(const MemAccess& access,
 WarpMemCheck
 LmiMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
 {
+    EcTally& tally = sms_[access.sm < sms_.size() ? access.sm : 0].ec;
     const WarpMemCheck r =
         checkLanes(access, addrs, [&](uint64_t reg_value) {
             MemCheck result;
             const EcResult ec = ec_.checkLane(
-                reg_value, PointerCodec::extentOf(reg_value) == 0
-                               ? classifyZeroExtent(access, reg_value)
-                               : PoisonCause::Unknown);
+                reg_value,
+                PointerCodec::extentOf(reg_value) == 0
+                    ? classifyZeroExtent(access, reg_value)
+                    : PoisonCause::Unknown,
+                tally);
             result.address = ec.address + uint64_t(access.imm_offset);
             result.fault = ec.fault;
             if (result.fault)
@@ -167,8 +172,34 @@ LmiMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
             }
             return result;
         });
-    ec_.countChecks(r.lanes_checked);
+    tally.checks += r.lanes_checked;
     return r;
+}
+
+void
+LmiMechanism::onKernelLaunch(const Program& p)
+{
+    (void)p;
+    std::fill(sms_.begin(), sms_.end(), SmTally{});
+}
+
+std::vector<Fault>
+LmiMechanism::onKernelEnd()
+{
+    SmTally sum;
+    for (const SmTally& t : sms_) {
+        sum.ocu.checks += t.ocu.checks;
+        sum.ocu.violations += t.ocu.violations;
+        sum.ocu.invalid_input += t.ocu.invalid_input;
+        sum.ec.checks += t.ec.checks;
+        sum.ec.faults += t.ec.faults;
+        sum.elided += t.elided;
+    }
+    ocu_.record(sum.ocu);
+    ec_.record(sum.ec);
+    if (state_.stats && sum.elided)
+        state_.stats->inc("ocu.checks_elided", sum.elided);
+    return {};
 }
 
 } // namespace lmi

@@ -79,11 +79,13 @@ class LmiMechanism : public ProtectionMechanism
     void onDeviceAlloc(uint64_t ptr, uint64_t requested) override;
     MaybeFault onDeviceFree(uint64_t ptr) override;
 
-    void onIntResults(const Instruction& inst, uint32_t mask,
+    void onIntResults(const Instruction& inst, uint32_t sm, uint32_t mask,
                       const uint64_t* ptr_in, uint64_t* out) override;
     unsigned extraIntLatency(const Instruction& inst) const override;
     WarpMemCheck onMemAccesses(const MemAccess& access,
                                uint64_t* addrs) override;
+    void onKernelLaunch(const Program& p) override;
+    std::vector<Fault> onKernelEnd() override;
 
     /** The liveness tracker, when enabled (for benches/tests). */
     const LivenessTracker* liveness() const
@@ -92,6 +94,15 @@ class LmiMechanism : public ProtectionMechanism
     }
 
   private:
+    /** One SM's OCU and EC events of the current launch. */
+    struct alignas(64) SmTally
+    {
+        OcuTally ocu;
+        EcTally ec;
+        /** ocu.checks_elided: lanes whose check the E hint bit gated. */
+        uint64_t elided = 0;
+    };
+
     PoisonCause classifyZeroExtent(const MemAccess& access,
                                    uint64_t reg_value) const;
 
@@ -99,7 +110,12 @@ class LmiMechanism : public ProtectionMechanism
     Ocu ocu_;
     ExtentChecker ec_;
     std::optional<LivenessTracker> liveness_;
-    StatSlot elided_;
+    /**
+     * Per-SM tallies, indexed by the issuing SM so concurrent SM workers
+     * never share one. Sized in bind() from the config; until then a
+     * single slot serves host-less unit tests.
+     */
+    std::vector<SmTally> sms_;
 };
 
 } // namespace lmi

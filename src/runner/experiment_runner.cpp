@@ -144,7 +144,6 @@ runSweep(const SweepSpec& spec)
 
     SweepResult sweep;
     sweep.cells.resize(cells.size());
-    SharedStatRegistry totals;
     std::atomic<size_t> cache_hits{0};
     std::atomic<size_t> cache_misses{0};
 
@@ -185,7 +184,6 @@ runSweep(const SweepSpec& spec)
                 if (cache->load(out.fingerprint, &out)) {
                     out.from_cache = true;
                     ++cache_hits;
-                    totals.merge(out.device_stats);
                     return;
                 }
                 ++cache_misses; // absent, stale, or truncated entry
@@ -214,7 +212,6 @@ runSweep(const SweepSpec& spec)
             out.ok = true;
             if (spec.post)
                 spec.post(dev, out);
-            totals.merge(out.device_stats);
             if (cache)
                 cache->store(out);
         });
@@ -246,7 +243,6 @@ runSweep(const SweepSpec& spec)
     }
     sweep.cache_hits = cache_hits.load();
     sweep.cache_misses = cache_misses.load();
-    sweep.totals = totals.snapshot();
     sweep.wall_ms = msSince(sweep_start);
     return sweep;
 }

@@ -83,7 +83,7 @@ class ExperimentRunner
 };
 
 /** Execute @p spec: expand the grid, run every cell on the pool (with
- *  caching when spec.cache_dir is set), and aggregate. */
+ *  caching when spec.cache_dir is set), in grid order. */
 SweepResult runSweep(const SweepSpec& spec);
 
 } // namespace lmi

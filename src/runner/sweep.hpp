@@ -130,8 +130,6 @@ struct SweepResult
     size_t failures = 0;
     size_t timeouts = 0;
     double wall_ms = 0.0;
-    /** Sweep-wide aggregation of every cell's device stats. */
-    StatRegistry totals;
 
     /** Cell lookup; nullptr when absent. */
     const CellResult* find(const std::string& workload,

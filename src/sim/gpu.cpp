@@ -536,29 +536,22 @@ struct GpuSim::ResolvedSrc
  * ticket assignment is legal because a slice's per-SM work depends only
  * on that SM's own state and the frozen shared snapshot — which thread
  * steps which SM cannot affect results.
- *
- * Each worker installs a StatShard for its lifetime, so mechanism-side
- * StatSlot bumps stay thread-private; the owner flushes the shards
- * (commutative sums, merged by name) after shutdown().
  */
 class GpuSim::WorkerPool
 {
   public:
     WorkerPool(GpuSim& sim, std::vector<SmCtx>& sms, unsigned threads)
-        : sim_(sim), sms_(sms), shards_(threads)
+        : sim_(sim), sms_(sms)
     {
         workers_.reserve(threads - 1);
         for (unsigned i = 1; i < threads; ++i)
-            workers_.emplace_back([this, i] { workerMain(i); });
+            workers_.emplace_back([this] { workerMain(); });
     }
 
     ~WorkerPool()
     {
         shutdown();
     }
-
-    /** Shard for the coordinating (calling) thread. */
-    StatShard& mainShard() { return shards_[0]; }
 
     void
     runSlice(uint64_t slice_no)
@@ -590,15 +583,6 @@ class GpuSim::WorkerPool
         workers_.clear();
     }
 
-    /** Merge every shard's counts into their registries (call after
-     *  shutdown(), from one thread). */
-    void
-    flushShards()
-    {
-        for (StatShard& shard : shards_)
-            shard.flush();
-    }
-
   private:
     void
     drain(uint64_t slice_no)
@@ -613,9 +597,8 @@ class GpuSim::WorkerPool
     }
 
     void
-    workerMain(unsigned idx)
+    workerMain()
     {
-        StatShardScope shard(shards_[idx]);
         uint64_t seen = 0;
         for (;;) {
             uint64_t slice_no;
@@ -640,7 +623,6 @@ class GpuSim::WorkerPool
 
     GpuSim& sim_;
     std::vector<SmCtx>& sms_;
-    std::vector<StatShard> shards_; ///< [0] = main, [1..] = workers
     std::vector<std::thread> workers_;
     std::mutex m_;
     std::condition_variable cv_start_, cv_done_;
@@ -1568,7 +1550,7 @@ GpuSim::issueWarpT(SmCtx& sm, Warp& warp)
                 ? s0
                 : (inst.op == Opcode::IMAD ? s2 : s1);
         std::array<uint64_t, 32> ptr_lanes;
-        mech_.onIntResults(inst, warp.active,
+        mech_.onIntResults(inst, sm.sm_id, warp.active,
                            p.asRow(ptr_lanes, warp.lanes), out_row);
         if (dst_row)
             for (unsigned lane = 0; lane < warp.lanes; ++lane)
@@ -2238,19 +2220,14 @@ GpuSim::run()
         }
     } else {
         WorkerPool pool(*this, sms, threads);
-        {
-            StatShardScope main_shard(pool.mainShard());
-            for (uint64_t slice_no = 1;; ++slice_no) {
-                pool.runSlice(slice_no);
-                bool all_finished = true;
-                for (const SmCtx& sm : sms)
-                    all_finished = all_finished && sm.finished;
-                if (commitSlice(sms) || all_finished)
-                    break;
-            }
+        for (uint64_t slice_no = 1;; ++slice_no) {
+            pool.runSlice(slice_no);
+            bool all_finished = true;
+            for (const SmCtx& sm : sms)
+                all_finished = all_finished && sm.finished;
+            if (commitSlice(sms) || all_finished)
+                break;
         }
-        pool.shutdown();
-        pool.flushShards();
     }
 
     uint64_t max_cycle = 0;

@@ -13,9 +13,10 @@
  *  - allocation time: allocPolicy()/encodePointers() shape the
  *    allocators, onHostAlloc/onHostFree/onDeviceAlloc/onDeviceFree see
  *    every buffer event (bounds tables, canaries, liveness);
- *  - execution time: onIntResults() is the OCU attachment point,
- *    onMemAccesses() the LSU/EC attachment point, extraIntLatency() the
- *    pipeline cost, onKernelEnd() the end-of-kernel canary sweep.
+ *  - execution time: onKernelLaunch() opens a launch, onIntResults()
+ *    is the OCU attachment point, onMemAccesses() the LSU/EC attachment
+ *    point, extraIntLatency() the pipeline cost, and onKernelEnd()
+ *    closes the launch (canary sweep, counter publishing).
  *
  * The two per-access hooks act on a whole warp instruction, as the
  * OCU and Extent Checker do in hardware (paper §VII): one call per
@@ -25,10 +26,15 @@
  *  - onMemAccesses() stops at the first faulting lane and reports it;
  *    later lanes are neither checked nor counted;
  *  - extra_cycles is the max over lanes, serialize_cycles the sum;
- *  - statistics are bumped once per warp with the lane count, and a
- *    counter whose count is 0 is never created.
- * Hooks run concurrently on SM workers: per-call state lives on the
- * stack, never in shared mechanism members.
+ *  - a counter whose count is 0 is never created.
+ * The two hooks run concurrently on SM workers, and no two workers step
+ * the same SM at once: per-call state lives on the stack, and state that
+ * outlives a call lives in members indexed by the issuing SM
+ * (onIntResults()' sm, MemAccess::sm), never in members shared across
+ * SMs. Counters follow the same rule: each SM tallies its own events,
+ * onKernelLaunch() clears the tallies, and onKernelEnd() — one thread,
+ * after the last slice, aborted launches included — adds their sums to
+ * the registry in SM order.
  */
 
 #pragma once
@@ -211,16 +217,18 @@ class ProtectionMechanism
     /**
      * OCU attachment point: called once per hint-marked integer warp
      * instruction. The baseline does nothing.
+     * @param sm     SM the instruction issues from
      * @param mask   lanes that executed
      * @param ptr_in lane l's operand selected by the S bit is ptr_in[l]
      * @param out    lane l's raw ALU result, overwritten in place with
      *               the value to write back (possibly poisoned)
      */
     virtual void
-    onIntResults(const Instruction& inst, uint32_t mask,
+    onIntResults(const Instruction& inst, uint32_t sm, uint32_t mask,
                  const uint64_t* ptr_in, uint64_t* out)
     {
         (void)inst;
+        (void)sm;
         (void)mask;
         (void)ptr_in;
         (void)out;
@@ -249,10 +257,13 @@ class ProtectionMechanism
         });
     }
 
-    /** Called once per kernel launch with the final binary. */
+    /** Called once per kernel launch with the final binary, before
+     *  the first slice. */
     virtual void onKernelLaunch(const Program& p) { (void)p; }
 
-    /** End-of-kernel sweep (canary verification). */
+    /** Called once per kernel launch after the last slice, aborted
+     *  launches included: end-of-kernel sweep (canary verification)
+     *  and counter publishing. */
     virtual std::vector<Fault> onKernelEnd() { return {}; }
 
   protected:
