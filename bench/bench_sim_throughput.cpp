@@ -44,12 +44,14 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -157,13 +159,23 @@ main(int argc, char** argv)
             if (!parseReal("--tolerance", argv[++i], true, &tolerance))
                 return usage();
         } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            for (const char* p = argv[++i]; *p;) {
-                char* end;
-                const long v = std::strtol(p, &end, 10);
-                if (end == p || v < 1)
-                    break;
-                thread_counts.push_back(unsigned(v));
-                p = *end == ',' ? end + 1 : end;
+            // Every comma item must be a count >= 1: a bad item rejects
+            // the whole list instead of truncating it.
+            const std::string list = argv[++i];
+            for (size_t pos = 0; pos <= list.size();) {
+                const size_t comma = std::min(list.find(',', pos),
+                                              list.size());
+                uint64_t count = 0;
+                if (!parseCount("--threads", list.substr(pos, comma - pos),
+                                UINT_MAX, &count))
+                    return usage();
+                if (count == 0) {
+                    std::fprintf(stderr, "error: --threads counts must "
+                                         "be >= 1\n");
+                    return usage();
+                }
+                thread_counts.push_back(unsigned(count));
+                pos = comma + 1;
             }
         } else if (!scale_seen) {
             if (!parseReal("scale", argv[i], false, &scale))

@@ -13,18 +13,6 @@ namespace lmi::analysis {
 
 using namespace ir;
 
-const char*
-raceVerdictName(RaceVerdict v)
-{
-    switch (v) {
-    case RaceVerdict::ProvenDisjoint: return "proven-disjoint";
-    case RaceVerdict::Unknown: return "unknown";
-    case RaceVerdict::ProvenRacy: return "proven-racy";
-    case RaceVerdict::Synchronized: return "synchronized";
-    }
-    return "?";
-}
-
 size_t
 RaceReport::count(RaceVerdict v) const
 {

@@ -74,8 +74,6 @@ enum class RaceVerdict : uint8_t {
     Synchronized,
 };
 
-const char* raceVerdictName(RaceVerdict v);
-
 struct RaceAnalysisOptions
 {
     /** Launch geometry hints; 0 = unknown (weakens disjointness proofs

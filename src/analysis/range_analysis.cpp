@@ -133,17 +133,6 @@ Interval::toString() const
     return s.str();
 }
 
-const char*
-safetyClassName(SafetyClass c)
-{
-    switch (c) {
-      case SafetyClass::Unknown:         return "unknown";
-      case SafetyClass::ProvenSafe:      return "proven_safe";
-      case SafetyClass::ProvenViolating: return "proven_violating";
-    }
-    return "?";
-}
-
 namespace {
 
 class RangePass

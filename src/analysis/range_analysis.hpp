@@ -92,8 +92,6 @@ struct Interval
 /** Verdict for one hint-marked pointer operation. */
 enum class SafetyClass : uint8_t { Unknown, ProvenSafe, ProvenViolating };
 
-const char* safetyClassName(SafetyClass c);
-
 /** Provenance of a pointer value. */
 struct PointerFact
 {

@@ -18,12 +18,6 @@ setVerbose(bool verbose)
     g_verbose.store(verbose, std::memory_order_relaxed);
 }
 
-bool
-verbose()
-{
-    return g_verbose.load(std::memory_order_relaxed);
-}
-
 namespace detail {
 
 void

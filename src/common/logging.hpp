@@ -36,7 +36,6 @@ std::string formatv(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Enable/disable inform()/warn() output (benches silence them). */
 void setVerbose(bool verbose);
-bool verbose();
 
 } // namespace lmi
 

@@ -93,13 +93,6 @@ makeMechanism(MechanismKind kind)
 }
 
 std::vector<MechanismKind>
-securityMechanisms()
-{
-    return {MechanismKind::Gmod, MechanismKind::GpuShield,
-            MechanismKind::CuCatch, MechanismKind::Lmi};
-}
-
-std::vector<MechanismKind>
 hardwareComparisonMechanisms()
 {
     return {MechanismKind::BaggySw, MechanismKind::GpuShield,

@@ -46,9 +46,6 @@ bool mechanismFromName(const std::string& name, MechanismKind* out);
 /** Construct a fresh mechanism instance. */
 std::unique_ptr<ProtectionMechanism> makeMechanism(MechanismKind kind);
 
-/** The mechanisms of the Table III security comparison, in paper order. */
-std::vector<MechanismKind> securityMechanisms();
-
 /** The mechanisms of the Fig. 12 performance comparison. */
 std::vector<MechanismKind> hardwareComparisonMechanisms();
 

@@ -412,10 +412,7 @@ SweepSpec::expand() const
                 cell.mechanism = mechanism;
                 cell.scale = scale;
                 cell.tier = tier;
-                cell.config =
-                    configure ? configure(profile.name, mechanism, scale,
-                                          config)
-                              : config;
+                cell.config = config;
                 cells.push_back(std::move(cell));
             }
         }

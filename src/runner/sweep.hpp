@@ -159,11 +159,8 @@ struct SweepSpec
      *  Feeds the per-cell fingerprint. */
     ExecutionTier tier = ExecutionTier::Detailed;
 
-    /** Config applied to every cell (per-cell overrides via configure). */
+    /** Config applied to every cell. */
     GpuConfig config;
-    /** Optional per-cell config hook, run at grid-expansion time. */
-    std::function<GpuConfig(const std::string& workload, MechanismKind,
-                            double scale, const GpuConfig& base)> configure;
 
     /** Worker threads running whole cells; 0 = hardware concurrency. */
     unsigned jobs = 0;

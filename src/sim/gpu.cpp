@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <climits>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -13,6 +14,7 @@
 
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
+#include "common/parse.hpp"
 #include "common/stats.hpp"
 
 namespace lmi {
@@ -55,12 +57,13 @@ resolveSimThreads(const GpuConfig& config)
 {
     if (config.sim_threads)
         return config.sim_threads;
-    if (const char* env = std::getenv("LMI_SIM_THREADS")) {
-        const int v = std::atoi(env);
-        if (v > 0)
-            return unsigned(v);
-    }
-    return 1;
+    const char* env = std::getenv("LMI_SIM_THREADS");
+    if (!env || !*env)
+        return 1;
+    uint64_t v = 0;
+    if (!parseCount("LMI_SIM_THREADS", env, UINT_MAX, &v))
+        lmi_fatal("LMI_SIM_THREADS must be a thread count");
+    return v ? unsigned(v) : 1;
 }
 
 // ---------------------------------------------------------------------

@@ -98,8 +98,10 @@ struct Launch
 
 /**
  * Effective worker count for @p config: sim_threads if nonzero, else
- * the LMI_SIM_THREADS environment variable, else 1. (The simulator
- * additionally caps it at the number of active SMs per launch.)
+ * the LMI_SIM_THREADS environment variable, else 1. An unset, empty or
+ * 0 variable means 1; anything but an unsigned decimal <= UINT_MAX
+ * throws FatalError. (The simulator additionally caps the count at the
+ * number of active SMs per launch.)
  */
 unsigned resolveSimThreads(const GpuConfig& config);
 

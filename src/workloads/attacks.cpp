@@ -1,6 +1,5 @@
 #include "workloads/attacks.hpp"
 
-#include "common/logging.hpp"
 #include "ir/builder.hpp"
 
 namespace lmi {
@@ -161,15 +160,6 @@ attackSuite()
          "neg_stride", AccessVerdict::SpatialOOB, buildNegStride},
     };
     return suite;
-}
-
-const AttackScenario&
-findAttack(const std::string& name)
-{
-    for (const AttackScenario& a : attackSuite())
-        if (a.name == name)
-            return a;
-    throw FatalError("unknown attack scenario: " + name);
 }
 
 } // namespace lmi

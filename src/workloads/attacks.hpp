@@ -58,7 +58,4 @@ struct AttackScenario
 /** The six-scenario suite, in a fixed order. */
 const std::vector<AttackScenario>& attackSuite();
 
-/** Find a scenario by name; throws FatalError when unknown. */
-const AttackScenario& findAttack(const std::string& name);
-
 } // namespace lmi
