@@ -50,6 +50,14 @@ struct EcTally
 {
     uint64_t checks = 0;
     uint64_t faults = 0;
+
+    EcTally&
+    operator+=(const EcTally& o)
+    {
+        checks += o.checks;
+        faults += o.faults;
+        return *this;
+    }
 };
 
 /**

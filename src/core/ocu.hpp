@@ -56,6 +56,15 @@ struct OcuTally
     uint64_t checks = 0;
     uint64_t violations = 0;
     uint64_t invalid_input = 0;
+
+    OcuTally&
+    operator+=(const OcuTally& o)
+    {
+        checks += o.checks;
+        violations += o.violations;
+        invalid_input += o.invalid_input;
+        return *this;
+    }
 };
 
 /**

@@ -98,9 +98,12 @@ LmiMechanism::onIntResults(const Instruction& inst, uint32_t sm,
         tally.elided += uint64_t(popCount(mask));
         return;
     }
+    // A local tally stays in registers; out[] could alias the SM's.
+    OcuTally warp;
     forEachLane(mask, [&](unsigned lane) {
-        out[lane] = ocu_.checkLane(ptr_in[lane], out[lane], tally.ocu).out;
+        out[lane] = ocu_.checkLane(ptr_in[lane], out[lane], warp).out;
     });
+    tally.ocu += warp;
 }
 
 unsigned
@@ -188,11 +191,8 @@ LmiMechanism::onKernelEnd()
 {
     SmTally sum;
     for (const SmTally& t : sms_) {
-        sum.ocu.checks += t.ocu.checks;
-        sum.ocu.violations += t.ocu.violations;
-        sum.ocu.invalid_input += t.ocu.invalid_input;
-        sum.ec.checks += t.ec.checks;
-        sum.ec.faults += t.ec.faults;
+        sum.ocu += t.ocu;
+        sum.ec += t.ec;
         sum.elided += t.elided;
     }
     ocu_.record(sum.ocu);
