@@ -28,13 +28,13 @@
  *  - extra_cycles is the max over lanes, serialize_cycles the sum;
  *  - a counter whose count is 0 is never created.
  * The two hooks run concurrently on SM workers, and no two workers step
- * the same SM at once: per-call state lives on the stack, and state that
- * outlives a call lives in members indexed by the issuing SM
- * (onIntResults()' sm, MemAccess::sm), never in members shared across
- * SMs. Counters follow the same rule: each SM tallies its own events,
- * onKernelLaunch() clears the tallies, and onKernelEnd() — one thread,
- * after the last slice, aborted launches included — adds their sums to
- * the registry in SM order.
+ * the same SM at once: per-call state lives on the stack, and anything a
+ * hook writes that outlives the call lives in members indexed by the
+ * issuing SM (onIntResults()' sm, MemAccess::sm), never in members
+ * shared across SMs. Counters follow the same rule: each SM tallies its
+ * own events, onKernelLaunch() clears the tallies, and onKernelEnd() —
+ * one thread, after the last slice, aborted launches included — adds
+ * their sums to the registry in SM order.
  */
 
 #pragma once
