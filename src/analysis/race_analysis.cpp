@@ -1,8 +1,10 @@
 #include "analysis/race_analysis.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -67,6 +69,255 @@ satMul(int64_t a, int64_t b)
         return (a < 0) == (b < 0) ? INT64_MAX : INT64_MIN;
     return r;
 }
+
+int64_t
+satSub(int64_t a, int64_t b)
+{
+    int64_t r;
+    if (__builtin_sub_overflow(a, b, &r))
+        return b < 0 ? INT64_MAX : INT64_MIN;
+    return r;
+}
+
+// --- closed-form delta search -------------------------------------------
+//
+// The subproblem solvers scan a thread or block delta x and ask, at each
+// x, whether res.solvableWindow(satSub(wlo, s), satSub(whi, s)) holds
+// for the saturating shift s = Shift::at(x). ShiftSolver answers "the
+// first x of a range, in scan order, where it holds" without visiting
+// the range. Three linear conditions on x, each true on one interval,
+// cut the range into at most seven pieces:
+//
+//  - satMul(a, x) is exact; s = c + slope*x is exact; the window
+//    [wlo - s, whi - s] overlaps int64. Where all three hold, clamping
+//    a window end cannot change its intersection with the hull, so the
+//    test is exact arithmetic: some residual value y = v - s, v in
+//    [wlo, whi], lies in the hull and is konst modulo gcd. For each
+//    window offset v the hull bounds x to one interval, and the
+//    congruence slope*x == v - c - konst (mod gcd) is a linear
+//    Diophantine equation, solved once per solver by extended gcd.
+//  - On every other piece the shift is constant: a saturated product,
+//    a sum saturated to one end, or (the window failing to overlap
+//    int64, which wlo <= 0 <= whi allows only there) s == INT64_MIN.
+//    One test decides the whole piece.
+
+using i128 = __int128;
+
+i128
+floorDiv(i128 a, i128 b)
+{
+    const i128 q = a / b;
+    return q * b != a && (a < 0) != (b < 0) ? q - 1 : q;
+}
+
+i128
+floorMod(i128 a, i128 m)
+{
+    const i128 r = a % m;
+    return r < 0 ? r + m : r;
+}
+
+i128
+gcd128(i128 a, i128 b)
+{
+    while (b != 0) {
+        const i128 t = a % b;
+        a = b;
+        b = t;
+    }
+    return a;
+}
+
+/** Inverse of @p a modulo @p m (gcd(a, m) == 1, 0 <= a < m). */
+i128
+modInverse(i128 a, i128 m)
+{
+    i128 r0 = m, r1 = a, t0 = 0, t1 = 1;
+    while (r1 != 0) {
+        const i128 q = r0 / r1;
+        const i128 r2 = r0 - q * r1, t2 = t0 - q * t1;
+        r0 = r1;
+        r1 = r2;
+        t0 = t1;
+        t1 = t2;
+    }
+    return floorMod(t0, m);
+}
+
+/** The x with lo <= k*x <= hi (k != 0), as an interval of integers. */
+std::pair<i128, i128>
+linearRange(i128 k, i128 lo, i128 hi)
+{
+    if (k > 0)
+        return {-floorDiv(-lo, k), floorDiv(hi, k)};
+    return {-floorDiv(-hi, k), floorDiv(lo, k)};
+}
+
+/** Narrows [p, q] to the x with lo <= k*x <= hi (k != 0); false when
+ *  nothing is left. */
+bool
+narrowLinear(i128 k, i128 lo, i128 hi, i128& p, i128& q)
+{
+    const i128 kp = k * p, kq = k * q;
+    if (std::min(kp, kq) >= lo && std::max(kp, kq) <= hi)
+        return p <= q;
+    const auto [r0, r1] = linearRange(k, lo, hi);
+    p = std::max(p, r0);
+    q = std::min(q, r1);
+    return p <= q;
+}
+
+/**
+ * Saturating shift of the conflict window as a function of one delta
+ * x: satAdd(satMul(a, x), c), or satSub(c, satMul(a, x)) when `sub`.
+ * The enumeration loops compute exactly this.
+ */
+struct Shift
+{
+    int64_t a = 0, c = 0;
+    bool sub = false;
+
+    int64_t at(int64_t x) const
+    {
+        const int64_t ax = satMul(a, x);
+        return sub ? satSub(c, ax) : satAdd(ax, c);
+    }
+};
+
+class ShiftSolver
+{
+  public:
+    /** Shifts of slope @p a (negated when @p sub) against @p res and
+     *  the byte window [@p wlo, @p whi], wlo <= 0 <= whi. */
+    ShiftSolver(const Residual& res, int64_t wlo, int64_t whi, int64_t a,
+                bool sub)
+        : res_(res), wlo_(wlo), whi_(whi), a_(a), sub_(sub),
+          slope_(sub ? -i128(a) : i128(a)),
+          cong_(!res.exact && res.gcd > 1)
+    {
+        assert(wlo <= 0 && whi >= 0);
+        if (a != 0 && cong_) {
+            // slope*x == r (mod g) is solvable iff h | r, and then
+            // x == (r/h) * inv_ (mod m_).
+            const i128 g = res.gcd;
+            const i128 am = floorMod(slope_, g);
+            h_ = gcd128(am, g);
+            m_ = g / h_;
+            inv_ = m_ == 1 ? 0 : modInverse(am / h_ % m_, m_);
+        }
+    }
+
+    /** True when the window shifted by @p s can hold a residual. */
+    bool hit(int64_t s) const
+    {
+        return res_.solvableWindow(satSub(wlo_, s), satSub(whi_, s));
+    }
+
+    /**
+     * The first x of [@p x0, @p x1], scanning up when @p up and down
+     * otherwise, at which the window shifted by Shift{a, @p c, sub}
+     * can hold a residual.
+     */
+    std::optional<int64_t> first(int64_t c, int64_t x0, int64_t x1,
+                                 bool up) const
+    {
+        if (x0 > x1 || res_.sum.lo > res_.sum.hi)
+            return std::nullopt;
+        const Shift sh{a_, c, sub_};
+        if (a_ == 0)
+            return hit(c) ? std::optional(up ? x0 : x1) : std::nullopt;
+
+        // Cut [x0, x1] where one of the three conditions changes.
+        i128 cuts[8];
+        size_t n = 0;
+        cuts[n++] = x0;
+        cuts[n++] = i128(x1) + 1;
+        const auto cut = [&](i128 lo, i128 hi, i128 k) {
+            const i128 k0 = k * x0, k1 = k * x1;
+            if (std::min(k0, k1) >= lo && std::max(k0, k1) <= hi)
+                return;
+            const auto [r0, r1] = linearRange(k, lo, hi);
+            for (const i128 b : {r0, r1 + 1})
+                if (b > x0 && b <= x1)
+                    cuts[n++] = b;
+        };
+        cut(INT64_MIN, INT64_MAX, a_);
+        cut(i128(INT64_MIN) - c, i128(INT64_MAX) - c, slope_);
+        cut(i128(wlo_) - INT64_MAX - c, i128(whi_) - INT64_MIN - c, slope_);
+        for (size_t i = 1; i < n; ++i) // insertion sort: n <= 8
+            for (size_t j = i; j > 0 && cuts[j] < cuts[j - 1]; --j)
+                std::swap(cuts[j], cuts[j - 1]);
+        n = size_t(std::unique(cuts, cuts + n) - cuts);
+
+        for (size_t i = 0; i + 1 < n; ++i) {
+            const size_t k = up ? i : n - 2 - i;
+            const int64_t p = int64_t(cuts[k]), q = int64_t(cuts[k + 1] - 1);
+            std::optional<int64_t> r;
+            if (exactAt(c, p)) {
+                r = firstExact(c, p, q, up);
+            } else {
+                assert(sh.at(p) == sh.at(q));
+                if (hit(sh.at(p)))
+                    r = up ? p : q;
+            }
+            if (r)
+                return r;
+        }
+        return std::nullopt;
+    }
+
+  private:
+    /** All three conditions hold at @p x (and so on its piece). */
+    bool exactAt(int64_t c, int64_t x) const
+    {
+        int64_t ax;
+        if (__builtin_mul_overflow(a_, x, &ax))
+            return false;
+        const i128 s = c + slope_ * x;
+        return s >= INT64_MIN && s <= INT64_MAX &&
+               i128(wlo_) - s <= INT64_MAX && i128(whi_) - s >= INT64_MIN;
+    }
+
+    /** [p, q] where nothing saturates: exact arithmetic. */
+    std::optional<int64_t> firstExact(int64_t c, i128 p, i128 q,
+                                      bool up) const
+    {
+        const Interval& hull = res_.sum;
+        if (!cong_) {
+            // Any hull value will do: y = v - c - slope*x for some v.
+            if (!narrowLinear(slope_, i128(wlo_) - c - hull.hi,
+                              i128(whi_) - c - hull.lo, p, q))
+                return std::nullopt;
+            return int64_t(up ? p : q);
+        }
+        // y = v - c - slope*x must be konst (mod g), which needs
+        // v == c + konst (mod h_): visit those offsets only.
+        std::optional<i128> best;
+        const i128 v0 = wlo_ + floorMod(i128(c) + res_.konst - wlo_, h_);
+        for (i128 v = v0; v <= whi_; v += h_) {
+            i128 r0 = p, r1 = q;
+            if (!narrowLinear(slope_, v - c - hull.hi, v - c - hull.lo, r0,
+                              r1))
+                continue;
+            const i128 r = floorMod(v - c - res_.konst, res_.gcd);
+            const i128 x = floorMod(r / h_ * inv_, m_);
+            const i128 cand = up ? r0 + floorMod(x - r0, m_)
+                                 : r1 - floorMod(r1 - x, m_);
+            if (cand < r0 || cand > r1)
+                continue;
+            if (!best || (up ? cand < *best : cand > *best))
+                best = cand;
+        }
+        return best ? std::optional(int64_t(*best)) : std::nullopt;
+    }
+
+    const Residual& res_;
+    int64_t wlo_, whi_, a_;
+    bool sub_;
+    i128 slope_; ///< ds/dx where nothing saturates
+    bool cong_;  ///< residual values are konst modulo gcd
+    i128 h_ = 1, m_ = 1, inv_ = 0;
+};
 
 /** Allocation root of a pointer expression. */
 struct Root
@@ -143,51 +394,6 @@ struct Affine
     }
 };
 
-/**
- * The non-cancelled part of a conflict equation: an exact constant
- * plus a sum of coef*sym terms summarized as a gcd stride and a
- * saturating interval hull. Every residual value is konst + gcd*k for
- * some integer k, and lies within `sum` (which includes the constant).
- * `exact` means no symbol terms survived, so the residual IS konst.
- */
-struct Residual
-{
-    bool exact = true; ///< no surviving symbol terms
-    int64_t konst = 0; ///< constant part of the residual
-    int64_t gcd = 0;   ///< stride of the symbol part; 0 when exact
-    Interval sum = Interval::of(0);
-
-    void addTerm(int64_t coef, const Interval& iv)
-    {
-        if (coef == 0)
-            return;
-        exact = false;
-        const int64_t mag = coef == INT64_MIN ? INT64_MAX : std::abs(coef);
-        gcd = gcd == 0 ? mag : std::gcd(gcd, mag);
-        // A saturated hull degrades to "anything congruent to konst
-        // modulo gcd": the congruence argument below survives it.
-        sum = Interval::add(sum, Interval::mul(Interval::of(coef), iv));
-    }
-
-    /**
-     * True when some residual value can land in [@p tlo, @p thi]: the
-     * window must intersect the hull and contain a value congruent to
-     * konst modulo the gcd stride.
-     */
-    bool solvableWindow(int64_t tlo, int64_t thi) const
-    {
-        const int64_t lo = std::max(tlo, sum.lo);
-        const int64_t hi = std::min(thi, sum.hi);
-        if (lo > hi)
-            return false;
-        if (exact)
-            return true; // sum == [konst, konst]; membership just checked
-        if (gcd <= 1)
-            return true;
-        return congruentInWindow(konst, gcd, lo, hi);
-    }
-};
-
 class RaceAnalyzer
 {
 public:
@@ -220,17 +426,11 @@ private:
     bool mallocEscapes() const;
 
     // --- conflict solving -------------------------------------------
-    struct SubResult
-    {
-        bool collide = true;  ///< some thread pair may collide
-        bool definite = false;///< a concrete witness exists
-        int64_t witness_d = 0;
-    };
-    SubResult solveSameBlock(const Affine& i1, const Affine& i2,
-                             int64_t wlo, int64_t whi, bool same_seg,
-                             bool seg_on_cycle);
-    SubResult solveCrossBlock(const Affine& i1, const Affine& i2,
-                              int64_t wlo, int64_t whi);
+    RaceSolution sameBlock(const Affine& i1, const Affine& i2,
+                           int64_t wlo, int64_t whi, bool same_seg,
+                           bool seg_on_cycle);
+    RaceSolution crossBlock(const Affine& i1, const Affine& i2,
+                            int64_t wlo, int64_t whi);
     Residual buildResidual(const Affine& i1, const Affine& i2,
                            bool cancel_uniform);
 
@@ -747,7 +947,7 @@ RaceAnalyzer::buildResidual(const Affine& i1, const Affine& i2,
     // ctaid terms. Shared symbols cancel when always-equal across
     // threads, or (same segment, off-cycle) when uniform in the block.
     Residual res;
-    res.konst = satAdd(i1.konst, -i2.konst);
+    res.konst = satSub(i1.konst, i2.konst);
     res.sum = Interval::of(res.konst);
 
     auto cancels = [&](ValueId sym) {
@@ -768,7 +968,7 @@ RaceAnalyzer::buildResidual(const Affine& i1, const Affine& i2,
         const Interval iv = symInterval(sym);
         if (cancels(sym)) {
             // One shared value v: contributes (c1 - c2) * v.
-            res.addTerm(satAdd(c1, -c2), iv);
+            res.addTerm(satSub(c1, c2), iv);
         } else {
             // Independent values per thread: c1*v1 - c2*v2, with the
             // hull and gcd of both terms tracked separately.
@@ -780,19 +980,17 @@ RaceAnalyzer::buildResidual(const Affine& i1, const Affine& i2,
     return res;
 }
 
-RaceAnalyzer::SubResult
-RaceAnalyzer::solveSameBlock(const Affine& i1, const Affine& i2,
-                             int64_t wlo, int64_t whi, bool same_seg,
-                             bool seg_on_cycle)
+RaceSolution
+RaceAnalyzer::sameBlock(const Affine& i1, const Affine& i2, int64_t wlo,
+                        int64_t whi, bool same_seg, bool seg_on_cycle)
 {
     // Same CTA: ctaid is identical on both sides, so equal-coefficient
     // ctaid terms vanish; differing coefficients cannot occur for a
     // same-block pair built from the same ctaid value, but handle them
     // by folding into the residual as zero-spread (c1-c2)*ctaid.
-    SubResult out;
     const bool cancel_uniform = same_seg && !seg_on_cycle;
     Residual res = buildResidual(i1, i2, cancel_uniform);
-    const int64_t dcta = i1.cta - i2.cta;
+    const int64_t dcta = satSub(i1.cta, i2.cta);
     if (dcta != 0) {
         const int64_t G =
             opts_.grid_blocks ? int64_t(opts_.grid_blocks) : 0;
@@ -800,139 +998,19 @@ RaceAnalyzer::solveSameBlock(const Affine& i1, const Affine& i2,
                     G ? Interval::range(0, G - 1)
                       : Interval::range(0, INT64_MAX));
     }
-
-    const int64_t B =
-        opts_.block_threads ? int64_t(opts_.block_threads) : 0;
-    const int64_t a1 = i1.tid, a2 = i2.tid;
-
-    if (a1 == a2) {
-        // Collision needs a1*d + R in [wlo, whi] for some thread delta
-        // d (d == 0 races only when the accesses are distinct dynamic
-        // operations, which the caller decides; here enumerate d != 0
-        // and also d == 0 — the caller filters self-pairs).
-        const int64_t dmax = B ? B - 1 : kEnumCap;
-        if (a1 == 0) {
-            // Index independent of tid: any two threads collide iff the
-            // residual can land in the window.
-            out.collide = res.solvableWindow(wlo, whi);
-            out.definite = res.exact && res.solvableWindow(wlo, whi);
-            out.witness_d = 1;
-            return out;
-        }
-        // a1*d must bring the residual into the width window.
-        bool collide = false;
-        bool definite = false;
-        int64_t wit = 0;
-        // Bound the useful |d| range: |a1*d| can exceed window+interval
-        // spread only so far.
-        for (int64_t d = 1; d <= dmax && d <= kEnumCap; ++d) {
-            for (int s = 0; s < 2; ++s) {
-                const int64_t dd = s ? -d : d;
-                const int64_t shift = satMul(a1, dd);
-                const int64_t lo = satAdd(wlo, -shift);
-                const int64_t hi = satAdd(whi, -shift);
-                if (res.solvableWindow(lo, hi)) {
-                    collide = true;
-                    if (res.exact) {
-                        definite = true;
-                        wit = dd;
-                    }
-                }
-                if (collide && (definite || !res.exact))
-                    break;
-            }
-            if (collide && (definite || !res.exact))
-                break;
-        }
-        if (definite && B == 0 && std::abs(wit) >= kAssumeMinBlockThreads)
-            definite = false; // witness needs more threads than assumed
-        out.collide = collide;
-        out.definite = definite;
-        out.witness_d = wit;
-        return out;
-    }
-
-    // Mixed tid coefficients: enumerate (t1, t2) when the block is
-    // small enough; otherwise give up (Unknown).
-    if (B && B <= 512) {
-        for (int64_t t1 = 0; t1 < B; ++t1) {
-            for (int64_t t2 = 0; t2 < B; ++t2) {
-                if (t1 == t2)
-                    continue;
-                const int64_t shift =
-                    satAdd(satMul(a1, t1), -satMul(a2, t2));
-                if (res.solvableWindow(satAdd(wlo, -shift),
-                                       satAdd(whi, -shift))) {
-                    out.collide = true;
-                    out.definite = res.exact;
-                    out.witness_d = t1 - t2;
-                    return out;
-                }
-            }
-        }
-        out.collide = false;
-        return out;
-    }
-    out.collide = true;
-    return out;
+    return solveSameBlock(res, i1.tid, i2.tid, opts_.block_threads, wlo,
+                          whi);
 }
 
-RaceAnalyzer::SubResult
-RaceAnalyzer::solveCrossBlock(const Affine& i1, const Affine& i2,
-                              int64_t wlo, int64_t whi)
+RaceSolution
+RaceAnalyzer::crossBlock(const Affine& i1, const Affine& i2, int64_t wlo,
+                         int64_t whi)
 {
     // Different CTAs. Only always-equal symbols cancel (uniform values
-    // differ across blocks). Never produces a definite verdict: the
-    // grid may be a single block.
-    SubResult out;
-    out.definite = false;
-    Residual res = buildResidual(i1, i2, false);
-
-    const int64_t B =
-        opts_.block_threads ? int64_t(opts_.block_threads) : 0;
-    const int64_t G = opts_.grid_blocks ? int64_t(opts_.grid_blocks) : 0;
-
-    if (i1.tid == i2.tid && i1.cta == i2.cta && B && G) {
-        const int64_t a = i1.tid, c = i1.cta;
-        // Enumerate thread delta dt in (-B, B) and block delta dc != 0
-        // in (-G, G): collision iff a*dt + c*dc + R hits the window.
-        // Folding a*dt into the residual's gcd would lose the mod-(c)
-        // structure that proves block-striped stores disjoint, so keep
-        // the double loop when it is affordable.
-        const int64_t iters = satMul(2 * B - 1, 2 * (G - 1));
-        if (iters <= (kEnumCap << 6)) {
-            for (int64_t dc = 1; dc < G; ++dc) {
-                for (int s = 0; s < 2; ++s) {
-                    const int64_t dcs = s ? -dc : dc;
-                    for (int64_t dt = -(B - 1); dt < B; ++dt) {
-                        const int64_t shift =
-                            satAdd(satMul(a, dt), satMul(c, dcs));
-                        if (res.solvableWindow(satAdd(wlo, -shift),
-                                               satAdd(whi, -shift))) {
-                            out.collide = true;
-                            return out;
-                        }
-                    }
-                }
-            }
-            out.collide = false;
-            return out;
-        }
-    }
-    // Fold geometry terms as independent-per-thread interval terms and
-    // test the window once. Also covers geometry-free indexes (all
-    // coefficients zero: pure residual window membership).
-    Residual folded = res;
-    const Interval t_iv =
-        B ? Interval::range(0, B - 1) : Interval::range(0, INT64_MAX);
-    const Interval c_iv =
-        G ? Interval::range(0, G - 1) : Interval::range(0, INT64_MAX);
-    folded.addTerm(i1.tid, t_iv);
-    folded.addTerm(-i2.tid, t_iv);
-    folded.addTerm(i1.cta, c_iv);
-    folded.addTerm(-i2.cta, c_iv);
-    out.collide = folded.solvableWindow(wlo, whi);
-    return out;
+    // differ across blocks).
+    return solveCrossBlock(buildResidual(i1, i2, false), i1.tid, i2.tid,
+                           i1.cta, i2.cta, opts_.block_threads,
+                           opts_.grid_blocks, wlo, whi);
 }
 
 bool
@@ -1133,15 +1211,15 @@ RaceAnalyzer::run()
             const bool mhp_block = segMhp(s1, s2);
 
             // Same-block subproblem (only when MHP within a block).
-            SubResult same{};
+            RaceSolution same{};
             same.collide = false;
             if (mhp_block && opts_.block_threads != 1) {
                 const bool on_cycle =
                     same_seg && s1 >= 0 && seg_on_cycle_[s1];
-                same = solveSameBlock(p1.offset, p2.offset, wlo, whi,
-                                      same_seg, on_cycle);
+                same = sameBlock(p1.offset, p2.offset, wlo, whi,
+                                 same_seg, on_cycle);
                 // A self-pair with thread delta 0 is the same dynamic
-                // access, not a race; solveSameBlock only reports d=0
+                // access, not a race; sameBlock only reports d=0
                 // collisions via the a==0 path, which for i==j means
                 // "every pair of distinct threads hits the same index"
                 // — a true conflict. Nothing to adjust here.
@@ -1149,10 +1227,10 @@ RaceAnalyzer::run()
 
             // Cross-block subproblem (global memory only: shared memory
             // is per-block).
-            SubResult cross{};
+            RaceSolution cross{};
             cross.collide = false;
             if (A.space == MemSpace::Global && opts_.grid_blocks != 1)
-                cross = solveCrossBlock(p1.offset, p2.offset, wlo, whi);
+                cross = crossBlock(p1.offset, p2.offset, wlo, whi);
 
             if (same.definite && same_seg &&
                 uniformGuard(block_of_[A.inst]) &&
@@ -1194,6 +1272,197 @@ RaceAnalyzer::run()
 }
 
 } // namespace
+
+void
+Residual::addTerm(int64_t coef, const Interval& iv)
+{
+    if (coef == 0)
+        return;
+    exact = false;
+    const int64_t mag = coef == INT64_MIN ? INT64_MAX : std::abs(coef);
+    gcd = gcd == 0 ? mag : std::gcd(gcd, mag);
+    // A saturated hull degrades to "anything congruent to konst
+    // modulo gcd": the congruence argument below survives it.
+    sum = Interval::add(sum, Interval::mul(Interval::of(coef), iv));
+}
+
+bool
+Residual::solvableWindow(int64_t tlo, int64_t thi) const
+{
+    const int64_t lo = std::max(tlo, sum.lo);
+    const int64_t hi = std::min(thi, sum.hi);
+    if (lo > hi)
+        return false;
+    if (exact)
+        return true; // sum == [konst, konst]; membership just checked
+    if (gcd <= 1)
+        return true;
+    return congruentInWindow(konst, gcd, lo, hi);
+}
+
+RaceSolution
+solveSameBlock(const Residual& res, int64_t a1, int64_t a2,
+               int64_t block_threads, int64_t wlo, int64_t whi,
+               DeltaSearch search)
+{
+    RaceSolution out;
+    const int64_t B = block_threads;
+
+    if (a1 == a2) {
+        // Collision needs a1*d + R in [wlo, whi] for some thread delta
+        // d (d == 0 races only when the accesses are distinct dynamic
+        // operations, which the caller decides; here enumerate d != 0
+        // and also d == 0 — the caller filters self-pairs).
+        const int64_t dmax = B ? B - 1 : kEnumCap;
+        if (a1 == 0) {
+            // Index independent of tid: any two threads collide iff the
+            // residual can land in the window.
+            out.collide = res.solvableWindow(wlo, whi);
+            out.definite = res.exact && res.solvableWindow(wlo, whi);
+            out.witness_d = 1;
+            return out;
+        }
+        // a1*d must bring the residual into the width window; the scan
+        // order is d = 1, -1, 2, -2, ...
+        bool collide = false;
+        bool definite = false;
+        int64_t wit = 0;
+        if (search == DeltaSearch::ClosedForm) {
+            const ShiftSolver solver(res, wlo, whi, a1, false);
+            const int64_t n = std::min(dmax, kEnumCap);
+            const auto pos = solver.first(0, 1, n, true);
+            const auto neg = solver.first(0, -n, -1, false);
+            if (pos || neg) {
+                collide = true;
+                if (res.exact) {
+                    definite = true;
+                    wit = pos && (!neg || *pos <= -*neg) ? *pos : *neg;
+                }
+            }
+        } else {
+            for (int64_t d = 1; d <= dmax && d <= kEnumCap; ++d) {
+                for (int s = 0; s < 2; ++s) {
+                    const int64_t dd = s ? -d : d;
+                    const int64_t shift = satMul(a1, dd);
+                    const int64_t lo = satSub(wlo, shift);
+                    const int64_t hi = satSub(whi, shift);
+                    if (res.solvableWindow(lo, hi)) {
+                        collide = true;
+                        if (res.exact) {
+                            definite = true;
+                            wit = dd;
+                        }
+                    }
+                    if (collide && (definite || !res.exact))
+                        break;
+                }
+                if (collide && (definite || !res.exact))
+                    break;
+            }
+        }
+        if (definite && B == 0 && std::abs(wit) >= kAssumeMinBlockThreads)
+            definite = false; // witness needs more threads than assumed
+        out.collide = collide;
+        out.definite = definite;
+        out.witness_d = wit;
+        return out;
+    }
+
+    // Mixed tid coefficients: scan (t1, t2) when the block is small
+    // enough; otherwise give up (Unknown).
+    if (B && B <= 512) {
+        const ShiftSolver solver(res, wlo, whi, a2, true);
+        for (int64_t t1 = 0; t1 < B; ++t1) {
+            std::optional<int64_t> t2;
+            if (search == DeltaSearch::ClosedForm) {
+                // shift = a1*t1 - a2*t2, first t2 != t1.
+                const int64_t c = satMul(a1, t1);
+                t2 = solver.first(c, 0, t1 - 1, true);
+                if (!t2)
+                    t2 = solver.first(c, t1 + 1, B - 1, true);
+            } else {
+                for (int64_t t = 0; t < B && !t2; ++t) {
+                    if (t == t1)
+                        continue;
+                    const int64_t shift =
+                        satSub(satMul(a1, t1), satMul(a2, t));
+                    if (res.solvableWindow(satSub(wlo, shift),
+                                           satSub(whi, shift)))
+                        t2 = t;
+                }
+            }
+            if (t2) {
+                out.collide = true;
+                out.definite = res.exact;
+                out.witness_d = t1 - *t2;
+                return out;
+            }
+        }
+        out.collide = false;
+        return out;
+    }
+    out.collide = true;
+    return out;
+}
+
+RaceSolution
+solveCrossBlock(const Residual& res, int64_t a1, int64_t a2, int64_t c1,
+                int64_t c2, int64_t block_threads, int64_t grid_blocks,
+                int64_t wlo, int64_t whi, DeltaSearch search)
+{
+    // Never produces a definite verdict: the grid may be a single block.
+    RaceSolution out;
+    out.definite = false;
+    const int64_t B = block_threads, G = grid_blocks;
+
+    if (a1 == a2 && c1 == c2 && B && G) {
+        const int64_t a = a1, c = c1;
+        // Scan thread delta dt in (-B, B) and block delta dc != 0 in
+        // (-G, G): collision iff a*dt + c*dc + R hits the window.
+        // Folding a*dt into the residual's gcd would lose the mod-(c)
+        // structure that proves block-striped stores disjoint, so keep
+        // the exact scan when it is affordable. The closed form solves
+        // each block delta's thread-delta scan at once.
+        const int64_t iters = satMul(2 * B - 1, 2 * (G - 1));
+        if (iters <= (kEnumCap << 6)) {
+            const ShiftSolver solver(res, wlo, whi, a, false);
+            for (int64_t dc = 1; dc < G; ++dc) {
+                for (int s = 0; s < 2; ++s) {
+                    const int64_t cs = satMul(c, s ? -dc : dc);
+                    if (search == DeltaSearch::ClosedForm) {
+                        if (solver.first(cs, -(B - 1), B - 1, true)) {
+                            out.collide = true;
+                            return out;
+                        }
+                        continue;
+                    }
+                    for (int64_t dt = -(B - 1); dt < B; ++dt) {
+                        if (solver.hit(satAdd(satMul(a, dt), cs))) {
+                            out.collide = true;
+                            return out;
+                        }
+                    }
+                }
+            }
+            out.collide = false;
+            return out;
+        }
+    }
+    // Fold geometry terms as independent-per-thread interval terms and
+    // test the window once. Also covers geometry-free indexes (all
+    // coefficients zero: pure residual window membership).
+    Residual folded = res;
+    const Interval t_iv =
+        B ? Interval::range(0, B - 1) : Interval::range(0, INT64_MAX);
+    const Interval c_iv =
+        G ? Interval::range(0, G - 1) : Interval::range(0, INT64_MAX);
+    folded.addTerm(a1, t_iv);
+    folded.addTerm(-a2, t_iv);
+    folded.addTerm(c1, c_iv);
+    folded.addTerm(-c2, c_iv);
+    out.collide = folded.solvableWindow(wlo, whi);
+    return out;
+}
 
 RaceReport
 analyzeRaces(const IrFunction& f, const RaceAnalysisOptions& opts)

@@ -30,8 +30,9 @@
  *     accesses sit in the same segment off any barrier-free cycle and
  *     the symbol is uniform (same loop trip, same value in every
  *     thread); everything else contributes a gcd-stride + interval
- *     residual. Thread differences are enumerated within the launch
- *     geometry (when provided). Verdicts:
+ *     residual. Thread and block differences range over the launch
+ *     geometry (when provided); solveSameBlock / solveCrossBlock decide
+ *     them in closed form. Verdicts:
  *
  *       ProvenDisjoint  no thread pair can collide on any execution;
  *       ProvenRacy      a definite witness exists (no free symbols,
@@ -130,6 +131,72 @@ struct RaceReport
         return count(RaceVerdict::Synchronized);
     }
 };
+
+/**
+ * The non-cancelled part of a conflict equation: an exact constant
+ * plus a sum of coef*sym terms summarized as a gcd stride and a
+ * saturating interval hull. Every residual value is konst + gcd*k for
+ * some integer k, and lies within `sum` (which includes the constant).
+ * `exact` means no symbol terms survived, so the residual IS konst.
+ */
+struct Residual
+{
+    bool exact = true; ///< no surviving symbol terms
+    int64_t konst = 0; ///< constant part of the residual
+    int64_t gcd = 0;   ///< stride of the symbol part; 0 when exact
+    Interval sum = Interval::of(0);
+
+    void addTerm(int64_t coef, const Interval& iv);
+
+    /**
+     * True when some residual value can land in [@p tlo, @p thi]: the
+     * window must intersect the hull and contain a value congruent to
+     * konst modulo the gcd stride.
+     */
+    bool solvableWindow(int64_t tlo, int64_t thi) const;
+};
+
+/** Outcome of one conflict subproblem (same-block or cross-block). */
+struct RaceSolution
+{
+    bool collide = true;   ///< some thread pair may collide
+    bool definite = false; ///< a concrete witness exists
+    int64_t witness_d = 0; ///< thread delta of the first witness
+};
+
+/**
+ * How the subproblem solvers search thread and block deltas: in closed
+ * form, or by the enumeration the closed form replaces. Both give the
+ * same solution, witness included; Enumerate is the test oracle.
+ */
+enum class DeltaSearch : uint8_t { ClosedForm, Enumerate };
+
+/**
+ * Same-block subproblem: can tid1*@p a1 - tid2*@p a2 + residual land in
+ * the byte window [@p wlo, @p whi] for two distinct threads of a block
+ * of @p block_threads (0 = unknown)? The window is where two accesses
+ * overlap, so wlo <= 0 <= whi. Equal coefficients scan thread deltas
+ * 1, -1, 2, -2, ... (at most 2^14 of each sign); mixed ones scan
+ * (tid1, tid2) in lexicographic order for blocks of at most 512
+ * threads, and are Unknown beyond. The witness is the first colliding
+ * delta in that order.
+ */
+RaceSolution solveSameBlock(const Residual& res, int64_t a1, int64_t a2,
+                            int64_t block_threads, int64_t wlo,
+                            int64_t whi,
+                            DeltaSearch search = DeltaSearch::ClosedForm);
+
+/**
+ * Cross-block subproblem: can two threads of different blocks collide
+ * (tid coefficients @p a1 / @p a2, ctaid coefficients @p c1 / @p c2)?
+ * With equal coefficients and a small enough geometry every (thread
+ * delta, block delta) pair is decided; otherwise the geometry terms
+ * fold into the residual. Never definite: the grid may be one block.
+ */
+RaceSolution solveCrossBlock(const Residual& res, int64_t a1, int64_t a2,
+                             int64_t c1, int64_t c2, int64_t block_threads,
+                             int64_t grid_blocks, int64_t wlo, int64_t whi,
+                             DeltaSearch search = DeltaSearch::ClosedForm);
 
 /**
  * The residual solver's congruence step: true when [@p lo, @p hi]

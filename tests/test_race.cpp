@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <vector>
 
 #include "analysis/race_analysis.hpp"
@@ -25,6 +26,7 @@ namespace lmi {
 namespace {
 
 using namespace ir;
+using analysis::Interval;
 using analysis::RaceAnalysisOptions;
 using analysis::RaceReport;
 using analysis::RaceVerdict;
@@ -120,6 +122,132 @@ TEST(RaceAnalysis, CongruentWindowMatchesWideArithmetic)
     EXPECT_TRUE(congruentInWindow(0, kMax, 1, kMax));
     EXPECT_FALSE(congruentInWindow(kMax, kMax, kMin, kMin)); // kMin = -kMax-1
     EXPECT_TRUE(congruentInWindow(kMax, kMax, kMin + 1, kMin + 1));
+}
+
+/** A seeded residual: exact, gcd-strided, saturated, or raw fields. */
+analysis::Residual
+randomResidual(Rng& rng, const std::vector<int64_t>& coefs)
+{
+    constexpr int64_t kMin = INT64_MIN, kMax = INT64_MAX;
+    const std::vector<Interval> intervals = {
+        Interval::of(0),         Interval::range(0, 3),
+        Interval::range(-5, 5),  Interval::range(0, 255),
+        Interval::range(0, int64_t(1) << 31), Interval::full(),
+        Interval::range(0, kMax), Interval::range(kMin, 0)};
+    const auto small = [&rng] { return int64_t(rng.below(129)) - 64; };
+    analysis::Residual res;
+    switch (rng.below(4)) {
+    case 0: // exact
+        res.konst = rng.chance(0.8) ? small() : coefs[rng.below(coefs.size())];
+        res.sum = Interval::of(res.konst);
+        break;
+    case 1: // gcd-strided, bounded or saturated hull
+    case 2:
+        res.konst = small();
+        res.sum = Interval::of(res.konst);
+        for (uint64_t n = rng.range(1, 2); n; --n)
+            res.addTerm(coefs[rng.below(coefs.size())],
+                        intervals[rng.below(intervals.size())]);
+        break;
+    default: { // raw fields, extreme values included
+        res.exact = false;
+        res.konst = int64_t(rng.next());
+        res.gcd = rng.chance(0.5) ? int64_t(rng.below(65))
+                                  : int64_t(rng.below(uint64_t(kMax)));
+        // Hull ends at, near or far from the int64 ends, where the
+        // scans' saturated windows land.
+        const auto end = [&](int64_t extreme, int64_t toward) {
+            const uint64_t pick = rng.below(3);
+            return pick == 0   ? extreme
+                   : pick == 1 ? extreme + toward * int64_t(rng.below(40))
+                               : int64_t(rng.next());
+        };
+        int64_t lo = end(kMin, 1);
+        int64_t hi = end(kMax, -1);
+        if (lo > hi)
+            std::swap(lo, hi);
+        res.sum = Interval::range(lo, hi);
+        break;
+    }
+    }
+    return res;
+}
+
+TEST(RaceAnalysis, ClosedFormMatchesEnumeration)
+{
+    using analysis::DeltaSearch;
+    using analysis::RaceSolution;
+    constexpr int64_t kMin = INT64_MIN, kMax = INT64_MAX;
+    std::vector<int64_t> coefs = {0,       1,        -1,       2,
+                                  -2,      3,        4,        -4,
+                                  8,       12,       -12,      256,
+                                  4096,    -4096,    kMin,     kMin + 1,
+                                  kMax,    kMax - 1, kMax / 3, -(kMax / 3),
+                                  int64_t(1) << 62, -(int64_t(1) << 62),
+                                  (int64_t(1) << 50) + 4};
+    const std::vector<int64_t> blocks = {0, 1, 2, 3, 5, 8, 17, 32, 33,
+                                         64, 96, 512};
+    const std::vector<int64_t> grids = {0, 1, 2, 3, 5, 9, 40};
+    const int64_t widths[] = {1, 2, 4, 8, 16};
+
+    Rng rng(24);
+    size_t same_collide = 0, same_clear = 0, definite = 0, mixed = 0,
+           mixed_collide = 0, cross_collide = 0, cross_clear = 0;
+    for (int i = 0; i < 6000; ++i) {
+        const analysis::Residual res = randomResidual(rng, coefs);
+        const auto coef = [&] {
+            return rng.chance(0.7) ? coefs[rng.below(coefs.size())]
+                                   : int64_t(rng.below(41)) - 20;
+        };
+        const int64_t a1 = coef();
+        const int64_t a2 = rng.chance(0.6) ? a1 : coef();
+        const int64_t c1 = coef();
+        const int64_t c2 = rng.chance(0.8) ? c1 : coef();
+        // Mixed coefficients scan B^2 pairs: keep most blocks small.
+        int64_t B = blocks[rng.below(blocks.size())];
+        if (a1 != a2 && B > 96 && rng.chance(0.9))
+            B = 33;
+        const int64_t G = grids[rng.below(grids.size())];
+        const int64_t wlo = -(widths[rng.below(5)] - 1);
+        const int64_t whi = widths[rng.below(5)] - 1;
+        std::ostringstream what;
+        what << "instance " << i << ": exact=" << res.exact
+             << " konst=" << res.konst << " gcd=" << res.gcd << " sum="
+             << res.sum.toString() << " a1=" << a1 << " a2=" << a2
+             << " c1=" << c1 << " c2=" << c2 << " B=" << B << " G=" << G
+             << " window=[" << wlo << ", " << whi << "]";
+
+        const RaceSolution fast =
+            analysis::solveSameBlock(res, a1, a2, B, wlo, whi);
+        const RaceSolution slow = analysis::solveSameBlock(
+            res, a1, a2, B, wlo, whi, DeltaSearch::Enumerate);
+        ASSERT_EQ(fast.collide, slow.collide) << what.str();
+        ASSERT_EQ(fast.definite, slow.definite) << what.str();
+        ASSERT_EQ(fast.witness_d, slow.witness_d) << what.str();
+        (slow.collide ? same_collide : same_clear) += a1 == a2;
+        definite += slow.definite && slow.witness_d != 1;
+        if (a1 != a2 && B && B <= 512) {
+            ++mixed;
+            mixed_collide += slow.collide;
+        }
+
+        const RaceSolution fast_x = analysis::solveCrossBlock(
+            res, a1, a2, c1, c2, B, G, wlo, whi);
+        const RaceSolution slow_x = analysis::solveCrossBlock(
+            res, a1, a2, c1, c2, B, G, wlo, whi, DeltaSearch::Enumerate);
+        ASSERT_EQ(fast_x.collide, slow_x.collide) << what.str();
+        ASSERT_EQ(fast_x.definite, slow_x.definite) << what.str();
+        if (a1 == a2 && c1 == c2 && B && G > 1)
+            (slow_x.collide ? cross_collide : cross_clear) += 1;
+    }
+    // Every branch saw both outcomes.
+    EXPECT_GT(same_collide, 100u);
+    EXPECT_GT(same_clear, 100u);
+    EXPECT_GT(definite, 50u);
+    EXPECT_GT(mixed_collide, 50u);
+    EXPECT_GT(mixed - mixed_collide, 50u);
+    EXPECT_GT(cross_collide, 100u);
+    EXPECT_GT(cross_clear, 100u);
 }
 
 // ---------------------------------------------------------------------
