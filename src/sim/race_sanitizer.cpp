@@ -1,5 +1,6 @@
 #include "sim/race_sanitizer.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace lmi {
@@ -67,6 +68,64 @@ RaceSanitizer::check(MemSpace space, const Access& cur,
     reports_.push_back(std::move(r));
 }
 
+namespace {
+
+/** Word indexes wrap with the 64-bit address space. */
+constexpr uint64_t kWordMask = (uint64_t(1) << 62) - 1;
+constexpr unsigned kPageWordsLog2 = 10;
+
+} // namespace
+
+RaceSanitizer::BlockState&
+RaceSanitizer::blockState(uint32_t block)
+{
+    if (!last_state_ || last_block_ != block) {
+        last_state_ = &blocks_[block];
+        last_block_ = block;
+    }
+    return *last_state_;
+}
+
+RaceSanitizer::Cell&
+RaceSanitizer::cell(Shadow& shadow, uint64_t word)
+{
+    const uint64_t no = word >> kPageWordsLog2;
+    if (no != shadow.last_no) {
+        std::unique_ptr<Page>& page = shadow.pages[no];
+        if (!page) {
+            if (spare_.empty()) {
+                page = std::make_unique<Page>();
+            } else {
+                page = std::move(spare_.back());
+                spare_.pop_back();
+            }
+        }
+        shadow.last_no = no;
+        shadow.last = page.get();
+    }
+    Page& page = *shadow.last;
+    const uint32_t i = uint32_t(word & (Page::kWords - 1));
+    Cell& c = page.cells[i];
+    if (!c.last_write.valid && !c.last_read.valid) {
+        ++shadow.words;
+        page.lo = std::min(page.lo, i);
+        page.hi = std::max(page.hi, i + 1);
+    }
+    return c;
+}
+
+void
+RaceSanitizer::forget(Shadow& shadow, Page& page, uint32_t lo, uint32_t hi)
+{
+    for (uint32_t i = lo; i < hi; ++i) {
+        Cell& c = page.cells[i];
+        if (c.last_write.valid || c.last_read.valid) {
+            --shadow.words;
+            c = Cell{};
+        }
+    }
+}
+
 void
 RaceSanitizer::onAccess(MemSpace space, uint32_t block, uint32_t warp,
                         uint32_t gtid, uint64_t pc, uint64_t addr,
@@ -76,6 +135,7 @@ RaceSanitizer::onAccess(MemSpace space, uint32_t block, uint32_t warp,
     if (space != MemSpace::Global && space != MemSpace::Shared)
         return; // local/constant memory is thread-private/read-only
 
+    BlockState& state = blockState(block);
     Access cur;
     cur.valid = true;
     cur.is_store = is_store;
@@ -85,25 +145,24 @@ RaceSanitizer::onAccess(MemSpace space, uint32_t block, uint32_t warp,
     cur.warp = warp;
     cur.gtid = gtid;
     cur.pc = pc;
-    if (auto it = epochs_.find(block); it != epochs_.end())
-        cur.epoch = it->second;
+    cur.epoch = state.epoch;
 
-    auto& shadow = space == MemSpace::Shared ? shared_ : global_;
+    Shadow& shadow = space == MemSpace::Shared ? state.shared : global_;
+    // Count words rather than compare word indexes, so a range ending
+    // past 2^64 wraps instead of covering nothing.
     const uint64_t first_word = addr >> 2;
-    const uint64_t last_word = (addr + (width ? width : 1) - 1) >> 2;
-    for (uint64_t w = first_word; w <= last_word; ++w) {
-        const uint64_t key = space == MemSpace::Shared
-                                 ? (uint64_t(block) << 40) | w
-                                 : w;
-        Cell& cell = shadow[key];
+    const uint64_t words = ((addr & 3) + (width ? width : 1) - 1) / 4 + 1;
+    for (uint64_t k = 0; k < words; ++k) {
+        const uint64_t w = (first_word + k) & kWordMask;
+        Cell& c = cell(shadow, w);
         // A store conflicts with the previous write and the previous
         // read; a load only with the previous write.
-        check(space, cur, cell.last_write, w << 2);
+        check(space, cur, c.last_write, w << 2);
         if (is_store) {
-            check(space, cur, cell.last_read, w << 2);
-            cell.last_write = cur;
+            check(space, cur, c.last_read, w << 2);
+            c.last_write = cur;
         } else {
-            cell.last_read = cur;
+            c.last_read = cur;
         }
     }
 }
@@ -111,30 +170,78 @@ RaceSanitizer::onAccess(MemSpace space, uint32_t block, uint32_t warp,
 void
 RaceSanitizer::onBarrierRelease(uint32_t block)
 {
-    ++epochs_[block];
+    ++blockState(block).epoch;
 }
 
 void
 RaceSanitizer::onBlockRetire(uint32_t block)
 {
-    epochs_.erase(block);
-    const uint64_t lo = uint64_t(block) << 40;
-    const uint64_t hi = uint64_t(block + 1) << 40;
-    for (auto it = shared_.begin(); it != shared_.end();) {
-        if (it->first >= lo && it->first < hi)
-            it = shared_.erase(it);
-        else
-            ++it;
+    const auto it = blocks_.find(block);
+    if (it == blocks_.end())
+        return;
+    for (auto& [no, page] : it->second.shared.pages) {
+        forget(it->second.shared, *page, page->lo, page->hi);
+        page->lo = Page::kWords;
+        page->hi = 0;
+        spare_.push_back(std::move(page));
     }
+    if (last_state_ == &it->second)
+        last_state_ = nullptr;
+    blocks_.erase(it);
 }
 
 void
 RaceSanitizer::onDeviceAlloc(uint64_t ptr, uint64_t size)
 {
-    const uint64_t first_word = ptr >> 2;
-    const uint64_t last_word = size ? (ptr + size - 1) >> 2 : first_word;
-    for (uint64_t w = first_word; w <= last_word; ++w)
-        global_.erase(w);
+    // Words [first, first + count) modulo 2^62, count = 1 for size 0.
+    const uint64_t first = ptr >> 2;
+    uint64_t count = 1;
+    if (size) {
+        const uint64_t q = (size - 1) >> 2, r = (size - 1) & 3;
+        count = std::min(q + 1 + ((ptr & 3) + r) / 4, kWordMask + 1);
+    }
+    // Clear [w0, w1] (no wrap) on the pages of it that hold shadow,
+    // visiting whichever is fewer: its pages or the shadowed ones.
+    const auto clear = [this](uint64_t w0, uint64_t w1) {
+        const uint64_t p0 = w0 >> kPageWordsLog2, p1 = w1 >> kPageWordsLog2;
+        const auto clearPage = [&](uint64_t no, Page& page) {
+            const uint64_t base = no << kPageWordsLog2;
+            const uint32_t lo = uint32_t(std::max(w0, base) - base);
+            const uint32_t hi =
+                uint32_t(std::min(w1, base + Page::kWords - 1) - base + 1);
+            forget(global_, page, std::max(lo, page.lo),
+                   std::min(hi, page.hi));
+        };
+        if (p1 - p0 < global_.pages.size()) {
+            for (uint64_t no = p0;; ++no) {
+                if (const auto it = global_.pages.find(no);
+                    it != global_.pages.end())
+                    clearPage(no, *it->second);
+                if (no == p1)
+                    break;
+            }
+        } else {
+            for (auto& [no, page] : global_.pages)
+                if (no >= p0 && no <= p1)
+                    clearPage(no, *page);
+        }
+    };
+    const uint64_t last = (first + count - 1) & kWordMask;
+    if (last >= first) {
+        clear(first, last);
+    } else {
+        clear(first, kWordMask);
+        clear(0, last);
+    }
+}
+
+size_t
+RaceSanitizer::wordsTracked() const
+{
+    size_t n = global_.words;
+    for (const auto& [block, state] : blocks_)
+        n += state.shared.words;
+    return n;
 }
 
 } // namespace lmi

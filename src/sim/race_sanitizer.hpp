@@ -16,6 +16,15 @@
  *    order; a barrier release bumps the block's epoch, ordering
  *    everything before it against everything after).
  *
+ * The shadow is page-dense: global memory keeps one 4 KiB page of
+ * cells (1024 words) per page it touched, found through a page map
+ * with a one-entry cache of the last page used. Each live block keeps
+ * its own state: its barrier epoch and its shared-memory shadow pages,
+ * behind a one-entry cache of the last block used. So an access costs
+ * a couple of compares in the common case, a block retiring frees only
+ * that block's pages, and a device allocation clears only the pages it
+ * overlaps that hold shadow.
+ *
  * Keeping only the *last* reader per word is the usual sanitizer
  * approximation: it can miss a conflict against an earlier reader but
  * never invents one, which is the right bias for validating static
@@ -29,7 +38,9 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,7 +67,8 @@ class RaceSanitizer
         std::string toString() const;
     };
 
-    /** Record one executed access covering [addr, addr+width). Scoped
+    /** Record one executed access covering [addr, addr+width) (width 0
+     *  counts as 1; the range wraps past 2^64 to address 0). Scoped
      *  atomics pass is_atomic=true with their scope: a conflicting pair
      *  where both sides are atomic at sufficient scope (cta for
      *  same-block pairs, gpu/sys across blocks) synchronizes rather
@@ -74,14 +86,13 @@ class RaceSanitizer
     void onBlockRetire(uint32_t block);
 
     /** Device heap handed out [ptr, ptr+size): forget stale shadow so
-     *  reuse of recycled memory is not misread as a race. */
+     *  reuse of recycled memory is not misread as a race. Size 0
+     *  forgets the word holding ptr. */
     void onDeviceAlloc(uint64_t ptr, uint64_t size);
 
     size_t conflictCount() const { return conflicts_; }
-    size_t wordsTracked() const
-    {
-        return global_.size() + shared_.size();
-    }
+    /** Words holding shadow state (touched and not since forgotten). */
+    size_t wordsTracked() const;
     const std::vector<Report>& reports() const { return reports_; }
 
     /** Detected-conflict reports kept in full (the rest only counted). */
@@ -90,28 +101,54 @@ class RaceSanitizer
   private:
     struct Access
     {
+        uint64_t epoch = 0, pc = 0;
+        uint32_t block = 0, warp = 0, gtid = 0;
         bool valid = false;
         bool is_store = false;
         bool is_atomic = false;
         MemScope scope = MemScope::Cta;
-        uint32_t block = 0, warp = 0, gtid = 0;
-        uint64_t epoch = 0, pc = 0;
     };
     struct Cell
     {
         Access last_write;
         Access last_read;
     };
+    /** Shadow of one 4 KiB page, and the span of cells filled since it
+     *  was last cleared. A default Cell is all zero bytes. */
+    struct Page
+    {
+        static constexpr uint32_t kWords = 1024;
+        std::array<Cell, kWords> cells{};
+        uint32_t lo = kWords, hi = 0;
+    };
+    /** The shadow pages of one address space, by page number. */
+    struct Shadow
+    {
+        std::unordered_map<uint64_t, std::unique_ptr<Page>> pages;
+        uint64_t last_no = ~uint64_t(0); ///< one-entry lookup cache
+        Page* last = nullptr;
+        size_t words = 0; ///< cells holding an access
+    };
+    struct BlockState
+    {
+        uint64_t epoch = 0;
+        Shadow shared;
+    };
 
     void check(MemSpace space, const Access& cur, const Access& prev,
                uint64_t addr);
+    BlockState& blockState(uint32_t block);
+    Cell& cell(Shadow& shadow, uint64_t word);
+    /** Empties cells [lo, hi) of @p page, counting them off @p shadow. */
+    static void forget(Shadow& shadow, Page& page, uint32_t lo,
+                       uint32_t hi);
 
-    /** Global shadow, keyed by word index. */
-    std::unordered_map<uint64_t, Cell> global_;
-    /** Shared shadow, keyed by (block << 40) | word index. */
-    std::unordered_map<uint64_t, Cell> shared_;
-    /** Barrier epoch per block (absent = 0). */
-    std::unordered_map<uint32_t, uint64_t> epochs_;
+    Shadow global_;
+    std::unordered_map<uint32_t, BlockState> blocks_;
+    uint32_t last_block_ = 0;          ///< one-entry cache of blocks_
+    BlockState* last_state_ = nullptr;
+    /** Cleared pages of retired blocks, for reuse. */
+    std::vector<std::unique_ptr<Page>> spare_;
 
     size_t conflicts_ = 0;
     std::vector<Report> reports_;

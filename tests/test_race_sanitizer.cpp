@@ -140,5 +140,27 @@ TEST(RaceSanitizer, DeviceAllocMidPageForgetsOnlyItsWords)
     EXPECT_EQ(s.wordsTracked(), 11u);
 }
 
+TEST(RaceSanitizer, AccessEndingPastAddressSpaceTopWraps)
+{
+    // Bytes 0x...fffe, 0x...ffff, 0x0, 0x1: the last word and word 0.
+    constexpr uint64_t kTop = 0xFFFF'FFFF'FFFF'FFFEull;
+    RaceSanitizer s;
+    s.onAccess(MemSpace::Global, 0, 0, 0, 1, kTop, 4, true);
+    s.onAccess(MemSpace::Global, 0, 1, 32, 2, kTop, 4, true);
+    EXPECT_EQ(s.wordsTracked(), 2u);
+    EXPECT_EQ(s.conflictCount(), 2u);
+    ASSERT_EQ(s.reports().size(), 2u);
+    EXPECT_EQ(s.reports()[0].addr, 0xFFFF'FFFF'FFFF'FFFCull);
+    EXPECT_EQ(s.reports()[1].addr, 0u);
+
+    // A store to word 0 alone conflicts with the wrapped one.
+    s.onAccess(MemSpace::Global, 1, 0, 64, 3, 0x0, 4, true);
+    EXPECT_EQ(s.conflictCount(), 3u);
+
+    // An allocation wrapping the same way forgets both words.
+    s.onDeviceAlloc(kTop, 4);
+    EXPECT_EQ(s.wordsTracked(), 0u);
+}
+
 } // namespace
 } // namespace lmi
