@@ -19,14 +19,19 @@ RaceSanitizer::Report::toString() const
     return os.str();
 }
 
-void
-RaceSanitizer::check(MemSpace space, const Access& cur,
-                     const Access& prev, uint64_t addr)
+inline bool
+RaceSanitizer::conflicts(const Access& cur, const Access& prev)
 {
     if (!prev.valid)
-        return;
+        return false;
+    // Different blocks are never ordered within a kernel (shared memory
+    // is per-block, so this arises for global memory only); warps of
+    // one block are ordered by barrier epochs.
+    if (prev.block == cur.block &&
+        (prev.warp == cur.warp || prev.epoch != cur.epoch))
+        return false;
     if (!cur.is_store && !prev.is_store)
-        return;
+        return false;
     if (cur.is_atomic && prev.is_atomic) {
         // A properly scoped atomic pair synchronizes instead of racing:
         // cta scope covers same-block pairs, gpu/sys scope covers any
@@ -36,18 +41,15 @@ RaceSanitizer::check(MemSpace space, const Access& cur,
                                                       : MemScope::Cta;
         if (uint8_t(cur.scope) >= uint8_t(need) &&
             uint8_t(prev.scope) >= uint8_t(need))
-            return;
+            return false;
     }
-    bool conflict;
-    if (prev.block != cur.block) {
-        // Different blocks are never ordered within a kernel; shared
-        // memory is per-block, so this arises for global memory only.
-        conflict = true;
-    } else {
-        conflict = prev.warp != cur.warp && prev.epoch == cur.epoch;
-    }
-    if (!conflict)
-        return;
+    return true;
+}
+
+void
+RaceSanitizer::report(MemSpace space, const Access& cur,
+                      const Access& prev, uint64_t addr)
+{
     ++conflicts_;
     if (reports_.size() >= kMaxReports)
         return;
@@ -76,7 +78,7 @@ constexpr unsigned kPageWordsLog2 = 10;
 
 } // namespace
 
-RaceSanitizer::BlockState&
+inline RaceSanitizer::BlockState&
 RaceSanitizer::blockState(uint32_t block)
 {
     if (!last_state_ || last_block_ != block) {
@@ -86,23 +88,28 @@ RaceSanitizer::blockState(uint32_t block)
     return *last_state_;
 }
 
-RaceSanitizer::Cell&
+void
+RaceSanitizer::findPage(Shadow& shadow, uint64_t no)
+{
+    std::unique_ptr<Page>& page = shadow.pages[no];
+    if (!page) {
+        if (spare_.empty()) {
+            page = std::make_unique<Page>();
+        } else {
+            page = std::move(spare_.back());
+            spare_.pop_back();
+        }
+    }
+    shadow.last_no = no;
+    shadow.last = page.get();
+}
+
+inline RaceSanitizer::Cell&
 RaceSanitizer::cell(Shadow& shadow, uint64_t word)
 {
     const uint64_t no = word >> kPageWordsLog2;
-    if (no != shadow.last_no) {
-        std::unique_ptr<Page>& page = shadow.pages[no];
-        if (!page) {
-            if (spare_.empty()) {
-                page = std::make_unique<Page>();
-            } else {
-                page = std::move(spare_.back());
-                spare_.pop_back();
-            }
-        }
-        shadow.last_no = no;
-        shadow.last = page.get();
-    }
+    if (no != shadow.last_no)
+        findPage(shadow, no);
     Page& page = *shadow.last;
     const uint32_t i = uint32_t(word & (Page::kWords - 1));
     Cell& c = page.cells[i];
@@ -157,9 +164,11 @@ RaceSanitizer::onAccess(MemSpace space, uint32_t block, uint32_t warp,
         Cell& c = cell(shadow, w);
         // A store conflicts with the previous write and the previous
         // read; a load only with the previous write.
-        check(space, cur, c.last_write, w << 2);
+        if (conflicts(cur, c.last_write))
+            report(space, cur, c.last_write, w << 2);
         if (is_store) {
-            check(space, cur, c.last_read, w << 2);
+            if (conflicts(cur, c.last_read))
+                report(space, cur, c.last_read, w << 2);
             c.last_write = cur;
         } else {
             c.last_read = cur;

@@ -135,10 +135,15 @@ class RaceSanitizer
         Shadow shared;
     };
 
-    void check(MemSpace space, const Access& cur, const Access& prev,
-               uint64_t addr);
+    /** True when @p cur races with the earlier @p prev on one word. */
+    static bool conflicts(const Access& cur, const Access& prev);
+    void report(MemSpace space, const Access& cur, const Access& prev,
+                uint64_t addr);
     BlockState& blockState(uint32_t block);
+    /** The cell of @p word, counting it in when it was empty. */
     Cell& cell(Shadow& shadow, uint64_t word);
+    /** Points the shadow's cache at page @p no, creating it if new. */
+    void findPage(Shadow& shadow, uint64_t no);
     /** Empties cells [lo, hi) of @p page, counting them off @p shadow. */
     static void forget(Shadow& shadow, Page& page, uint32_t lo,
                        uint32_t hi);
