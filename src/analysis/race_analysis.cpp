@@ -96,10 +96,9 @@ satSub(int64_t a, int64_t b)
 //    window offset v the hull bounds x to one interval, and the
 //    congruence slope*x == v - c - konst (mod gcd) is a linear
 //    Diophantine equation, solved once per solver by extended gcd.
-//  - On every other piece the shift is constant: a saturated product,
-//    a sum saturated to one end, or (the window failing to overlap
-//    int64, which wlo <= 0 <= whi allows only there) s == INT64_MIN.
-//    One test decides the whole piece.
+//  - On every other piece the shifted window is constant: the product
+//    or the sum saturates to one int64 end, or the window lies wholly
+//    past one end and clamps to it. One test decides the whole piece.
 
 using i128 = __int128;
 
@@ -188,14 +187,14 @@ class ShiftSolver
 {
   public:
     /** Shifts of slope @p a (negated when @p sub) against @p res and
-     *  the byte window [@p wlo, @p whi], wlo <= 0 <= whi. */
+     *  the byte window [@p wlo, @p whi], wlo <= whi. */
     ShiftSolver(const Residual& res, int64_t wlo, int64_t whi, int64_t a,
                 bool sub)
         : res_(res), wlo_(wlo), whi_(whi), a_(a), sub_(sub),
           slope_(sub ? -i128(a) : i128(a)),
           cong_(!res.exact && res.gcd > 1)
     {
-        assert(wlo <= 0 && whi >= 0);
+        assert(wlo <= whi);
         if (a != 0 && cong_) {
             // slope*x == r (mod g) is solvable iff h | r, and then
             // x == (r/h) * inv_ (mod m_).
@@ -207,10 +206,17 @@ class ShiftSolver
         }
     }
 
+    /** The window shifted by @p s, each end clamped to int64. */
+    std::pair<int64_t, int64_t> window(int64_t s) const
+    {
+        return {satSub(wlo_, s), satSub(whi_, s)};
+    }
+
     /** True when the window shifted by @p s can hold a residual. */
     bool hit(int64_t s) const
     {
-        return res_.solvableWindow(satSub(wlo_, s), satSub(whi_, s));
+        const auto [lo, hi] = window(s);
+        return res_.solvableWindow(lo, hi);
     }
 
     /**
@@ -256,7 +262,7 @@ class ShiftSolver
             if (exactAt(c, p)) {
                 r = firstExact(c, p, q, up);
             } else {
-                assert(sh.at(p) == sh.at(q));
+                assert(window(sh.at(p)) == window(sh.at(q)));
                 if (hit(sh.at(p)))
                     r = up ? p : q;
             }
@@ -973,7 +979,7 @@ RaceAnalyzer::buildResidual(const Affine& i1, const Affine& i2,
             // Independent values per thread: c1*v1 - c2*v2, with the
             // hull and gcd of both terms tracked separately.
             res.addTerm(c1, iv);
-            res.addTerm(-c2, iv);
+            res.addTerm(satSub(0, c2), iv);
         }
     }
 
@@ -1457,9 +1463,9 @@ solveCrossBlock(const Residual& res, int64_t a1, int64_t a2, int64_t c1,
     const Interval c_iv =
         G ? Interval::range(0, G - 1) : Interval::range(0, INT64_MAX);
     folded.addTerm(a1, t_iv);
-    folded.addTerm(-a2, t_iv);
+    folded.addTerm(satSub(0, a2), t_iv);
     folded.addTerm(c1, c_iv);
-    folded.addTerm(-c2, c_iv);
+    folded.addTerm(satSub(0, c2), c_iv);
     out.collide = folded.solvableWindow(wlo, whi);
     return out;
 }

@@ -175,7 +175,7 @@ enum class DeltaSearch : uint8_t { ClosedForm, Enumerate };
  * Same-block subproblem: can tid1*@p a1 - tid2*@p a2 + residual land in
  * the byte window [@p wlo, @p whi] for two distinct threads of a block
  * of @p block_threads (0 = unknown)? The window is where two accesses
- * overlap, so wlo <= 0 <= whi. Equal coefficients scan thread deltas
+ * overlap (wlo <= whi). Equal coefficients scan thread deltas
  * 1, -1, 2, -2, ... (at most 2^14 of each sign); mixed ones scan
  * (tid1, tid2) in lexicographic order for blocks of at most 512
  * threads, and are Unknown beyond. The witness is the first colliding

@@ -208,8 +208,15 @@ TEST(RaceAnalysis, ClosedFormMatchesEnumeration)
         if (a1 != a2 && B > 96 && rng.chance(0.9))
             B = 33;
         const int64_t G = grids[rng.below(grids.size())];
-        const int64_t wlo = -(widths[rng.below(5)] - 1);
-        const int64_t whi = widths[rng.below(5)] - 1;
+        int64_t wlo = -(widths[rng.below(5)] - 1);
+        int64_t whi = widths[rng.below(5)] - 1;
+        if (rng.chance(0.2)) {
+            // Windows off zero or at the int64 ends, where a shifted
+            // window can clamp wholly to one end.
+            const int64_t bases[] = {-20, kMin, kMax - 40};
+            wlo = bases[rng.below(3)] + int64_t(rng.below(20));
+            whi = wlo + int64_t(rng.below(20));
+        }
         std::ostringstream what;
         what << "instance " << i << ": exact=" << res.exact
              << " konst=" << res.konst << " gcd=" << res.gcd << " sum="
