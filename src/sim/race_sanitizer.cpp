@@ -74,7 +74,6 @@ namespace {
 
 /** Word indexes wrap with the 64-bit address space. */
 constexpr uint64_t kWordMask = (uint64_t(1) << 62) - 1;
-constexpr unsigned kPageWordsLog2 = 10;
 
 } // namespace
 
@@ -107,7 +106,7 @@ RaceSanitizer::findPage(Shadow& shadow, uint64_t no)
 inline RaceSanitizer::Cell&
 RaceSanitizer::cell(Shadow& shadow, uint64_t word)
 {
-    const uint64_t no = word >> kPageWordsLog2;
+    const uint64_t no = word >> Page::kWordsLog2;
     if (no != shadow.last_no)
         findPage(shadow, no);
     Page& page = *shadow.last;
@@ -212,9 +211,10 @@ RaceSanitizer::onDeviceAlloc(uint64_t ptr, uint64_t size)
     // Clear [w0, w1] (no wrap) on the pages of it that hold shadow,
     // visiting whichever is fewer: its pages or the shadowed ones.
     const auto clear = [this](uint64_t w0, uint64_t w1) {
-        const uint64_t p0 = w0 >> kPageWordsLog2, p1 = w1 >> kPageWordsLog2;
+        const uint64_t p0 = w0 >> Page::kWordsLog2;
+        const uint64_t p1 = w1 >> Page::kWordsLog2;
         const auto clearPage = [&](uint64_t no, Page& page) {
-            const uint64_t base = no << kPageWordsLog2;
+            const uint64_t base = no << Page::kWordsLog2;
             const uint32_t lo = uint32_t(std::max(w0, base) - base);
             const uint32_t hi =
                 uint32_t(std::min(w1, base + Page::kWords - 1) - base + 1);

@@ -117,7 +117,8 @@ class RaceSanitizer
      *  was last cleared. A default Cell is all zero bytes. */
     struct Page
     {
-        static constexpr uint32_t kWords = 1024;
+        static constexpr unsigned kWordsLog2 = 10;
+        static constexpr uint32_t kWords = 1u << kWordsLog2;
         std::array<Cell, kWords> cells{};
         uint32_t lo = kWords, hi = 0;
     };
