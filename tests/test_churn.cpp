@@ -41,32 +41,65 @@ TEST(Churn, BasketRunsAreDeterministic)
 
 TEST(Churn, BasketMatchesGoldenValues)
 {
-    // Placement, fault classification and extent-table size of every
-    // basket spec at scale 0.05, pinned so that an allocator change
-    // that moves any of them fails here rather than only in the
-    // throughput bench.
+    // Placement, fault classification, extent-table size, remote-free
+    // counters and footprint of every basket spec at scale 0.05, pinned
+    // so that an allocator change that moves any of them fails here
+    // rather than only in the throughput bench. Drain interval 0 drains
+    // only at the end, so (from, owner) runs exceed kRemoteBatch and
+    // the batch count covers full batches as well as remainders.
     struct Golden
     {
         const char* name;
+        unsigned drain;
         uint64_t digest;
         uint64_t stale_faults;
         uint64_t extents;
+        uint64_t remote_posted;
+        uint64_t remote_batches;
+        uint64_t remote_drained;
+        uint64_t drain_calls;
+        uint64_t footprint;
     };
     static constexpr Golden kGolden[] = {
-        {"heap_small_packed", 0x6b4d1838fae616b4ull, 0, 2154},
-        {"heap_mixed_packed", 0xefbaaad5b27836c1ull, 0, 2522},
-        {"heap_cross_sm_pow2", 0xdd4674696efa074bull, 0, 2292},
-        {"global_packed", 0x70bfc97e5989149cull, 0, 3047},
-        {"global_pow2", 0x15958d3c82c2c1e3ull, 0, 1145},
-        {"heap_temporal", 0xd108650da690f0ceull, 84, 1327},
+        {"heap_small_packed", 256, 0x6b4d1838fae616b4ull, 0, 2154, 1619, 1356,
+         1619, 78, 850176},
+        {"heap_mixed_packed", 256, 0xefbaaad5b27836c1ull, 0, 2522, 2393, 1867,
+         2393, 79, 14360064},
+        {"heap_cross_sm_pow2", 256, 0xdd4674696efa074bull, 0, 2292, 4248,
+         3820, 4248, 79, 9961472},
+        {"global_packed", 256, 0x70bfc97e5989149cull, 0, 3047, 0, 0, 0, 0,
+         471526656},
+        {"global_pow2", 256, 0x15958d3c82c2c1e3ull, 0, 1145, 0, 0, 0, 0,
+         191102976},
+        {"heap_temporal", 256, 0xd108650da690f0ceull, 84, 1327, 1041, 836,
+         1041, 40, 2728576},
+        {"heap_small_packed", 0, 0x1435e2ea849c141eull, 0, 3611, 1619, 74,
+         1619, 1, 1327104},
+        {"heap_mixed_packed", 0, 0x738272dfd2a11a76ull, 0, 4653, 2393, 111,
+         2393, 1, 24574976},
+        {"heap_cross_sm_pow2", 0, 0xad8bcfc86b3d741full, 0, 6363, 4248, 240,
+         4248, 1, 20840448},
+        {"global_packed", 0, 0x70bfc97e5989149cull, 0, 3047, 0, 0, 0, 0,
+         471526656},
+        {"global_pow2", 0, 0x15958d3c82c2c1e3ull, 0, 1145, 0, 0, 0, 0,
+         191102976},
+        {"heap_temporal", 0, 0x1f9b23e52402a237ull, 195, 2170, 963, 56, 963,
+         1, 4673920},
     };
-    ASSERT_EQ(churnBasket().size(), std::size(kGolden));
+    ASSERT_EQ(2 * churnBasket().size(), std::size(kGolden));
     for (const Golden& g : kGolden) {
-        const ChurnResult r =
-            runChurn(scaleChurnSpec(findChurnSpec(g.name), 0.05));
-        EXPECT_EQ(r.digest, g.digest) << g.name;
-        EXPECT_EQ(r.stale_faults, g.stale_faults) << g.name;
-        EXPECT_EQ(r.extents, g.extents) << g.name;
+        const ChurnResult r = runChurn(
+            scaleChurnSpec(findChurnSpec(g.name), 0.05), g.drain);
+        const std::string at =
+            std::string(g.name) + " drain " + std::to_string(g.drain);
+        EXPECT_EQ(r.digest, g.digest) << at;
+        EXPECT_EQ(r.stale_faults, g.stale_faults) << at;
+        EXPECT_EQ(r.extents, g.extents) << at;
+        EXPECT_EQ(r.remote_posted, g.remote_posted) << at;
+        EXPECT_EQ(r.remote_batches, g.remote_batches) << at;
+        EXPECT_EQ(r.remote_drained, g.remote_drained) << at;
+        EXPECT_EQ(r.drain_calls, g.drain_calls) << at;
+        EXPECT_EQ(r.footprint, g.footprint) << at;
     }
 }
 
