@@ -13,7 +13,7 @@
  *
  * Regression mode: `--check FILE [--tolerance PCT]` re-measures and
  * exits non-zero when any spec's deterministic fields (digest, alloc,
- * free, oom and stale-fault counts, remote-queue counters, footprint)
+ * free, oom and stale-fault counts, remote-free counters, footprint)
  * differ from FILE, which must have been recorded at the same scale
  * and drain interval, or when the basket-mean rate fell more than PCT
  * percent (default 30) below the rate recorded in FILE. CI's

@@ -14,11 +14,6 @@ DeviceHeapAllocator::coreConfig(const Config& config)
     // blocks place at the historical 16-byte backing alignment.
     c.chunked = config.policy == AllocPolicy::Packed;
     c.packed_align = 16;
-    c.geom.small_chunk = config.small_chunk;
-    c.geom.large_chunk = config.large_chunk;
-    c.geom.small_limit = config.small_limit;
-    c.geom.chunks_per_group = config.chunks_per_group;
-    c.group_header = config.group_header;
     c.encode_extent = config.encode_extent;
     c.quarantine_frees = config.quarantine_frees;
     c.contexts = config.contexts;
@@ -30,12 +25,11 @@ DeviceHeapAllocator::coreConfig(const Config& config)
     c.stat_groups = "alloc.heap.groups";
     c.stat_alloc_early = true;
     c.stat_free_on_quarantine = true;
-    c.stat_prefix = "alloc.heap";
     return c;
 }
 
 DeviceHeapAllocator::DeviceHeapAllocator(Config config, StatRegistry* stats)
-    : config_(config), core_(coreConfig(config), stats)
+    : core_(coreConfig(config), stats)
 {
 }
 

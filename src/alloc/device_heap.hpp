@@ -16,11 +16,12 @@
  * The LMI variant rounds requests to a power of two >= K instead and
  * returns extent-encoded, size-aligned pointers.
  *
- * Since the message-passing rearchitecture this is a facade over
- * MessageHeap: every SM is a context with private sizeclass caches and
- * an MPSC remote-free inbox, warp shards map to open buffer groups,
- * and the simulator drains the remote queues at each slice boundary in
- * canonical (sm, seq) order so `sim_threads` stays byte-identical.
+ * This is a facade over MessageHeap: every SM is a context with
+ * private sizeclass caches and a remote-free list, warp shards map to
+ * open buffer groups, and the simulator replays the remote frees at
+ * each slice boundary in canonical (sm, post order) so `sim_threads`
+ * stays byte-identical. The chunk geometry is the fixed
+ * kChunkGeometry.
  */
 
 #pragma once
@@ -47,21 +48,11 @@ class DeviceHeapAllocator
         AllocPolicy policy = AllocPolicy::Packed;
         uint64_t region_base = kHeapBase;
         uint64_t region_size = kHeapSize;
-        /** Chunk unit for small requests (paper Fig. 5). */
-        uint64_t small_chunk = 80;
-        /** Chunk unit for large requests. */
-        uint64_t large_chunk = 2208;
-        /** Requests above this many small chunks use the large unit. */
-        uint64_t small_limit = 1024;
-        /** Chunks per buffer group. */
-        unsigned chunks_per_group = 128;
-        /** Bytes of group header shared by a group's buffers. */
-        uint64_t group_header = 128;
         /** Encode extent bits in returned pointers (LMI). */
         bool encode_extent = false;
         /** One-time allocation: never reuse freed chunks (§XII-C). */
         bool quarantine_frees = false;
-        /** Contexts with private caches/inboxes (one per SM). */
+        /** Contexts with private caches (one per SM). */
         unsigned contexts = 1;
         PointerCodec codec{};
     };
@@ -85,7 +76,7 @@ class DeviceHeapAllocator
     /**
      * Thread @p tid on SM @p sm frees @p ptr. A free issued by a
      * non-owning SM retires the extent immediately but recycles the
-     * range through the owner's remote queue.
+     * range through the owner's remote-free list.
      * @return runtime-detected free faults.
      */
     MaybeFault
@@ -95,7 +86,7 @@ class DeviceHeapAllocator
         return core_.free(sm, ptr);
     }
 
-    /** Flush and replay pending remote frees in canonical order. */
+    /** Replay pending remote frees in canonical order. */
     void drainRemote() { core_.drainRemote(); }
 
     /** Find the live allocation containing @p addr. */
@@ -127,15 +118,12 @@ class DeviceHeapAllocator
     /** Number of buffer groups created so far. */
     size_t groupCount() const { return core_.groupCount(); }
 
-    const Config& config() const { return config_; }
-
     /** The message-passing core (bench/stat introspection). */
     const MessageHeap& core() const { return core_; }
 
   private:
     static MessageHeap::Config coreConfig(const Config& config);
 
-    Config config_;
     MessageHeap core_;
 };
 

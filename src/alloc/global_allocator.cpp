@@ -9,7 +9,7 @@ GlobalAllocator::coreConfig(const Config& config)
     c.policy = config.policy;
     c.region_base = config.region_base;
     c.region_size = config.region_size;
-    c.packed_align = config.packed_align;
+    c.packed_align = 256; // the documented cudaMalloc minimum
     c.chunked = false;
     c.encode_extent = config.encode_extent;
     c.quarantine_frees = config.quarantine_frees;
@@ -24,12 +24,11 @@ GlobalAllocator::coreConfig(const Config& config)
     c.stat_quarantined = "alloc.global.quarantined_bytes";
     c.stat_alloc_early = false;
     c.stat_free_on_quarantine = false;
-    c.stat_prefix = "alloc.global";
     return c;
 }
 
 GlobalAllocator::GlobalAllocator(Config config, StatRegistry* stats)
-    : config_(config), core_(coreConfig(config), stats)
+    : core_(coreConfig(config), stats)
 {
 }
 

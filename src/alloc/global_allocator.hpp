@@ -12,12 +12,11 @@
  *    two >= K and the block is size-aligned, so the returned pointer can
  *    carry its extent in the upper bits.
  *
- * Since the message-passing rearchitecture this is a thin facade over
- * MessageHeap (sizeclass freelists, per-context caches, remote-free
- * queues, epoch-stamped extent table). The host API stays
- * single-context — `alloc`/`free` run as context 0 — while
- * `allocFrom`/`freeFrom` expose the per-context paths for runner jobs
- * and the multi-tenant server. The mechanisms still read per-block
+ * This is a thin facade over MessageHeap (sizeclass freelists,
+ * per-context caches, remote-free lists, epoch-stamped extent table).
+ * The host API stays single-context — `alloc`/`free` run as context 0
+ * — while `allocFrom`/`freeFrom` expose the per-context paths that the
+ * churn workloads drive. The mechanisms still read per-block
  * bounds through findLive/findAny, and the fragmentation experiment
  * (Fig. 4) still reads the reserved-byte accounting.
  */
@@ -45,8 +44,6 @@ class GlobalAllocator
         AllocPolicy policy = AllocPolicy::Packed;
         uint64_t region_base = kGlobalBase;
         uint64_t region_size = kGlobalSize;
-        /** Alignment for the Packed policy (cudaMalloc uses 256). */
-        uint64_t packed_align = 256;
         /** Encode the LMI extent into returned pointers (Pow2Aligned). */
         bool encode_extent = false;
         /**
@@ -56,7 +53,7 @@ class GlobalAllocator
          * liveness-tracking extension.
          */
         bool quarantine_frees = false;
-        /** Contexts with private caches (runner jobs / server tenants). */
+        /** Contexts with private caches (churn workload contexts). */
         unsigned contexts = 1;
         PointerCodec codec{};
     };
@@ -85,15 +82,15 @@ class GlobalAllocator
         return core_.alloc(ctx, 0, size);
     }
 
-    /** Free from context @p ctx (cross-context frees travel as
-     *  remote-queue messages until the next drain). */
+    /** Free from context @p ctx (cross-context frees wait in the
+     *  owner's remote-free list until the next drain). */
     MaybeFault
     freeFrom(uint32_t ctx, uint64_t ptr)
     {
         return core_.free(ctx, ptr);
     }
 
-    /** Flush and replay pending remote frees in canonical order. */
+    /** Replay pending remote frees in canonical order. */
     void drainRemote() { core_.drainRemote(); }
 
     /** Find the block containing @p addr (live blocks only). */
@@ -101,13 +98,6 @@ class GlobalAllocator
     findLive(uint64_t addr) const
     {
         return core_.findLive(addr);
-    }
-
-    /** Find any block (live or retired) whose base is @p base. */
-    const AllocBlock*
-    findByBase(uint64_t base) const
-    {
-        return core_.extentAt(base);
     }
 
     /**
@@ -136,15 +126,12 @@ class GlobalAllocator
     /** Sum of requested bytes over live blocks. */
     uint64_t liveRequestedBytes() const { return core_.liveRequestedBytes(); }
 
-    const Config& config() const { return config_; }
-
     /** The message-passing core (bench/stat introspection). */
     const MessageHeap& core() const { return core_; }
 
   private:
     static MessageHeap::Config coreConfig(const Config& config);
 
-    Config config_;
     MessageHeap core_;
 };
 

@@ -17,10 +17,6 @@ MessageHeap::MessageHeap(Config config, StatRegistry* stats)
     if (config_.contexts == 0)
         config_.contexts = 1;
     ctx_.resize(config_.contexts);
-    for (CtxState& cs : ctx_) {
-        cs.groups.resize(size_t(config_.shards_per_ctx) * 2);
-        cs.outbox.resize(config_.contexts);
-    }
 }
 
 MessageHeap::Shape
@@ -37,14 +33,14 @@ MessageHeap::shapeFor(uint64_t size)
         return s;
     }
     if (config_.chunked) {
-        s.chunk = config_.geom.chunkUnitFor(size);
+        s.chunk = kChunkGeometry.chunkUnitFor(size);
         s.chunks = unsigned((size + s.chunk - 1) / s.chunk);
         s.align = 16;
         // A chunk multiple; the large chunk is not a power of two, so
         // alignUp cannot round to it.
         s.reserved = uint64_t(s.chunks) * s.chunk;
         // Oversized request: dedicated placement (paper Fig. 5).
-        s.cls = s.chunks > config_.geom.chunks_per_group
+        s.cls = s.chunks > kChunkGeometry.chunks_per_group
                     ? kHugeClass
                     : classes_.classFor(s.reserved, s.chunk, s.chunks);
         return s;
@@ -60,9 +56,9 @@ uint64_t
 MessageHeap::carveFromGroup(uint32_t ctx, uint32_t tid, const Shape& s)
 {
     CtxState& cs = ctx_[ctx];
-    const unsigned shard = (tid / 32) % config_.shards_per_ctx;
+    const unsigned shard = (tid / 32) % kShardsPerCtx;
     const size_t key = size_t(shard) * 2 +
-                       (s.chunk == config_.geom.large_chunk ? 1 : 0);
+                       (s.chunk == kChunkGeometry.large_chunk ? 1 : 0);
     auto& glist = cs.groups[key];
 
     // Bump from the first open group with room; retire full groups.
@@ -82,22 +78,23 @@ MessageHeap::carveFromGroup(uint32_t ctx, uint32_t tid, const Shape& s)
     }
 
     // Open a new group: header + chunk storage from the range layer.
+    const uint64_t header = kChunkGeometry.group_header;
     const uint64_t storage =
-        uint64_t(config_.geom.chunks_per_group) * s.chunk;
-    const uint64_t raw = range_.alloc(config_.group_header + storage, s.align);
+        uint64_t(kChunkGeometry.chunks_per_group) * s.chunk;
+    const uint64_t raw = range_.alloc(header + storage, s.align);
     if (raw == 0)
         return 0;
-    footprint_ += config_.group_header + storage;
+    footprint_ += header + storage;
     peak_footprint_ = std::max(peak_footprint_, footprint_);
     ++group_count_;
     if (stats_ && !config_.stat_groups.empty())
         stats_->inc(config_.stat_groups);
 
     OpenGroup g;
-    g.base = raw + config_.group_header;
+    g.base = raw + header;
     g.chunk = s.chunk;
     g.cursor = s.chunks;
-    g.cap = config_.geom.chunks_per_group;
+    g.cap = kChunkGeometry.chunks_per_group;
     glist.push_back(g);
     return g.base;
 }
@@ -330,21 +327,6 @@ MessageHeap::pushLocal(uint32_t ctx, uint32_t cls, uint64_t base)
     }
 }
 
-void
-MessageHeap::postRemote(uint32_t from, uint32_t owner, uint32_t cls,
-                        uint64_t base)
-{
-    CtxState& cs = ctx_[from];
-    auto& buf = cs.outbox[owner];
-    buf.push_back(RemoteMsg{base, cls, from, cs.next_seq++});
-    ++remote_stats_.posted;
-    if (buf.size() >= kRemoteBatch) {
-        ctx_[owner].inbox.post(std::move(buf));
-        buf = {};
-        ++remote_stats_.batches;
-    }
-}
-
 MaybeFault
 MessageHeap::free(uint32_t ctx, uint64_t ptr)
 {
@@ -391,7 +373,8 @@ MessageHeap::free(uint32_t ctx, uint64_t ptr)
     } else if (e.owner == ctx) {
         pushLocal(ctx, e.cls, e.base);
     } else {
-        postRemote(ctx, e.owner, e.cls, e.base);
+        ctx_[e.owner].remote.push_back(RemoteMsg{e.base, e.cls, ctx});
+        ++remote_stats_.posted;
     }
 
     if (stats_ && !config_.stat_free.empty())
@@ -407,37 +390,26 @@ MessageHeap::drainRemote()
     if (remote_stats_.posted == remote_stats_.drained)
         return;
     ++remote_stats_.drain_calls;
-    // Flush every unflushed producer batch first, in canonical context
-    // order, so no message can outlive a drain.
-    for (uint32_t from = 0; from < config_.contexts; ++from) {
-        CtxState& cs = ctx_[from];
-        for (uint32_t to = 0; to < config_.contexts; ++to) {
-            auto& buf = cs.outbox[to];
-            if (!buf.empty()) {
-                ctx_[to].inbox.post(std::move(buf));
-                buf = {};
-                ++remote_stats_.batches;
-            }
+    for (uint32_t owner = 0; owner < config_.contexts; ++owner) {
+        std::vector<RemoteMsg>& msgs = ctx_[owner].remote;
+        // Canonical (from, post order) replay keeps freelist order — and
+        // thus every later placement decision — byte-identical however
+        // the frees interleaved across senders.
+        std::stable_sort(msgs.begin(), msgs.end(),
+                         [](const RemoteMsg& a, const RemoteMsg& b) {
+                             return a.from < b.from;
+                         });
+        for (size_t i = 0; i < msgs.size();) {
+            size_t end = i;
+            while (end < msgs.size() && msgs[end].from == msgs[i].from)
+                ++end;
+            remote_stats_.batches +=
+                (end - i + kRemoteBatch - 1) / kRemoteBatch;
+            for (; i < end; ++i)
+                pushLocal(owner, msgs[i].cls, msgs[i].base);
         }
-    }
-
-    std::vector<RemoteMsg> msgs;
-    for (uint32_t to = 0; to < config_.contexts; ++to) {
-        msgs.clear();
-        ctx_[to].inbox.drainInto(msgs);
-        if (msgs.empty())
-            continue;
-        // Canonical (from, seq) replay keeps freelist order — and thus
-        // every later placement decision — byte-identical regardless of
-        // which thread posted first.
-        std::sort(msgs.begin(), msgs.end(),
-                  [](const RemoteMsg& a, const RemoteMsg& b) {
-                      return a.from != b.from ? a.from < b.from
-                                              : a.seq < b.seq;
-                  });
-        for (const RemoteMsg& m : msgs)
-            pushLocal(to, m.cls, m.base);
         remote_stats_.drained += msgs.size();
+        msgs.clear();
     }
 }
 

@@ -26,11 +26,12 @@
  *    context (SM, or runner job) owns LIFO caches of recycled blocks,
  *    spilling to a shared central freelist when they overflow. The
  *    common alloc/free path is O(1).
- *  - **Batched remote-free MPSC queues**: a free issued by a context
- *    that does not own the block retires the extent record immediately
- *    (fault checks are synchronous) but ships the range back to its
- *    owner as a message, drained at slice boundaries in canonical
- *    (from, seq) order so `sim_threads` stays byte-identical.
+ *  - **Remote frees as messages**: a free issued by a context that
+ *    does not own the block retires the extent record immediately
+ *    (fault checks are synchronous) but appends the range to its
+ *    owner's remote-free list, replayed at slice boundaries in
+ *    canonical (from, post order) so `sim_threads` stays
+ *    byte-identical.
  *  - A first-fit coalescing **range allocator** underneath, carving
  *    slabs (Fig. 5 buffer groups in chunked mode) and serving "huge"
  *    blocks directly.
@@ -40,20 +41,17 @@
  * thread in canonical op order. Lookups (findLive/findAny) are
  * concurrent-read-safe while no mutation runs, which is how the
  * protection mechanisms call them from SM worker threads mid-slice.
- * RemoteQueue::post alone is genuinely lock-free, for the future
- * multi-tenant server.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "alloc/range_alloc.hpp"
-#include "alloc/remote_queue.hpp"
 #include "alloc/sizeclass.hpp"
 #include "common/stats.hpp"
 #include "core/fault.hpp"
@@ -79,8 +77,14 @@ struct AllocBlock
 
 /** Per-context local cache capacity (blocks per sizeclass). */
 inline constexpr size_t kCacheCap = 64;
-/** Remote-free messages buffered per (from,to) pair before a post. */
+/**
+ * Batch size behind RemoteStats::batches: the count models a
+ * 32-message outbox per (from, owner) pair, flushed when full and at
+ * every drain.
+ */
 inline constexpr size_t kRemoteBatch = 32;
+/** Warp shards per context for chunked-group locality. */
+inline constexpr unsigned kShardsPerCtx = 4;
 
 class MessageHeap
 {
@@ -100,17 +104,12 @@ class MessageHeap
         uint64_t region_size = 0;
         /** Packed-policy rounding/alignment (and huge-block alignment). */
         uint64_t packed_align = 256;
-        /** Fig. 5 chunk rounding instead of packed_align (device heap). */
+        /** kChunkGeometry rounding instead of packed_align (device heap). */
         bool chunked = false;
-        ChunkGeometry geom{};
-        /** Bytes of group header preceding chunked-group storage. */
-        uint64_t group_header = 128;
         bool encode_extent = false;
         /** One-time allocation: freed ranges are never recycled. */
         bool quarantine_frees = false;
         unsigned contexts = 1;
-        /** Warp shards per context for chunked-group locality. */
-        unsigned shards_per_ctx = 4;
         PointerCodec codec{};
 
         /** Fault detail strings (differ between the two facades). */
@@ -127,15 +126,18 @@ class MessageHeap
         bool stat_alloc_early = false;
         /** Heap counted quarantined frees as frees; global did not. */
         bool stat_free_on_quarantine = false;
-        /** Prefix for the new message-passing stats (<prefix>.remote_*). */
-        std::string stat_prefix;
     };
 
     /** Remote-free machinery counters (bench/bench_alloc_throughput). */
     struct RemoteStats
     {
         uint64_t posted = 0;      ///< remote frees issued
-        uint64_t batches = 0;     ///< MPSC batch publishes
+        /**
+         * Modelled batch count: ceil(k / kRemoteBatch) for each
+         * (from, owner) run of k messages a drain replays, so it is
+         * current only right after a drain.
+         */
+        uint64_t batches = 0;
         uint64_t drained = 0;     ///< messages replayed by drains
         uint64_t drain_calls = 0; ///< drainRemote invocations
     };
@@ -151,15 +153,16 @@ class MessageHeap
 
     /**
      * Context @p ctx frees @p ptr. The extent is retired synchronously;
-     * cross-context recycling travels through the remote queues.
+     * a cross-context free waits in the owner's remote-free list.
      * @return InvalidFree/DoubleFree faults; nullopt on success.
      */
     MaybeFault free(uint32_t ctx, uint64_t ptr);
 
     /**
-     * Flush every producer batch and replay all pending remote frees in
-     * canonical (from, seq) order. Called at slice boundaries (and by
-     * the alloc slow path before reporting exhaustion).
+     * Replay all pending remote frees into their owners' caches, owner
+     * by owner, in canonical (from, post order). Called at slice
+     * boundaries (and by the alloc slow path before reporting
+     * exhaustion).
      */
     void drainRemote();
 
@@ -195,8 +198,6 @@ class MessageHeap
     }
 
     const RemoteStats& remoteStats() const { return remote_stats_; }
-    const RangeAllocator& range() const { return range_; }
-    const Config& config() const { return config_; }
 
   private:
     /** Rounded shape of one request. */
@@ -225,18 +226,24 @@ class MessageHeap
         uint64_t end = 0;
     };
 
+    /** One remote free in flight to its owner. */
+    struct RemoteMsg
+    {
+        uint64_t base = 0; ///< extent base being returned
+        uint32_t cls = 0;  ///< sizeclass index (owner-side freelist key)
+        uint32_t from = 0; ///< freeing context
+    };
+
     struct CtxState
     {
         /** [cls] -> LIFO of recycled block bases. */
         std::vector<std::vector<uint64_t>> cache;
         /** [shard*2 + unit] -> open chunked groups. */
-        std::vector<std::vector<OpenGroup>> groups;
+        std::array<std::vector<OpenGroup>, kShardsPerCtx * 2> groups;
         /** [cls] -> open bump slab. */
         std::vector<OpenSlab> open;
-        /** [to] -> unflushed remote-free batch. */
-        std::vector<std::vector<RemoteMsg>> outbox;
-        RemoteQueue inbox;
-        uint64_t next_seq = 0;
+        /** Frees of this context's blocks by others, in post order. */
+        std::vector<RemoteMsg> remote;
     };
 
     Shape shapeFor(uint64_t size);
@@ -244,8 +251,6 @@ class MessageHeap
     uint64_t carveFromGroup(uint32_t ctx, uint32_t tid, const Shape& s);
     uint64_t carveFromSlab(uint32_t ctx, const Shape& s);
     void pushLocal(uint32_t ctx, uint32_t cls, uint64_t base);
-    void postRemote(uint32_t from, uint32_t owner, uint32_t cls,
-                    uint64_t base);
     Extent& mintExtent(uint64_t base, const Shape& s, uint32_t ctx,
                        uint64_t requested);
     Extent& carveExtent(uint64_t base, uint64_t reserved);
@@ -296,8 +301,7 @@ class MessageHeap
     ExtentMap extents_;
     /** The same records by exact base (see the file comment). */
     BaseIndex by_base_;
-    /** deque: CtxState holds an atomic inbox and cannot move. */
-    std::deque<CtxState> ctx_;
+    std::vector<CtxState> ctx_;
     /** [cls] -> overflow freelist shared by all contexts. */
     std::vector<std::vector<uint64_t>> central_;
 

@@ -43,17 +43,26 @@ inline constexpr uint64_t kSlabBytes = 64 * 1024;
 /** Fig. 5 chunk geometry (paper §IV-E). */
 struct ChunkGeometry
 {
+    /** Chunk unit for small requests. */
     uint64_t small_chunk = 80;
+    /** Chunk unit for large requests. */
     uint64_t large_chunk = 2208;
+    /** Requests above this many bytes use the large unit. */
     uint64_t small_limit = 1024;
+    /** Chunks per buffer group. */
     unsigned chunks_per_group = 128;
+    /** Bytes of group header shared by a group's buffers. */
+    uint64_t group_header = 128;
 
-    uint64_t
+    constexpr uint64_t
     chunkUnitFor(uint64_t size) const
     {
         return size <= small_limit ? small_chunk : large_chunk;
     }
 };
+
+/** The device heap's geometry, the one the paper observes. */
+inline constexpr ChunkGeometry kChunkGeometry{};
 
 /** One sizeclass: fixed reserved size, optionally chunk-denominated. */
 struct ClassInfo

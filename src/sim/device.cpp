@@ -42,8 +42,8 @@ Device::init()
     hcfg.policy = policy;
     hcfg.encode_extent = encode;
     hcfg.quarantine_frees = mech_->quarantineFrees();
-    // One allocator context per SM: private sizeclass caches plus an
-    // MPSC remote-free inbox drained at each slice boundary.
+    // One allocator context per SM: private sizeclass caches plus a
+    // remote-free list replayed at each slice boundary.
     hcfg.contexts = config_.num_sms;
     heap_alloc_ = std::make_unique<DeviceHeapAllocator>(hcfg, &stats_);
 

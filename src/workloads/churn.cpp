@@ -145,7 +145,7 @@ churnBasket()
 {
     // Fixed basket. Sizes/probabilities pick out the allocator's hot
     // paths: sizeclass cache hits (small), slab vs chunk carving
-    // (mixed), heavy remote-queue traffic (cross_sm at 16 contexts,
+    // (mixed), heavy remote-free traffic (cross_sm at 16 contexts,
     // half the frees foreign), the host allocator's packed and pow2
     // rounding, and extent-epoch churn under stale frees (temporal).
     static const std::vector<ChurnSpec> basket = {
@@ -288,7 +288,7 @@ buildChurnDrainKernel(unsigned rounds, unsigned block_threads)
     auto table = b.param(0);
     // XOR flips the low bit of the *block* index: thread t frees what
     // its neighbour block allocated, so (with blocks on distinct SMs)
-    // every free is remote and rides the MPSC queues home.
+    // every free is remote and travels home as a message.
     auto victim = b.ixor(b.gtid(), b.constInt(int64_t(block_threads)));
     auto slot0 = b.imul(victim, b.constInt(int64_t(rounds)));
     for (unsigned r = 0; r < rounds; r += 2) {

@@ -8,7 +8,7 @@
  *    alloc/free driver hammering a facade (GlobalAllocator or
  *    DeviceHeapAllocator) directly — millions of operations, mixed
  *    sizeclasses, cross-context frees that exercise the remote-free
- *    queues, and optional stale frees that land on retired or
+ *    lists, and optional stale frees that land on retired or
  *    reallocated extents (the temporal-safety churn the extent table's
  *    epoch stamping exists for). `churnBasket()` is the fixed 6-spec
  *    basket tracked by bench/bench_alloc_throughput.
@@ -18,8 +18,8 @@
  *    inside one launch, publish the pointers through a global table,
  *    and free them from *shifted* thread indices in a second launch —
  *    so frees are issued by a different SM than the allocating one and
- *    must travel through the MPSC remote queues. Used by the
- *    byte-identity tests: results must be identical for every
+ *    must travel home through the owner's remote-free list. Used by
+ *    the byte-identity tests: results must be identical for every
  *    `sim_threads` value.
  *
  * Everything random flows through the seeded SplitMix64 Rng; the same
@@ -118,7 +118,7 @@ const std::vector<ChurnSpec>& churnBasket();
 const ChurnSpec& findChurnSpec(const std::string& name);
 
 /**
- * Run @p spec against a freshly constructed allocator. Remote queues
+ * Run @p spec against a freshly constructed allocator. Remote frees
  * are drained every @p drain_interval operations (the slice-boundary
  * model) and once at the end.
  */
@@ -142,7 +142,7 @@ ir::IrModule buildChurnFillKernel(unsigned rounds);
  * block's* published pointers — victim gtid = gtid XOR
  * @p block_threads (must be a power of two; launch an even number of
  * blocks) — so each free lands on an SM that does not own the chunk
- * and must be shipped home through the remote-free queues.
+ * and must be shipped home through the remote-free lists.
  *
  * Kernel: `churn_drain(table: ptr<8>)`.
  */

@@ -2,7 +2,7 @@
  * @file
  * Allocation-churn tests: the message-passing allocator under
  * adversarial alloc/free traffic, and the kernel-level churn pair
- * whose frees cross SMs through the remote-free queues.
+ * whose frees cross SMs through the remote-free lists.
  */
 
 #include <gtest/gtest.h>
@@ -109,7 +109,7 @@ TEST(Churn, CrossSmSpecExercisesRemoteQueues)
         scaleChurnSpec(findChurnSpec("heap_cross_sm_pow2"), 0.1);
     const ChurnResult r = runChurn(s);
     // Half the frees are issued by a random context; with 16 contexts
-    // nearly all of those are foreign and must ride the MPSC queues.
+    // nearly all of those are foreign and must travel as messages.
     EXPECT_GT(r.remote_posted, r.frees / 4);
     EXPECT_EQ(r.remote_drained, r.remote_posted); // final drain flushes
     EXPECT_GT(r.remote_batches, 0u);
@@ -132,9 +132,9 @@ TEST(Churn, StaleFreeClassificationUnderChurn)
 TEST(Churn, ExhaustionRecoversThroughRemoteDrain)
 {
     // Region sized for exactly two slabs of the 4 KiB class. Context 1
-    // frees blocks it does not own; the frees park in ctx 0's inbox.
-    // The alloc slow path must drain the queues and retry before
-    // reporting exhaustion.
+    // frees blocks it does not own; the frees park in ctx 0's
+    // remote-free list. The alloc slow path must drain it and retry
+    // before reporting exhaustion.
     GlobalAllocator::Config cfg;
     cfg.region_base = 0x10000000;
     cfg.region_size = 128 * 1024;
@@ -203,7 +203,7 @@ TEST(Churn, CrossSmRemoteFreeAfterOwningBlockExits)
 
     // Launch 2: the owning blocks are long gone; neighbour blocks (on
     // other SMs) free the published pointers. Every free is foreign, so
-    // the chunks travel home through the remote queues.
+    // the chunks travel home through the remote-free lists.
     const RunResult drain = dev.launch(k.drain, kBlocks, kThreads, {table});
     ASSERT_FALSE(drain.faulted());
     EXPECT_EQ(dev.heapAllocator().liveReservedBytes(), 0u);

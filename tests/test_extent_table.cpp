@@ -218,10 +218,9 @@ expectedShape(const StreamCase& c, uint64_t size)
         return {reserved, reserved > kMaxSlabBlock};
     }
     if (c.device_heap) {
-        const ChunkGeometry geom{};
-        const uint64_t chunk = geom.chunkUnitFor(size);
+        const uint64_t chunk = kChunkGeometry.chunkUnitFor(size);
         const uint64_t chunks = (size + chunk - 1) / chunk;
-        return {chunks * chunk, chunks > geom.chunks_per_group};
+        return {chunks * chunk, chunks > kChunkGeometry.chunks_per_group};
     }
     const uint64_t reserved = alignUp(size, 256);
     return {reserved, reserved > kMaxSlabBlock};
