@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "alloc/device_heap.hpp"
 #include "alloc/global_allocator.hpp"
 #include "alloc/layout.hpp"
@@ -259,6 +262,147 @@ TEST(DeviceHeap, OversizedRequestReservesWholeLargeChunks)
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->reserved, 136u * 2208); // ceil(300100 / 2208) chunks
     EXPECT_GE(q, p + size); // the next block starts past this one
+}
+
+// --- What differs between the cudaMalloc heap and the kernel heap --------
+//
+// The two heaps share one allocator; these tests pin every behaviour
+// that depends on which of the two a heap models: the fault strings,
+// the stat names and when each is counted, the packed alignment, and
+// the Fig. 5 chunk rounding.
+
+/** Sorted names of every counter in @p stats. */
+std::vector<std::string>
+counterNames(const StatRegistry& stats)
+{
+    std::vector<std::string> names;
+    for (const auto& [name, value] : stats.counters())
+        names.push_back(name);
+    return names;
+}
+
+TEST(HeapKind, GlobalFaultStringsStatsAndAlignment)
+{
+    // 16 bytes past a 256-byte boundary: the first block must skip to
+    // the next 256-byte boundary (cudaMalloc's alignment).
+    StatRegistry stats;
+    GlobalAllocator::Config cfg;
+    cfg.region_base = 0x10000010;
+    cfg.region_size = 8192;
+    GlobalAllocator heap(cfg, &stats);
+
+    const uint64_t p = heap.allocFrom(0, 1);
+    EXPECT_EQ(p, 0x10000100u);
+    EXPECT_EQ(heap.liveReservedBytes(), 256u);
+    // Exhaustion: cudaMalloc counts successful allocations only.
+    EXPECT_EQ(heap.allocFrom(0, 8192), 0u);
+    EXPECT_EQ(stats.counter("alloc.global.allocs"), 1u);
+    EXPECT_EQ(stats.counter("alloc.global.reserved_bytes"), 256u);
+    EXPECT_EQ(stats.counter("alloc.global.requested_bytes"), 1u);
+
+    ASSERT_FALSE(heap.freeFrom(0, p).has_value());
+    EXPECT_EQ(stats.counter("alloc.global.frees"), 1u);
+    const MaybeFault dbl = heap.freeFrom(0, p);
+    ASSERT_TRUE(dbl.has_value());
+    EXPECT_EQ(dbl->kind, FaultKind::DoubleFree);
+    EXPECT_EQ(dbl->detail, "cudaFree of already-freed pointer");
+    const MaybeFault inv = heap.freeFrom(0, p + 16);
+    ASSERT_TRUE(inv.has_value());
+    EXPECT_EQ(inv->kind, FaultKind::InvalidFree);
+    EXPECT_EQ(inv->detail, "cudaFree of pointer not returned by cudaMalloc");
+    EXPECT_EQ(counterNames(stats),
+              (std::vector<std::string>{
+                  "alloc.global.allocs", "alloc.global.frees",
+                  "alloc.global.requested_bytes",
+                  "alloc.global.reserved_bytes"}));
+
+    // A quarantined free counts its bytes, not a free.
+    StatRegistry qstats;
+    cfg.quarantine_frees = true;
+    GlobalAllocator quarantine(cfg, &qstats);
+    ASSERT_FALSE(quarantine.freeFrom(0, quarantine.allocFrom(0, 1))
+                     .has_value());
+    EXPECT_EQ(qstats.counter("alloc.global.quarantined_bytes"), 256u);
+    EXPECT_EQ(counterNames(qstats),
+              (std::vector<std::string>{
+                  "alloc.global.allocs", "alloc.global.quarantined_bytes",
+                  "alloc.global.requested_bytes",
+                  "alloc.global.reserved_bytes"}));
+}
+
+TEST(HeapKind, DeviceFaultStringsStatsAndAlignment)
+{
+    // 16 bytes past a 256-byte boundary: buffer groups place at 16-byte
+    // alignment, so the first group starts at the region base.
+    StatRegistry stats;
+    DeviceHeapAllocator::Config cfg;
+    cfg.region_base = kHeapBase + 16;
+    cfg.region_size = 16384; // room for one buffer group only
+    DeviceHeapAllocator heap(cfg, &stats);
+
+    const uint64_t p = heap.malloc(0, 0, 100);
+    EXPECT_EQ(p, kHeapBase + 16 + kChunkGeometry.group_header);
+    // Another warp shard needs a second group, which does not fit:
+    // the kernel heap counts malloc attempts, failed ones included.
+    EXPECT_EQ(heap.malloc(0, 32, 100), 0u);
+    EXPECT_EQ(stats.counter("alloc.heap.mallocs"), 2u);
+    EXPECT_EQ(stats.counter("alloc.heap.groups"), 1u);
+
+    ASSERT_FALSE(heap.free(0, 0, p).has_value());
+    EXPECT_EQ(stats.counter("alloc.heap.frees"), 1u);
+    const MaybeFault dbl = heap.free(0, 0, p);
+    ASSERT_TRUE(dbl.has_value());
+    EXPECT_EQ(dbl->kind, FaultKind::DoubleFree);
+    EXPECT_EQ(dbl->detail, "device free of already-freed pointer");
+    const MaybeFault inv = heap.free(0, 0, p + 16);
+    ASSERT_TRUE(inv.has_value());
+    EXPECT_EQ(inv->kind, FaultKind::InvalidFree);
+    EXPECT_EQ(inv->detail, "device free of pointer not returned by malloc");
+    EXPECT_EQ(counterNames(stats),
+              (std::vector<std::string>{"alloc.heap.frees",
+                                        "alloc.heap.groups",
+                                        "alloc.heap.mallocs"}));
+
+    // A quarantined free still counts as a free; no byte counters.
+    StatRegistry qstats;
+    cfg.quarantine_frees = true;
+    DeviceHeapAllocator quarantine(cfg, &qstats);
+    ASSERT_FALSE(
+        quarantine.free(0, 0, quarantine.malloc(0, 0, 100)).has_value());
+    EXPECT_EQ(qstats.counter("alloc.heap.frees"), 1u);
+    EXPECT_EQ(counterNames(qstats),
+              (std::vector<std::string>{"alloc.heap.frees",
+                                        "alloc.heap.groups",
+                                        "alloc.heap.mallocs"}));
+}
+
+TEST(HeapKind, ChunkRoundingOnlyOnPackedDeviceHeap)
+{
+    const uint64_t pow2 = PointerCodec{}.alignedSize(100);
+    for (AllocPolicy policy : {AllocPolicy::Packed, AllocPolicy::Pow2Aligned}) {
+        const bool is_pow2 = policy == AllocPolicy::Pow2Aligned;
+        SCOPED_TRACE(is_pow2 ? "Pow2Aligned" : "Packed");
+
+        DeviceHeapAllocator::Config dcfg;
+        dcfg.policy = policy;
+        dcfg.encode_extent = is_pow2;
+        DeviceHeapAllocator device(dcfg);
+        const uint64_t d = device.malloc(0, 0, 100);
+        EXPECT_EQ(device.liveReservedBytes(), is_pow2 ? pow2 : 160u);
+        EXPECT_EQ(device.groupCount(), is_pow2 ? 0u : 1u);
+        EXPECT_EQ(device.core().slabCount(), is_pow2 ? 1u : 0u);
+        EXPECT_EQ(PointerCodec::isValid(d), is_pow2);
+
+        GlobalAllocator::Config gcfg;
+        gcfg.policy = policy;
+        gcfg.encode_extent = is_pow2;
+        GlobalAllocator global(gcfg);
+        const uint64_t g = global.allocFrom(0, 100);
+        EXPECT_EQ(global.liveReservedBytes(), is_pow2 ? pow2 : 256u);
+        EXPECT_EQ(global.core().groupCount(), 0u);
+        EXPECT_EQ(global.core().slabCount(), 1u);
+        EXPECT_EQ(PointerCodec::isValid(g), is_pow2);
+    }
 }
 
 TEST(Layout, PackedIsTight)
