@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "alloc/device_heap.hpp"
+#include "alloc/msg_heap.hpp"
 #include "bench_util.hpp"
 
 using namespace lmi;
@@ -27,15 +27,13 @@ main()
                                             200, 512,  1024, 1100, 2208,
                                             2209, 3000, 4000, 6624, 10000};
 
-    DeviceHeapAllocator::Config lmi_cfg;
-    lmi_cfg.policy = AllocPolicy::Pow2Aligned;
-
     double worst_base = 0.0;
     for (uint64_t req : requests) {
-        DeviceHeapAllocator base_heap;
-        DeviceHeapAllocator lmi_heap(lmi_cfg);
-        base_heap.malloc(0, 0, req);
-        lmi_heap.malloc(0, 0, req);
+        MessageHeap base_heap({.kind = HeapKind::Device});
+        MessageHeap lmi_heap({.kind = HeapKind::Device,
+                              .policy = AllocPolicy::Pow2Aligned});
+        base_heap.alloc(0, 0, req);
+        lmi_heap.alloc(0, 0, req);
         const uint64_t base_res = base_heap.liveReservedBytes();
         const uint64_t lmi_res = lmi_heap.liveReservedBytes();
         const double base_waste =
@@ -55,10 +53,10 @@ main()
 
     // Parallel allocation sharding: threads in different warps land in
     // different buffer groups (shared group headers).
-    DeviceHeapAllocator heap;
-    const uint64_t w0 = heap.malloc(/*sm=*/0, /*tid=*/0, 64);
-    const uint64_t w1 = heap.malloc(/*sm=*/0, /*tid=*/32, 64);
-    const uint64_t w0b = heap.malloc(/*sm=*/0, /*tid=*/1, 64);
+    MessageHeap heap({.kind = HeapKind::Device});
+    const uint64_t w0 = heap.alloc(/*sm=*/0, /*tid=*/0, 64);
+    const uint64_t w1 = heap.alloc(/*sm=*/0, /*tid=*/32, 64);
+    const uint64_t w0b = heap.alloc(/*sm=*/0, /*tid=*/1, 64);
     std::printf("warp sharding: tid0 -> 0x%llx, tid32 -> 0x%llx (distinct "
                 "group), tid1 -> 0x%llx (adjacent chunk)\n",
                 static_cast<unsigned long long>(w0),

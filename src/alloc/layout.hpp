@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "alloc/global_allocator.hpp"
+#include "alloc/msg_heap.hpp"
 #include "core/pointer.hpp"
 
 namespace lmi {

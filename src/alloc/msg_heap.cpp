@@ -3,17 +3,59 @@
 #include <algorithm>
 #include <bit>
 
+#include "arch/mem_map.hpp"
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
 
 namespace lmi {
 
-MessageHeap::MessageHeap(Config config, StatRegistry* stats)
-    : config_(std::move(config)), stats_(stats),
-      range_(config_.region_base, config_.region_size)
+struct MessageHeap::KindTraits
 {
-    if (config_.region_size == 0)
-        lmi_fatal("MessageHeap: empty region");
+    /** Packed rounding and alignment; group and huge-block alignment. */
+    uint64_t align;
+    uint64_t region_base, region_size;
+    const char* double_free_msg;
+    const char* invalid_free_msg;
+    /** Stat names (empty = not counted). */
+    std::string stat_alloc, stat_free, stat_groups;
+    std::string stat_reserved, stat_requested, stat_quarantined;
+    /** Count mallocs when attempted rather than when they succeed. */
+    bool stat_alloc_early;
+    /** Count a quarantined free as a free. */
+    bool stat_free_on_quarantine;
+};
+
+const MessageHeap::KindTraits&
+MessageHeap::traitsOf(HeapKind kind)
+{
+    static const KindTraits kTraits[] = {
+        // Global: the documented 256-byte cudaMalloc minimum.
+        {256, kGlobalBase, kGlobalSize, "cudaFree of already-freed pointer",
+         "cudaFree of pointer not returned by cudaMalloc",
+         "alloc.global.allocs", "alloc.global.frees", "",
+         "alloc.global.reserved_bytes", "alloc.global.requested_bytes",
+         "alloc.global.quarantined_bytes", false, false},
+        // Device: buffer groups and oversized blocks at the 16-byte
+        // backing alignment.
+        {16, kHeapBase, kHeapSize, "device free of already-freed pointer",
+         "device free of pointer not returned by malloc",
+         "alloc.heap.mallocs", "alloc.heap.frees", "alloc.heap.groups", "",
+         "", "", true, true},
+    };
+    return kTraits[size_t(kind)];
+}
+
+MessageHeap::MessageHeap(Config config, StatRegistry* stats)
+    : config_(config), traits_(traitsOf(config.kind)),
+      chunked_(config.kind == HeapKind::Device &&
+               config.policy == AllocPolicy::Packed),
+      stats_(stats)
+{
+    if (config_.region_size == 0) {
+        config_.region_base = traits_.region_base;
+        config_.region_size = traits_.region_size;
+    }
+    range_ = RangeAllocator(config_.region_base, config_.region_size);
     if (config_.contexts == 0)
         config_.contexts = 1;
     ctx_.resize(config_.contexts);
@@ -24,7 +66,7 @@ MessageHeap::shapeFor(uint64_t size)
 {
     Shape s;
     if (config_.policy == AllocPolicy::Pow2Aligned) {
-        s.reserved = config_.codec.alignedSize(size);
+        s.reserved = kDefaultCodec.alignedSize(size);
         if (s.reserved == 0)
             return s;
         s.align = s.reserved;
@@ -32,10 +74,10 @@ MessageHeap::shapeFor(uint64_t size)
                                             : kHugeClass;
         return s;
     }
-    if (config_.chunked) {
+    if (chunked_) {
         s.chunk = kChunkGeometry.chunkUnitFor(size);
         s.chunks = unsigned((size + s.chunk - 1) / s.chunk);
-        s.align = 16;
+        s.align = traits_.align;
         // A chunk multiple; the large chunk is not a power of two, so
         // alignUp cannot round to it.
         s.reserved = uint64_t(s.chunks) * s.chunk;
@@ -45,8 +87,8 @@ MessageHeap::shapeFor(uint64_t size)
                     : classes_.classFor(s.reserved, s.chunk, s.chunks);
         return s;
     }
-    s.reserved = alignUp(std::max<uint64_t>(size, 1), config_.packed_align);
-    s.align = config_.packed_align;
+    s.reserved = alignUp(std::max<uint64_t>(size, 1), traits_.align);
+    s.align = traits_.align;
     s.cls = s.reserved <= kMaxSlabBlock ? classes_.classFor(s.reserved)
                                         : kHugeClass;
     return s;
@@ -87,8 +129,8 @@ MessageHeap::carveFromGroup(uint32_t ctx, uint32_t tid, const Shape& s)
     footprint_ += header + storage;
     peak_footprint_ = std::max(peak_footprint_, footprint_);
     ++group_count_;
-    if (stats_ && !config_.stat_groups.empty())
-        stats_->inc(config_.stat_groups);
+    if (stats_ && !traits_.stat_groups.empty())
+        stats_->inc(traits_.stat_groups);
 
     OpenGroup g;
     g.base = raw + header;
@@ -156,7 +198,7 @@ MessageHeap::acquire(uint32_t ctx, uint32_t tid, const Shape& s)
         --cached_blocks_;
         return base;
     }
-    return config_.chunked ? carveFromGroup(ctx, tid, s)
+    return chunked_ ? carveFromGroup(ctx, tid, s)
                            : carveFromSlab(ctx, s);
 }
 
@@ -270,8 +312,8 @@ MessageHeap::alloc(uint32_t ctx, uint32_t tid, uint64_t size)
         return 0;
     if (ctx >= config_.contexts)
         ctx %= config_.contexts;
-    if (stats_ && config_.stat_alloc_early && !config_.stat_alloc.empty())
-        stats_->inc(config_.stat_alloc);
+    if (stats_ && traits_.stat_alloc_early)
+        stats_->inc(traits_.stat_alloc);
 
     const Shape s = shapeFor(size);
     if (s.reserved == 0) {
@@ -295,16 +337,16 @@ MessageHeap::alloc(uint32_t ctx, uint32_t tid, uint64_t size)
     live_requested_ += size;
     peak_reserved_ = std::max(peak_reserved_, live_reserved_);
     if (stats_) {
-        if (!config_.stat_alloc_early && !config_.stat_alloc.empty())
-            stats_->inc(config_.stat_alloc);
-        if (!config_.stat_reserved.empty())
-            stats_->inc(config_.stat_reserved, s.reserved);
-        if (!config_.stat_requested.empty())
-            stats_->inc(config_.stat_requested, size);
+        if (!traits_.stat_alloc_early)
+            stats_->inc(traits_.stat_alloc);
+        if (!traits_.stat_reserved.empty())
+            stats_->inc(traits_.stat_reserved, s.reserved);
+        if (!traits_.stat_requested.empty())
+            stats_->inc(traits_.stat_requested, size);
     }
 
-    if (config_.policy == AllocPolicy::Pow2Aligned && config_.encode_extent)
-        return config_.codec.encode(base, size);
+    if (config_.policy == AllocPolicy::Pow2Aligned)
+        return kDefaultCodec.encode(base, size);
     return base;
 }
 
@@ -337,16 +379,16 @@ MessageHeap::free(uint32_t ctx, uint64_t ptr)
     // LMI pointers the base is recoverable from the extent.
     uint64_t base = addr;
     if (config_.policy == AllocPolicy::Pow2Aligned &&
-        config_.encode_extent && PointerCodec::isValid(ptr)) {
-        base = config_.codec.baseOf(ptr);
+        PointerCodec::isValid(ptr)) {
+        base = kDefaultCodec.baseOf(ptr);
     }
 
     Extent* rec = by_base_.find(base);
     if (rec == nullptr)
-        return Fault{FaultKind::InvalidFree, base, config_.invalid_free_msg};
+        return Fault{FaultKind::InvalidFree, base, traits_.invalid_free_msg};
     Extent& e = *rec;
     if (!e.live)
-        return Fault{FaultKind::DoubleFree, base, config_.double_free_msg};
+        return Fault{FaultKind::DoubleFree, base, traits_.double_free_msg};
 
     e.live = false;
     live_reserved_ -= e.reserved;
@@ -355,11 +397,10 @@ MessageHeap::free(uint32_t ctx, uint64_t ptr)
     if (config_.quarantine_frees) {
         // One-time allocation: the address range stays retired.
         if (stats_) {
-            if (!config_.stat_quarantined.empty())
-                stats_->inc(config_.stat_quarantined, e.reserved);
-            if (config_.stat_free_on_quarantine &&
-                !config_.stat_free.empty())
-                stats_->inc(config_.stat_free);
+            if (!traits_.stat_quarantined.empty())
+                stats_->inc(traits_.stat_quarantined, e.reserved);
+            if (traits_.stat_free_on_quarantine)
+                stats_->inc(traits_.stat_free);
         }
         return std::nullopt;
     }
@@ -377,8 +418,8 @@ MessageHeap::free(uint32_t ctx, uint64_t ptr)
         ++remote_stats_.posted;
     }
 
-    if (stats_ && !config_.stat_free.empty())
-        stats_->inc(config_.stat_free);
+    if (stats_)
+        stats_->inc(traits_.stat_free);
     return std::nullopt;
 }
 

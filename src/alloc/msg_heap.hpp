@@ -1,7 +1,25 @@
 /**
  * @file
- * Message-passing allocator core shared by the host (cudaMalloc) and
- * device-heap (in-kernel malloc) facades.
+ * The message-passing allocator behind both CUDA allocators of paper
+ * §V-B: host cudaMalloc/cudaFree (HeapKind::Global) and in-kernel
+ * malloc/free (HeapKind::Device). The LMI change is the same for both:
+ * round a request up to 2^n >= K, align the block to its size and
+ * encode the extent in the returned pointer (AllocPolicy::Pow2Aligned).
+ *
+ * The kind fixes everything else, so a Config names only the kind, the
+ * policy, the region, quarantining and the context count:
+ *
+ *  - Global places Packed blocks at cudaMalloc's 256-byte granule.
+ *  - Device under Packed rounds to Fig. 5 chunk units (80 B for small
+ *    requests, 2208 B for large) carved from 128-byte-header buffer
+ *    groups, one set per warp shard, so threads of different warps
+ *    never share a group. Groups and huge blocks place at 16 bytes.
+ *    This rounding is the baseline's pre-existing fragmentation of up
+ *    to ~50% that makes LMI's 2^n rounding cheap on the heap (§IV-E).
+ *  - Each kind has its own fault strings and stat names
+ *    (`alloc.global.*` / `alloc.heap.*`). The kernel heap counts malloc
+ *    attempts and counts quarantined frees as frees; cudaMalloc counts
+ *    successful allocations and counts quarantined bytes instead.
  *
  * Architecture (snmalloc-style, adapted to a deterministic simulator):
  *
@@ -61,8 +79,14 @@ namespace lmi {
 
 /** Block placement policy. */
 enum class AllocPolicy : uint8_t {
-    Packed,     ///< baseline cudaMalloc: 256B-aligned, tightly packed
-    Pow2Aligned ///< LMI: size rounded to 2^n and size-aligned
+    Packed,     ///< baseline: tightly packed (granule set by the HeapKind)
+    Pow2Aligned ///< LMI: 2^n-rounded, size-aligned, extent-encoded
+};
+
+/** Which CUDA allocator a heap models. */
+enum class HeapKind : uint8_t {
+    Global, ///< host cudaMalloc/cudaFree
+    Device  ///< in-kernel malloc/free (Fig. 5 buffer groups)
 };
 
 /** One allocation record, as the mechanisms and tests see it. */
@@ -99,33 +123,17 @@ class MessageHeap
 
     struct Config
     {
+        HeapKind kind = HeapKind::Global;
+        /** Pow2Aligned pointers also carry their extent (LMI). */
         AllocPolicy policy = AllocPolicy::Packed;
+        /** Region to carve. Size 0 selects the kind's region of the
+         *  address map: all of global memory, or the device heap. */
         uint64_t region_base = 0;
         uint64_t region_size = 0;
-        /** Packed-policy rounding/alignment (and huge-block alignment). */
-        uint64_t packed_align = 256;
-        /** kChunkGeometry rounding instead of packed_align (device heap). */
-        bool chunked = false;
-        bool encode_extent = false;
         /** One-time allocation: freed ranges are never recycled. */
         bool quarantine_frees = false;
+        /** Contexts with private caches (SMs, churn contexts). */
         unsigned contexts = 1;
-        PointerCodec codec{};
-
-        /** Fault detail strings (differ between the two facades). */
-        std::string double_free_msg;
-        std::string invalid_free_msg;
-
-        /**
-         * Legacy stat names (empty = not counted), preserving the exact
-         * pre-rearchitecture stat surface of each facade.
-         */
-        std::string stat_alloc, stat_free, stat_groups;
-        std::string stat_reserved, stat_requested, stat_quarantined;
-        /** Heap counted malloc attempts; global counted successes. */
-        bool stat_alloc_early = false;
-        /** Heap counted quarantined frees as frees; global did not. */
-        bool stat_free_on_quarantine = false;
     };
 
     /** Remote-free machinery counters (bench/bench_alloc_throughput). */
@@ -142,7 +150,8 @@ class MessageHeap
         uint64_t drain_calls = 0; ///< drainRemote invocations
     };
 
-    MessageHeap(Config config, StatRegistry* stats);
+    /** Counts into @p stats under the kind's names when non-null. */
+    explicit MessageHeap(Config config, StatRegistry* stats = nullptr);
 
     /**
      * Context @p ctx (thread @p tid for warp-shard locality) allocates
@@ -199,7 +208,16 @@ class MessageHeap
 
     const RemoteStats& remoteStats() const { return remote_stats_; }
 
+    /** This heap. Kept only because perfbench still reads the heap
+     *  through `core()`; a later benchmark change drops that call, then
+     *  this accessor. */
+    const MessageHeap& core() const { return *this; }
+
   private:
+    /** The per-kind constants (msg_heap.cpp). */
+    struct KindTraits;
+    static const KindTraits& traitsOf(HeapKind kind);
+
     /** Rounded shape of one request. */
     struct Shape
     {
@@ -294,6 +312,9 @@ class MessageHeap
     };
 
     Config config_;
+    const KindTraits& traits_;
+    /** Fig. 5 chunk rounding: the Packed kernel heap. */
+    bool chunked_;
     StatRegistry* stats_;
     RangeAllocator range_;
     SizeClassRegistry classes_;

@@ -5,9 +5,7 @@
  *
  * The message-passing allocator (msg_heap.hpp) carves slabs and huge
  * blocks from it; everything smaller is recycled through sizeclass
- * freelists and never comes back here. This is the old
- * GlobalAllocator placement engine, extracted so both allocator
- * facades share one range layer.
+ * freelists and never comes back here.
  */
 
 #pragma once

@@ -641,7 +641,7 @@ class GpuSim::WorkerPool
 // ---------------------------------------------------------------------
 
 GpuSim::GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
-               SparseMemory& global_mem, DeviceHeapAllocator& heap,
+               SparseMemory& global_mem, MessageHeap& heap,
                const Program& program, Launch launch)
     : config_(config),
       mech_(mech),
@@ -1989,7 +1989,7 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms)
                 if (op.is_malloc) {
                     const uint64_t size = op.vals[lane];
                     const uint64_t ptr =
-                        heap_.malloc(sm.sm_id, w.first_gtid + lane, size);
+                        heap_.alloc(sm.sm_id, w.first_gtid + lane, size);
                     if (ptr == 0) {
                         Fault f;
                         f.kind = FaultKind::InvalidFree;
@@ -2016,7 +2016,7 @@ GpuSim::commitSlice(std::vector<SmCtx>& sms)
                     const uint64_t ptr = op.vals[lane];
                     MaybeFault f = mech_.onDeviceFree(ptr);
                     if (!f)
-                        f = heap_.free(sm.sm_id, w.first_gtid + lane, ptr);
+                        f = heap_.free(sm.sm_id, ptr);
                     if (f) {
                         candidates.push_back(
                             {op.cycle, sm.sm_id, op.seq, std::move(*f)});

@@ -112,7 +112,7 @@ class GpuSim
 {
   public:
     GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
-           SparseMemory& global_mem, DeviceHeapAllocator& heap,
+           SparseMemory& global_mem, MessageHeap& heap,
            const Program& program, Launch launch);
     ~GpuSim(); // out of line: members of internal (incomplete) types
 
@@ -201,7 +201,7 @@ class GpuSim
     const GpuConfig& config_;
     ProtectionMechanism& mech_;
     SparseMemory& global_mem_;
-    DeviceHeapAllocator& heap_;
+    MessageHeap& heap_;
     const Program& program_;
     Launch launch_;
 

@@ -46,8 +46,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "alloc/device_heap.hpp"
-#include "alloc/global_allocator.hpp"
+#include "alloc/msg_heap.hpp"
 #include "arch/isa.hpp"
 #include "common/stats.hpp"
 #include "compiler/codegen.hpp"
@@ -61,8 +60,8 @@ namespace lmi {
 /** Everything a mechanism may need to inspect or mutate device state. */
 struct DeviceState
 {
-    GlobalAllocator* global_alloc = nullptr;
-    DeviceHeapAllocator* heap_alloc = nullptr;
+    MessageHeap* global_alloc = nullptr; ///< cudaMalloc heap
+    MessageHeap* heap_alloc = nullptr;   ///< kernel malloc heap
     SparseMemory* global_mem = nullptr;
     StatRegistry* stats = nullptr;
     const GpuConfig* config = nullptr;

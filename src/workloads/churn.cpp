@@ -2,8 +2,6 @@
 
 #include <chrono>
 
-#include "alloc/device_heap.hpp"
-#include "alloc/global_allocator.hpp"
 #include "analysis/verify.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -33,18 +31,18 @@ struct Handle
 };
 
 /**
- * The shared driver loop. @p mal / @p fre adapt the two facades; the
- * RNG draw order is part of the workload definition (the pre- and
- * post-rearchitecture allocators must see the identical op stream for
- * the throughput comparison to mean anything), so nothing here may
+ * The driver loop. The RNG draw order is part of the workload
+ * definition (every allocator version must see the identical op stream
+ * for the throughput comparison to mean anything), so nothing here may
  * consume randomness conditionally on allocator behaviour except the
  * documented stale-free alias retirement.
  */
-template <typename MallocFn, typename FreeFn, typename DrainFn>
 ChurnResult
-drive(const ChurnSpec& s, unsigned drain_interval, MallocFn&& mal,
-      FreeFn&& fre, DrainFn&& drain)
+drive(const ChurnSpec& s, unsigned drain_interval, MessageHeap& heap)
 {
+    auto fre = [&](uint32_t ctx, uint64_t ptr) {
+        return heap.free(ctx, ptr).has_value() ? 1 : 0;
+    };
     Rng rng(s.seed);
     std::vector<Handle> live, stale;
     live.reserve(s.live_target + 1);
@@ -61,7 +59,10 @@ drive(const ChurnSpec& s, unsigned drain_interval, MallocFn&& mal,
         if (do_alloc) {
             const ChurnMix& m = s.mix[rng.below(s.mix.size())];
             const uint64_t size = rng.range(m.lo, m.hi);
-            const uint64_t ptr = mal(ctx, size);
+            // tid = ctx*64 puts each context's allocations in its own
+            // warp shard of the kernel heap, like distinct warps on
+            // distinct SMs; the cudaMalloc heap ignores tid.
+            const uint64_t ptr = heap.alloc(ctx, ctx * 64, size);
             r.digest = fold(r.digest, ptr);
             if (ptr)
                 live.push_back({ptr, ctx});
@@ -108,9 +109,9 @@ drive(const ChurnSpec& s, unsigned drain_interval, MallocFn&& mal,
                 stale.push_back(h);
         }
         if (drain_interval && (op + 1) % drain_interval == 0)
-            drain();
+            heap.drainRemote();
     }
-    drain();
+    heap.drainRemote();
     const auto t1 = std::chrono::steady_clock::now();
     r.wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -149,17 +150,17 @@ churnBasket()
     // half the frees foreign), the host allocator's packed and pow2
     // rounding, and extent-epoch churn under stale frees (temporal).
     static const std::vector<ChurnSpec> basket = {
-        {"heap_small_packed", true, AllocPolicy::Packed, false, 400000,
-         8, 2048, {{8, 80}, {81, 1024}}, 0.2, 0.0, 0xC0A1},
-        {"heap_mixed_packed", true, AllocPolicy::Packed, false, 400000,
-         8, 2048, {{16, 1024}, {1025, 16384}}, 0.3, 0.0, 0xC0A2},
-        {"heap_cross_sm_pow2", true, AllocPolicy::Pow2Aligned, true,
+        {"heap_small_packed", HeapKind::Device, AllocPolicy::Packed,
+         400000, 8, 2048, {{8, 80}, {81, 1024}}, 0.2, 0.0, 0xC0A1},
+        {"heap_mixed_packed", HeapKind::Device, AllocPolicy::Packed,
+         400000, 8, 2048, {{16, 1024}, {1025, 16384}}, 0.3, 0.0, 0xC0A2},
+        {"heap_cross_sm_pow2", HeapKind::Device, AllocPolicy::Pow2Aligned,
          400000, 16, 4096, {{16, 4096}}, 0.5, 0.0, 0xC0A3},
-        {"global_packed", false, AllocPolicy::Packed, false, 400000, 1,
-         1024, {{256, 262144}}, 0.0, 0.0, 0xC0A4},
-        {"global_pow2", false, AllocPolicy::Pow2Aligned, true, 400000, 1,
-         1024, {{256, 262144}}, 0.0, 0.0, 0xC0A5},
-        {"heap_temporal", true, AllocPolicy::Packed, false, 200000, 8,
+        {"global_packed", HeapKind::Global, AllocPolicy::Packed, 400000,
+         1, 1024, {{256, 262144}}, 0.0, 0.0, 0xC0A4},
+        {"global_pow2", HeapKind::Global, AllocPolicy::Pow2Aligned, 400000,
+         1, 1024, {{256, 262144}}, 0.0, 0.0, 0xC0A5},
+        {"heap_temporal", HeapKind::Device, AllocPolicy::Packed, 200000, 8,
          1024, {{32, 2048}}, 0.25, 0.05, 0xC0A6},
     };
     return basket;
@@ -190,41 +191,11 @@ runChurn(const ChurnSpec& spec, unsigned drain_interval)
     if (spec.mix.empty() || spec.contexts == 0)
         lmi_fatal("churn spec '%s' needs a size mix and >= 1 context",
                   spec.name.c_str());
-    if (spec.device_heap) {
-        DeviceHeapAllocator::Config cfg;
-        cfg.policy = spec.policy;
-        cfg.encode_extent = spec.encode_extent;
-        cfg.contexts = spec.contexts;
-        DeviceHeapAllocator heap(cfg);
-        // tid = ctx*64 puts each context's allocations in its own warp
-        // shard, like distinct warps on distinct SMs.
-        ChurnResult r = drive(
-            spec, drain_interval,
-            [&](uint32_t ctx, uint64_t size) {
-                return heap.malloc(ctx, ctx * 64, size);
-            },
-            [&](uint32_t ctx, uint64_t ptr) {
-                return heap.free(ctx, ctx * 64, ptr).has_value() ? 1 : 0;
-            },
-            [&] { heap.drainRemote(); });
-        finish(&r, heap.core());
-        return r;
-    }
-    GlobalAllocator::Config cfg;
-    cfg.policy = spec.policy;
-    cfg.encode_extent = spec.encode_extent;
-    cfg.contexts = spec.contexts;
-    GlobalAllocator ga(cfg);
-    ChurnResult r = drive(
-        spec, drain_interval,
-        [&](uint32_t ctx, uint64_t size) {
-            return ga.allocFrom(ctx, size);
-        },
-        [&](uint32_t ctx, uint64_t ptr) {
-            return ga.freeFrom(ctx, ptr).has_value() ? 1 : 0;
-        },
-        [&] { ga.drainRemote(); });
-    finish(&r, ga.core());
+    MessageHeap heap({.kind = spec.kind,
+                      .policy = spec.policy,
+                      .contexts = spec.contexts});
+    ChurnResult r = drive(spec, drain_interval, heap);
+    finish(&r, heap);
     return r;
 }
 

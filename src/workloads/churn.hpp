@@ -5,8 +5,8 @@
  * Two layers:
  *
  *  - **Allocator-level churn** (`runChurn`): a deterministic
- *    alloc/free driver hammering a facade (GlobalAllocator or
- *    DeviceHeapAllocator) directly — millions of operations, mixed
+ *    alloc/free driver hammering one MessageHeap of either kind
+ *    (cudaMalloc or kernel heap) directly — millions of operations, mixed
  *    sizeclasses, cross-context frees that exercise the remote-free
  *    lists, and optional stale frees that land on retired or
  *    reallocated extents (the temporal-safety churn the extent table's
@@ -49,10 +49,9 @@ struct ChurnMix
 struct ChurnSpec
 {
     std::string name;
-    /** Device-heap facade (in-kernel malloc) vs global (cudaMalloc). */
-    bool device_heap = true;
+    /** Kernel heap (in-kernel malloc) or global heap (cudaMalloc). */
+    HeapKind kind = HeapKind::Device;
     AllocPolicy policy = AllocPolicy::Packed;
-    bool encode_extent = false;
     uint64_t ops = 0;
     /** Allocator contexts (SMs / runner jobs) issuing ops. */
     unsigned contexts = 1;

@@ -7,8 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "alloc/device_heap.hpp"
-#include "alloc/global_allocator.hpp"
+#include "alloc/msg_heap.hpp"
 #include "ir/builder.hpp"
 #include "sim/device.hpp"
 #include "workloads/churn.hpp"
@@ -135,40 +134,37 @@ TEST(Churn, ExhaustionRecoversThroughRemoteDrain)
     // frees blocks it does not own; the frees park in ctx 0's
     // remote-free list. The alloc slow path must drain it and retry
     // before reporting exhaustion.
-    GlobalAllocator::Config cfg;
-    cfg.region_base = 0x10000000;
-    cfg.region_size = 128 * 1024;
-    cfg.contexts = 2;
-    GlobalAllocator a(cfg, nullptr);
+    MessageHeap a(
+        {.region_base = 0x10000000, .region_size = 128 * 1024, .contexts = 2});
     std::vector<uint64_t> ptrs;
     for (;;) {
-        const uint64_t p = a.allocFrom(0, 4096);
+        const uint64_t p = a.alloc(0, 0, 4096);
         if (!p)
             break;
         ptrs.push_back(p);
     }
     ASSERT_EQ(ptrs.size(), 32u); // 128 KiB / 4 KiB
     for (uint64_t p : ptrs)
-        ASSERT_FALSE(a.freeFrom(1, p).has_value());
-    EXPECT_GT(a.core().remotePending(), 0u);
+        ASSERT_FALSE(a.free(1, p).has_value());
+    EXPECT_GT(a.remotePending(), 0u);
     // No explicit drainRemote: the alloc path must recover on its own.
-    const uint64_t p = a.allocFrom(0, 4096);
+    const uint64_t p = a.alloc(0, 0, 4096);
     EXPECT_NE(p, 0u);
-    EXPECT_EQ(a.core().remotePending(), 0u);
+    EXPECT_EQ(a.remotePending(), 0u);
 }
 
 TEST(Churn, DoubleFreeStaysClassifiedAfterReuse)
 {
-    DeviceHeapAllocator heap;
-    const uint64_t p = heap.malloc(0, 0, 64);
-    ASSERT_FALSE(heap.free(0, 0, p).has_value());
+    MessageHeap heap({.kind = HeapKind::Device});
+    const uint64_t p = heap.alloc(0, 0, 64);
+    ASSERT_FALSE(heap.free(0, p).has_value());
     // Re-carve the same chunk, then replay the stale free twice: the
     // first lands on the reallocated (live) extent and succeeds — the
     // UAF-realloc hazard — and the second is a DoubleFree again.
-    const uint64_t q = heap.malloc(0, 0, 64);
+    const uint64_t q = heap.alloc(0, 0, 64);
     ASSERT_EQ(q, p);
-    ASSERT_FALSE(heap.free(0, 0, p).has_value());
-    const MaybeFault dbl = heap.free(0, 0, p);
+    ASSERT_FALSE(heap.free(0, p).has_value());
+    const MaybeFault dbl = heap.free(0, p);
     ASSERT_TRUE(dbl.has_value());
     EXPECT_EQ(dbl->kind, FaultKind::DoubleFree);
 }
@@ -207,8 +203,7 @@ TEST(Churn, CrossSmRemoteFreeAfterOwningBlockExits)
     const RunResult drain = dev.launch(k.drain, kBlocks, kThreads, {table});
     ASSERT_FALSE(drain.faulted());
     EXPECT_EQ(dev.heapAllocator().liveReservedBytes(), 0u);
-    const MessageHeap::RemoteStats& rs =
-        dev.heapAllocator().core().remoteStats();
+    const MessageHeap::RemoteStats& rs = dev.heapAllocator().remoteStats();
     EXPECT_GT(rs.posted, 0u);
     EXPECT_EQ(rs.drained, rs.posted);
 }
@@ -236,12 +231,12 @@ TEST(Churn, KernelChurnByteIdenticalAcrossSimThreads)
         const RunResult drain =
             dev.launch(k.drain, kBlocks, kThreads, {table});
         EXPECT_FALSE(drain.faulted());
-        const MessageHeap& core = dev.heapAllocator().core();
-        s.live = core.liveReservedBytes();
-        s.footprint = core.footprintBytes();
-        s.groups = core.groupCount();
-        s.posted = core.remoteStats().posted;
-        s.drained = core.remoteStats().drained;
+        const MessageHeap& heap = dev.heapAllocator();
+        s.live = heap.liveReservedBytes();
+        s.footprint = heap.footprintBytes();
+        s.groups = heap.groupCount();
+        s.posted = heap.remoteStats().posted;
+        s.drained = heap.remoteStats().drained;
         s.mallocs = dev.stats().counter("alloc.heap.mallocs");
         s.frees = dev.stats().counter("alloc.heap.frees");
         return s;
@@ -293,10 +288,10 @@ TEST(Churn, GroupAccountingAcrossFreeReallocInOneKernel)
     const uint64_t pa = dev.peek64(out_buf);
     const uint64_t qa = dev.peek64(out_buf + 8);
     EXPECT_EQ(pa, qa); // LIFO cache hands the same chunk back
-    const DeviceHeapAllocator& heap = dev.heapAllocator();
-    EXPECT_EQ(heap.core().groupCount(), 1u);
+    const MessageHeap& heap = dev.heapAllocator();
+    EXPECT_EQ(heap.groupCount(), 1u);
     EXPECT_EQ(heap.liveReservedBytes(), 0u);
-    const MessageHeap::Extent* e = heap.core().extentAt(pa);
+    const MessageHeap::Extent* e = heap.extentAt(pa);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->epoch, 1u); // re-minted, not a fresh record
     EXPECT_FALSE(e->live);

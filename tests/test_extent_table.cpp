@@ -2,7 +2,7 @@
  * @file
  * Differential test of MessageHeap's extent table: seeded streams of
  * alloc, free, stale free, cross-context free and drain run through
- * both facades, and after every operation the table must agree with a
+ * both heap kinds, and after every operation the table must agree with a
  * plain ordered-map reference model of the documented semantics
  * (fault kind, no live overlap, epoch bump and fresh id on same-base
  * reuse, extentAt/findLive/findAny answers, extentCount()).
@@ -15,8 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "alloc/device_heap.hpp"
-#include "alloc/global_allocator.hpp"
+#include "alloc/msg_heap.hpp"
 #include "common/bitutil.hpp"
 #include "common/rng.hpp"
 
@@ -130,7 +129,7 @@ class RefExtents
 /** One op-stream configuration. */
 struct StreamCase
 {
-    bool device_heap = false;
+    HeapKind kind = HeapKind::Global;
     AllocPolicy policy = AllocPolicy::Packed;
     bool quarantine = false;
     unsigned contexts = 1;
@@ -139,10 +138,11 @@ struct StreamCase
 std::string
 describe(const StreamCase& c)
 {
-    return std::string(c.device_heap ? "Heap" : "Global") +
+    const bool device = c.kind == HeapKind::Device;
+    return std::string(device ? "Heap" : "Global") +
            (c.policy == AllocPolicy::Pow2Aligned
                 ? "Pow2"
-                : (c.device_heap ? "Chunked" : "Packed")) +
+                : (device ? "Chunked" : "Packed")) +
            (c.quarantine ? "Quarantine" : "Recycle") + "Ctx" +
            std::to_string(c.contexts);
 }
@@ -161,55 +161,8 @@ caseName(const testing::TestParamInfo<StreamCase>& info)
     return describe(info.param);
 }
 
-/** Either facade behind one alloc/free/drain surface. */
-class Facade
-{
-  public:
-    explicit Facade(const StreamCase& c)
-    {
-        if (c.device_heap) {
-            DeviceHeapAllocator::Config cfg;
-            cfg.policy = c.policy;
-            cfg.encode_extent = c.policy == AllocPolicy::Pow2Aligned;
-            cfg.quarantine_frees = c.quarantine;
-            cfg.contexts = c.contexts;
-            heap_.emplace(cfg);
-        } else {
-            GlobalAllocator::Config cfg;
-            cfg.policy = c.policy;
-            cfg.encode_extent = c.policy == AllocPolicy::Pow2Aligned;
-            cfg.quarantine_frees = c.quarantine;
-            cfg.contexts = c.contexts;
-            global_.emplace(cfg);
-        }
-    }
-
-    uint64_t
-    alloc(uint32_t ctx, uint32_t tid, uint64_t size)
-    {
-        return heap_ ? heap_->malloc(ctx, tid, size)
-                     : global_->allocFrom(ctx, size);
-    }
-
-    MaybeFault
-    free(uint32_t ctx, uint64_t ptr)
-    {
-        return heap_ ? heap_->free(ctx, 0, ptr) : global_->freeFrom(ctx, ptr);
-    }
-
-    void drain() { heap_ ? heap_->drainRemote() : global_->drainRemote(); }
-
-    const MessageHeap& core() const
-    {
-        return heap_ ? heap_->core() : global_->core();
-    }
-
-  private:
-    std::optional<DeviceHeapAllocator> heap_;
-    std::optional<GlobalAllocator> global_;
-};
-
-/** Reserved bytes and huge-ness of a request, from the facade docs. */
+/** Reserved bytes and huge-ness of a request, from the msg_heap.hpp
+ *  documentation of the two kinds. */
 std::pair<uint64_t, bool>
 expectedShape(const StreamCase& c, uint64_t size)
 {
@@ -217,7 +170,7 @@ expectedShape(const StreamCase& c, uint64_t size)
         const uint64_t reserved = PointerCodec{}.alignedSize(size);
         return {reserved, reserved > kMaxSlabBlock};
     }
-    if (c.device_heap) {
+    if (c.kind == HeapKind::Device) {
         const uint64_t chunk = kChunkGeometry.chunkUnitFor(size);
         const uint64_t chunks = (size + chunk - 1) / chunk;
         return {chunks * chunk, chunks > kChunkGeometry.chunks_per_group};
@@ -284,11 +237,14 @@ TEST_P(ExtentTableDiff, MatchesReferenceModelAfterEveryOp)
     constexpr size_t kSweepEvery = 64;
 
     const StreamCase& c = GetParam();
-    Facade heap(c);
+    MessageHeap heap({.kind = c.kind,
+                      .policy = c.policy,
+                      .quarantine_frees = c.quarantine,
+                      .contexts = c.contexts});
     RefExtents ref;
     Rng rng(0x5eed0000u + uint64_t(c.contexts) * 131 +
             uint64_t(c.policy) * 17 + (c.quarantine ? 7 : 0) +
-            (c.device_heap ? 3 : 0));
+            (c.kind == HeapKind::Device ? 3 : 0));
     std::vector<Handle> live;
     std::vector<Handle> stale;
     uint64_t max_id = 0;
@@ -328,7 +284,7 @@ TEST_P(ExtentTableDiff, MatchesReferenceModelAfterEveryOp)
             ASSERT_NE(h.ptr, 0u) << "op " << op;
             h.base = PointerCodec::addressOf(h.ptr);
             h.ctx = ctx;
-            const MessageHeap::Extent* e = heap.core().extentAt(h.base);
+            const MessageHeap::Extent* e = heap.extentAt(h.base);
             ASSERT_NE(e, nullptr) << "op " << op;
             EXPECT_GT(e->id, max_id) << "op " << op;
             max_id = std::max(max_id, e->id);
@@ -361,20 +317,20 @@ TEST_P(ExtentTableDiff, MatchesReferenceModelAfterEveryOp)
             }
             touched = &h;
         } else {
-            heap.drain();
+            heap.drainRemote();
         }
 
-        ASSERT_EQ(heap.core().extentCount(), ref.count()) << "op " << op;
+        ASSERT_EQ(heap.extentCount(), ref.count()) << "op " << op;
         if (touched != nullptr) {
             if (const RefExtents::Rec* r = ref.at(touched->base))
-                probe(heap.core(), ref, *r, op);
+                probe(heap, ref, *r, op);
             else
-                expectSame(heap.core().extentAt(touched->base), nullptr,
+                expectSame(heap.extentAt(touched->base), nullptr,
                            "extentAt", touched->base, op);
         }
         if (op % kSweepEvery == kSweepEvery - 1)
             for (const auto& [base, r] : ref.records())
-                probe(heap.core(), ref, r, op);
+                probe(heap, ref, r, op);
     }
     // Without quarantine the stream must actually recycle bases.
     if (!c.quarantine) {
@@ -386,13 +342,13 @@ std::vector<StreamCase>
 allCases()
 {
     std::vector<StreamCase> cases;
-    for (bool device_heap : {false, true})
+    for (HeapKind kind : {HeapKind::Global, HeapKind::Device})
         for (AllocPolicy policy :
              {AllocPolicy::Packed, AllocPolicy::Pow2Aligned})
             for (bool quarantine : {false, true})
                 for (unsigned contexts : {1u, 8u})
                     cases.push_back(
-                        StreamCase{device_heap, policy, quarantine, contexts});
+                        StreamCase{kind, policy, quarantine, contexts});
     return cases;
 }
 
