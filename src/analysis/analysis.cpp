@@ -49,21 +49,6 @@ analyzeFunction(const ir::IrFunction& f, const AnalysisOptions& opts)
                                   oracle.diagnostics.begin(),
                                   oracle.diagnostics.end());
     }
-
-    if (opts.level == AnalysisLevel::Race) {
-        RaceAnalysisOptions raopts;
-        raopts.codec = opts.codec;
-        raopts.block_threads = opts.block_threads;
-        raopts.grid_blocks = opts.grid_blocks;
-        RaceReport races = analyzeRaces(f, raopts);
-        report.race_racy = races.provenRacy();
-        report.race_disjoint = races.provenDisjoint();
-        report.race_unknown = races.unknown();
-        report.race_divergent_barriers = races.divergent_barriers.size();
-        report.diagnostics.insert(report.diagnostics.end(),
-                                  races.diagnostics.begin(),
-                                  races.diagnostics.end());
-    }
     return report;
 }
 

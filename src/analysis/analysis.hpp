@@ -21,9 +21,6 @@
  *           compiles a kernel without it, in any build);
  *   Full    verifier + range + lint; PROVEN_SAFE ops get the elide
  *           hint bit and skip the dynamic OCU check;
- *   Race    Full plus the barrier-aware race/divergence analyzer
- *           (race_analysis.hpp); ProvenRacy pairs and divergent
- *           barriers are error diagnostics;
  *   Oracle  Full plus the whole-kernel safety oracle
  *           (safety_oracle.hpp): every memory access is classified
  *           {ProvenSafe, SpatialOOB, SubObjectOOB, TemporalUAF,
@@ -31,6 +28,9 @@
  *           Severity::Violation diagnostics, and the lint pass defers
  *           its weaker use-after-invalidate heuristic to the oracle's
  *           CFG-exact temporal automaton.
+ *
+ * The barrier-aware race analyzer (race_analysis.hpp) is not a level:
+ * it needs the launch geometry, so its callers run analyzeRaces().
  */
 
 #pragma once
@@ -48,7 +48,7 @@
 namespace lmi::analysis {
 
 /** How much of the pipeline the compiler driver runs. */
-enum class AnalysisLevel : uint8_t { Verify, Full, Race, Oracle };
+enum class AnalysisLevel : uint8_t { Verify, Full, Oracle };
 
 struct AnalysisOptions
 {
@@ -56,9 +56,6 @@ struct AnalysisOptions
     /** Sub-object (narrowed fieldgep extent) mode: see range analysis. */
     bool subobject = false;
     PointerCodec codec{};
-    /** Launch geometry hints for the race analyzer; 0 = unknown. */
-    unsigned block_threads = 0;
-    unsigned grid_blocks = 0;
 };
 
 /** Combined result of one pipeline run over one function. */
@@ -71,12 +68,6 @@ struct AnalysisReport
     size_t proven_safe = 0;
     size_t proven_violating = 0;
     size_t unknown = 0;
-
-    /** Race-analyzer summary (Race level only). */
-    size_t race_racy = 0;
-    size_t race_disjoint = 0;
-    size_t race_unknown = 0;
-    size_t race_divergent_barriers = 0;
 
     /** Safety-oracle access classification (Oracle level only). */
     std::unordered_map<ir::ValueId, AccessWitness> accesses;
