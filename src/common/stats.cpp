@@ -64,17 +64,6 @@ geomean(const std::vector<double>& values)
 }
 
 double
-mean(const std::vector<double>& values)
-{
-    if (values.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double v : values)
-        sum += v;
-    return sum / double(values.size());
-}
-
-double
 overheadPct(double value, double base)
 {
     assert(base > 0.0);

@@ -57,9 +57,6 @@ class StatRegistry
 /** Geometric mean of @p values; values must be positive. */
 double geomean(const std::vector<double>& values);
 
-/** Arithmetic mean. */
-double mean(const std::vector<double>& values);
-
 /** Overhead in percent of @p value over @p base: (value/base - 1) * 100. */
 double overheadPct(double value, double base);
 

@@ -251,8 +251,6 @@ ValueId IrBuilder::isub(ValueId a, ValueId b)
 }
 ValueId IrBuilder::imul(ValueId a, ValueId b)
 { return emit(binop(IrOp::IMul, Type::i64(), a, b)); }
-ValueId IrBuilder::imin(ValueId a, ValueId b)
-{ return emit(binop(IrOp::IMin, Type::i64(), a, b)); }
 ValueId IrBuilder::ishl(ValueId a, ValueId b)
 { return emit(binop(IrOp::IShl, Type::i64(), a, b)); }
 ValueId IrBuilder::ishr(ValueId a, ValueId b)
@@ -263,10 +261,6 @@ ValueId IrBuilder::ior(ValueId a, ValueId b)
 { return emit(binop(IrOp::IOr, Type::i64(), a, b)); }
 ValueId IrBuilder::ixor(ValueId a, ValueId b)
 { return emit(binop(IrOp::IXor, Type::i64(), a, b)); }
-ValueId IrBuilder::fadd(ValueId a, ValueId b)
-{ return emit(binop(IrOp::FAdd, Type::f32(), a, b)); }
-ValueId IrBuilder::fmul(ValueId a, ValueId b)
-{ return emit(binop(IrOp::FMul, Type::f32(), a, b)); }
 
 ValueId
 IrBuilder::ffma(ValueId a, ValueId b, ValueId c)
@@ -275,16 +269,6 @@ IrBuilder::ffma(ValueId a, ValueId b, ValueId c)
     in.op = IrOp::FFma;
     in.type = Type::f32();
     in.ops = {a, b, c};
-    return emit(in);
-}
-
-ValueId
-IrBuilder::frcp(ValueId a)
-{
-    IrInst in;
-    in.op = IrOp::FRcp;
-    in.type = Type::f32();
-    in.ops = {a};
     return emit(in);
 }
 

@@ -82,16 +82,12 @@ class IrBuilder
     ValueId iadd(ValueId a, ValueId b);
     ValueId isub(ValueId a, ValueId b);
     ValueId imul(ValueId a, ValueId b);
-    ValueId imin(ValueId a, ValueId b);
     ValueId ishl(ValueId a, ValueId b);
     ValueId ishr(ValueId a, ValueId b);
     ValueId iand(ValueId a, ValueId b);
     ValueId ior(ValueId a, ValueId b);
     ValueId ixor(ValueId a, ValueId b);
-    ValueId fadd(ValueId a, ValueId b);
-    ValueId fmul(ValueId a, ValueId b);
     ValueId ffma(ValueId a, ValueId b, ValueId c);
-    ValueId frcp(ValueId a);
     /** Reinterpret the float register bit pattern of @p a as i64. */
     ValueId fbits(ValueId a);
     ValueId icmp(CmpOp cmp, ValueId a, ValueId b);

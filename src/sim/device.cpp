@@ -172,7 +172,6 @@ Device::launch(const CompiledKernel& kernel, unsigned grid_blocks,
                   kernel.program.name.c_str(), params.size(),
                   kernel.program.num_params);
 
-    // GpuSim resolves options.sim_threads == 0 against config_.
     GpuSim sim(config_, *mech_, global_mem_, *heap_alloc_, kernel.program,
                Launch{grid_blocks, block_threads, std::move(params),
                       options});

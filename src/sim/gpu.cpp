@@ -2151,8 +2151,7 @@ unsigned
 GpuSim::resolveThreads(unsigned used_sms) const
 {
     const LaunchOptions& o = launch_.options;
-    unsigned threads =
-        o.sim_threads ? o.sim_threads : resolveSimThreads(config_);
+    unsigned threads = resolveSimThreads(config_);
     if (threads > 1 && (o.trace || o.sanitizer || o.memlog)) {
         lmi_inform("sim: %s launch pinned to sim_threads=1 "
                    "(order-sensitive sink attached)",

@@ -90,7 +90,7 @@ struct Launch
     unsigned grid_blocks = 1;
     unsigned block_threads = 32;
     std::vector<uint64_t> params;
-    /** Tier, observers and thread budget, as passed to Device::launch.
+    /** Tier and observers, as passed to Device::launch.
      *  Traced, sanitized or logged launches are pinned to one worker
      *  thread (their sinks are inherently order-sensitive). */
     LaunchOptions options;

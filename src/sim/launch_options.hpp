@@ -23,9 +23,9 @@
 
 namespace lmi {
 
-class TraceSink;
+class TraceRecorder;
 class RaceSanitizer;
-class MemEventSink;
+class MemEventLog;
 
 /** Which engine tier executes the launch. */
 enum class ExecutionTier : uint8_t {
@@ -69,7 +69,7 @@ struct SamplingParams
  * Per-launch options. Everything defaults to the plain detailed launch,
  * so `dev.launch(kernel, grid, block, params)` keeps its historical
  * meaning; callers opt into tiers, tracing, sanitizing, dynamic shared
- * memory or a private thread budget by filling the relevant fields.
+ * or dynamic shared memory by filling the relevant fields.
  */
 struct LaunchOptions
 {
@@ -78,19 +78,13 @@ struct LaunchOptions
     SamplingParams sampling;
     /** Dynamic shared memory requested for the launch, in bytes. */
     uint64_t dynamic_shared_bytes = 0;
-    /**
-     * Worker threads stepping SMs for this launch. 0 = inherit the
-     * device's sim_threads (which falls back to LMI_SIM_THREADS, then
-     * 1). Results are byte-identical for every value within a tier.
-     */
-    unsigned sim_threads = 0;
-    /** Optional instruction-trace sink (NVBit-style capture). */
-    TraceSink* trace = nullptr;
+    /** Optional instruction trace (NVBit-style capture). */
+    TraceRecorder* trace = nullptr;
     /** Optional dynamic race sanitizer (purely observational). */
     RaceSanitizer* sanitizer = nullptr;
     /** Optional memory-transaction log feeding the weak-memory model
      *  checker (purely observational; pins the launch to one thread). */
-    MemEventSink* memlog = nullptr;
+    MemEventLog* memlog = nullptr;
 };
 
 } // namespace lmi

@@ -2,7 +2,7 @@
  * @file
  * Per-SM memory-transaction logging for the weak-memory model checker.
  *
- * A launch carrying a MemEventSink records every architecturally
+ * A launch carrying a MemEventLog records every architecturally
  * executed global-memory transaction — per lane, in issue order — plus
  * the fence, barrier and heap events that order them. Like the trace
  * and sanitizer sinks, an attached event log pins the launch to
@@ -65,19 +65,11 @@ struct MemEvent
     uint64_t value2 = 0;
 };
 
-/** Receives events as the engine executes them. */
-class MemEventSink
+/** Receives events as the engine executes them and keeps them all. */
+class MemEventLog
 {
   public:
-    virtual ~MemEventSink() = default;
-    virtual void record(const MemEvent& event) = 0;
-};
-
-/** The trivial keep-everything sink. */
-class MemEventLog : public MemEventSink
-{
-  public:
-    void record(const MemEvent& event) override
+    void record(const MemEvent& event)
     {
         events_.push_back(event);
     }

@@ -4,8 +4,8 @@
  *
  * The paper's methodology is trace-driven (NVBit captures instruction
  * streams that MacSim replays). This module exposes the equivalent
- * capability: a TraceSink can be attached to a launch and receives one
- * event per issued warp instruction; TraceRecorder buffers them and
+ * capability: a TraceRecorder attached to a launch receives one
+ * event per issued warp instruction and buffers them, and
  * TraceAnalysis summarizes the stream (instruction mix, hint-bit
  * density, per-region memory counts) — the inputs to Fig. 1-style
  * characterization.
@@ -35,23 +35,15 @@ struct TraceEvent
     bool hinted = false;      ///< A bit set (pointer operation)
 };
 
-/** Receives trace events during a launch. */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-    virtual void record(const TraceEvent& event) = 0;
-};
-
-/** Buffers the whole stream in memory. */
-class TraceRecorder final : public TraceSink
+/** Receives trace events during a launch and buffers the stream. */
+class TraceRecorder
 {
   public:
     /** @param capacity stop recording beyond this many events (0 = all) */
     explicit TraceRecorder(size_t capacity = 0) : capacity_(capacity) {}
 
     void
-    record(const TraceEvent& event) override
+    record(const TraceEvent& event)
     {
         ++total_;
         if (capacity_ == 0 || events_.size() < capacity_)

@@ -1214,12 +1214,12 @@ TEST(AttackSuite, DetectionInvariantAcrossTiersAndSimThreads)
                     for (unsigned threads : {1u, 2u}) {
                         int outcome; // 0 clean, 1 fault, 2 rejected
                         Device dev(makeMechanism(kind));
+                        dev.setSimThreads(threads);
                         try {
                             const CompiledKernel ck =
                                 dev.compile(m, scenario.kernel);
                             LaunchOptions lopts;
                             lopts.tier = tier;
-                            lopts.sim_threads = threads;
                             const RunResult r = dev.launch(
                                 ck, scenario.grid, scenario.block, {},
                                 lopts);

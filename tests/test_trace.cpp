@@ -21,7 +21,7 @@ using namespace ir;
 
 /** LaunchOptions with @p sink attached (the old launchTraced). */
 LaunchOptions
-traced(TraceSink& sink)
+traced(TraceRecorder& sink)
 {
     LaunchOptions opts;
     opts.trace = &sink;
