@@ -14,6 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <vector>
+
 #include "ir/builder.hpp"
 #include "mechanisms/registry.hpp"
 #include "workloads/workloads.hpp"
@@ -79,22 +83,65 @@ expectIdentical(const RunSnapshot& a, const RunSnapshot& b)
  *  shared tiles (hotspot), dependency-grid DP (needle). */
 const char* const kWorkloads[] = {"bfs", "hotspot", "needle"};
 
-TEST(ParallelSim, EveryMechanismByteIdenticalAcrossThreadCounts)
+/** A mechanism as a test parameter. */
+struct MechanismCase
 {
-    for (MechanismKind kind : allMechanisms()) {
-        for (const char* name : kWorkloads) {
-            SCOPED_TRACE(std::string(mechanismKindName(kind)) + "/" +
-                         name);
-            const WorkloadProfile profile = findWorkload(name);
-            const RunSnapshot serial = runAt(kind, profile, 0.1, 1);
-            for (unsigned threads : {2u, 8u}) {
-                SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-                expectIdentical(serial,
-                                runAt(kind, profile, 0.1, threads));
-            }
+    MechanismKind kind;
+};
+
+/** The registry name, alphanumerics only ("lmi+liveness" ->
+ *  "lmiliveness"), as gtest names need. */
+std::string
+describe(const MechanismCase& c)
+{
+    std::string name;
+    for (char ch : std::string(mechanismKindName(c.kind)))
+        if (std::isalnum(static_cast<unsigned char>(ch)))
+            name += ch;
+    return name;
+}
+
+/** gtest prints parameters into ctest names; without this it dumps
+ *  the struct's bytes. */
+void
+PrintTo(const MechanismCase& c, std::ostream* os)
+{
+    *os << describe(c);
+}
+
+std::vector<MechanismCase>
+everyMechanism()
+{
+    std::vector<MechanismCase> cases;
+    for (MechanismKind kind : allMechanisms())
+        cases.push_back({kind});
+    return cases;
+}
+
+/** One gtest case per mechanism, so ctest runs them in parallel. */
+class EveryMechanism : public testing::TestWithParam<MechanismCase>
+{
+};
+
+TEST_P(EveryMechanism, ByteIdenticalAcrossThreadCounts)
+{
+    const MechanismKind kind = GetParam().kind;
+    for (const char* name : kWorkloads) {
+        SCOPED_TRACE(std::string(mechanismKindName(kind)) + "/" + name);
+        const WorkloadProfile profile = findWorkload(name);
+        const RunSnapshot serial = runAt(kind, profile, 0.1, 1);
+        for (unsigned threads : {2u, 8u}) {
+            SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+            expectIdentical(serial, runAt(kind, profile, 0.1, threads));
         }
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ParallelSim, EveryMechanism, testing::ValuesIn(everyMechanism()),
+    [](const testing::TestParamInfo<MechanismCase>& info) {
+        return describe(info.param);
+    });
 
 TEST(ParallelSim, DeviceHeapOpsByteIdenticalAcrossThreadCounts)
 {

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -898,24 +899,98 @@ TEST(Sim, Fig12CellDigestsMatchGolden)
     }
 }
 
-TEST(Sim, OtherMechanismCellDigestsMatchGolden)
+/** One mechanism the Fig. 12 tables leave out, on one tier. */
+struct OtherMechanismCase
 {
-    // Every mechanism the Fig. 12 tables leave out, in enum order.
-    std::vector<MechanismKind> mechanisms;
+    MechanismKind mechanism;
+    ExecutionTier tier;
+};
+
+/** Every mechanism the Fig. 12 tables leave out, in enum order, on
+ *  both tiers. */
+std::vector<OtherMechanismCase>
+otherMechanismCases()
+{
+    std::vector<OtherMechanismCase> cases;
     const std::vector<MechanismKind> fig12 = hardwareComparisonMechanisms();
-    for (MechanismKind kind : allMechanisms())
-        if (kind != MechanismKind::Baseline &&
-            std::find(fig12.begin(), fig12.end(), kind) == fig12.end())
-            mechanisms.push_back(kind);
+    for (ExecutionTier tier :
+         {ExecutionTier::Detailed, ExecutionTier::Functional})
+        for (MechanismKind kind : allMechanisms())
+            if (kind != MechanismKind::Baseline &&
+                std::find(fig12.begin(), fig12.end(), kind) == fig12.end())
+                cases.push_back({kind, tier});
+    return cases;
+}
+
+/** The lines of @p golden for @p kind ("workload/<name> digest"). */
+std::vector<std::string>
+goldenFor(const std::vector<std::string>& golden, MechanismKind kind)
+{
+    const std::string tag = "/" + std::string(mechanismKindName(kind)) + " ";
+    std::vector<std::string> lines;
+    for (const std::string& line : golden)
+        if (line.find(tag) != std::string::npos)
+            lines.push_back(line);
+    return lines;
+}
+
+/** "<mechanism>_<tier>", the registry name with alphanumerics only
+ *  ("lmi+liveness" -> "lmiliveness"), as gtest names need. */
+std::string
+describe(const OtherMechanismCase& c)
+{
+    std::string name;
+    for (char ch : std::string(mechanismKindName(c.mechanism)))
+        if (std::isalnum(static_cast<unsigned char>(ch)))
+            name += ch;
+    return name + "_" + executionTierName(c.tier);
+}
+
+/** gtest prints parameters into ctest names; without this it dumps
+ *  the struct's bytes. */
+void
+PrintTo(const OtherMechanismCase& c, std::ostream* os)
+{
+    *os << describe(c);
+}
+
+TEST(Sim, OtherMechanismGoldenLinesAllBelongToACase)
+{
     for (ExecutionTier tier :
          {ExecutionTier::Detailed, ExecutionTier::Functional}) {
-        SCOPED_TRACE(std::string("tier=") + executionTierName(tier));
-        expectGolden(fig12Digests(tier, mechanisms, 0.1),
-                     tier == ExecutionTier::Detailed
-                         ? kOtherMechanismsGolden
-                         : kOtherMechanismsFunctionalGolden);
+        const std::vector<std::string>& golden =
+            tier == ExecutionTier::Detailed ? kOtherMechanismsGolden
+                                            : kOtherMechanismsFunctionalGolden;
+        size_t lines = 0;
+        for (const OtherMechanismCase& c : otherMechanismCases())
+            if (c.tier == tier)
+                lines += goldenFor(golden, c.mechanism).size();
+        EXPECT_EQ(lines, golden.size()) << executionTierName(tier);
     }
 }
+
+/** One gtest case per (mechanism, tier), so ctest runs them in
+ *  parallel. */
+class OtherMechanismDigests
+    : public testing::TestWithParam<OtherMechanismCase>
+{
+};
+
+TEST_P(OtherMechanismDigests, CellDigestsMatchGolden)
+{
+    const OtherMechanismCase& c = GetParam();
+    const std::vector<std::string>& golden =
+        c.tier == ExecutionTier::Detailed ? kOtherMechanismsGolden
+                                          : kOtherMechanismsFunctionalGolden;
+    expectGolden(fig12Digests(c.tier, {c.mechanism}, 0.1),
+                 goldenFor(golden, c.mechanism));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sim, OtherMechanismDigests, testing::ValuesIn(otherMechanismCases()),
+    [](const testing::TestParamInfo<OtherMechanismCase>& info) {
+        return describe(info.param);
+    });
 
 TEST(Sim, AttackOutcomesMatchGolden)
 {
