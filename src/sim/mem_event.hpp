@@ -69,10 +69,9 @@ struct MemEvent
 class MemEventLog
 {
   public:
-    void record(const MemEvent& event)
-    {
-        events_.push_back(event);
-    }
+    /** Out of line (sim/mem_event.cpp), so the engine's memory path
+     *  does not grow by an inlined push_back at every logging site. */
+    void record(const MemEvent& event);
 
     const std::vector<MemEvent>& events() const { return events_; }
     void clear() { events_.clear(); }

@@ -8,6 +8,14 @@
 
 namespace lmi {
 
+void
+TraceRecorder::record(const TraceEvent& event)
+{
+    ++total_;
+    if (capacity_ == 0 || events_.size() < capacity_)
+        events_.push_back(event);
+}
+
 TraceAnalysis
 analyzeTrace(const std::vector<TraceEvent>& events)
 {

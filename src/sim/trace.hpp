@@ -42,13 +42,9 @@ class TraceRecorder
     /** @param capacity stop recording beyond this many events (0 = all) */
     explicit TraceRecorder(size_t capacity = 0) : capacity_(capacity) {}
 
-    void
-    record(const TraceEvent& event)
-    {
-        ++total_;
-        if (capacity_ == 0 || events_.size() < capacity_)
-            events_.push_back(event);
-    }
+    /** Out of line (sim/trace.cpp), so the engine's issue loop does
+     *  not grow by an inlined push_back. */
+    void record(const TraceEvent& event);
 
     const std::vector<TraceEvent>& events() const { return events_; }
     /** Events seen (including any dropped past the capacity). */
