@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "arch/mem_map.hpp"
 #include "common/bitutil.hpp"
@@ -198,8 +199,7 @@ MessageHeap::acquire(uint32_t ctx, uint32_t tid, const Shape& s)
         --cached_blocks_;
         return base;
     }
-    return chunked_ ? carveFromGroup(ctx, tid, s)
-                           : carveFromSlab(ctx, s);
+    return chunked_ ? carveFromGroup(ctx, tid, s) : carveFromSlab(ctx, s);
 }
 
 MessageHeap::ExtentMap::iterator

@@ -66,7 +66,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "alloc/range_alloc.hpp"

@@ -76,19 +76,6 @@ class RangeAllocator
         free_[base] = size;
     }
 
-    /** Number of distinct holes (external-fragmentation gauge). */
-    size_t holeCount() const { return free_.size(); }
-
-    /** Total free bytes across all holes. */
-    uint64_t
-    freeBytes() const
-    {
-        uint64_t sum = 0;
-        for (const auto& [base, size] : free_)
-            sum += size;
-        return sum;
-    }
-
   private:
     /** Free extents: base -> size, coalesced. */
     std::map<uint64_t, uint64_t> free_;
