@@ -5,6 +5,9 @@
 #include <map>
 #include <sstream>
 #include <tuple>
+#include <unordered_set>
+
+#include "common/hash.hpp"
 
 namespace lmi::analysis {
 
@@ -111,25 +114,6 @@ isHeap(const MemEvent& e)
     return e.kind == Kind::Malloc || e.kind == Kind::Free;
 }
 
-/** Drains the CTA store buffer into M when executed. */
-inline bool
-isDrainer(const MemEvent& e)
-{
-    if (uint8_t(e.scope) < uint8_t(MemScope::Gpu))
-        return false;
-    switch (e.kind) {
-      case Kind::Store:
-      case Kind::Fence:
-          return hasRelease(e.order);
-      case Kind::Rmw:
-      case Kind::Cas:
-          return true; // flushes at least its own address
-      default:
-          return false;
-    }
-    return false;
-}
-
 inline bool
 rangesOverlap(uint64_t a, uint64_t wa, uint64_t b, uint64_t wb)
 {
@@ -179,13 +163,20 @@ liveAt(State& st, uint64_t base)
                         [&](const HeapRange& r) { return r.base == base; });
 }
 
-/** One DFS depth: the state reached there and its transition sets. */
+/** One DFS depth: the state reached there and its transitions. */
 struct Frame
 {
     State st;
     std::vector<uint64_t> trans; ///< enabled transitions, in order
-    std::vector<uint64_t> sleep; ///< transitions proven redundant here
-    std::vector<uint64_t> done;  ///< siblings already explored
+};
+
+/** Hash of a packed state key (equality stays exact). */
+struct KeyHash
+{
+    size_t operator()(const std::vector<uint64_t>& key) const
+    {
+        return size_t(Fnv1a().bytes(key.data(), key.size() * 8).value());
+    }
 };
 
 class Checker
@@ -221,7 +212,7 @@ class Checker
     // --- exploration ----------------------------------------------------
     void enabled(const State& st, std::vector<uint64_t>& out) const;
     void apply(State& st, uint64_t id);
-    bool dependent(uint64_t a, uint64_t b) const;
+    void pack(const State& st, std::vector<uint64_t>& key) const;
     void explore(size_t depth);
 
     // --- witness race pass ----------------------------------------------
@@ -234,7 +225,6 @@ class Checker
     ModelCheckReport report_;
 
     size_t n_ = 0;
-    std::vector<uint32_t> agent_;          ///< event -> dense agent idx
     std::vector<uint32_t> cta_;            ///< event -> dense cta idx
     size_t n_agents_ = 0, n_ctas_ = 0;
     std::vector<std::vector<size_t>> agent_evs_; ///< program order
@@ -247,6 +237,9 @@ class Checker
     std::vector<uint8_t> flush_slot_;      ///< event -> slot or kNoSlot
     std::vector<uint64_t> slot_addr_;      ///< slot -> address
     std::vector<Frame> frames_;            ///< DFS depth -> frame
+    /** Packed keys of the non-final states the DFS entered. */
+    std::unordered_set<std::vector<uint64_t>, KeyHash> visited_;
+    std::vector<uint64_t> key_;            ///< scratch key for pack()
     std::set<std::tuple<int, uint64_t, uint64_t>> fault_keys_;
     std::set<std::tuple<uint64_t, uint64_t, uint64_t>> race_keys_;
 
@@ -261,11 +254,11 @@ void
 Checker::buildAgents()
 {
     n_ = log_.size();
-    agent_.resize(n_);
+    std::vector<uint32_t> agent(n_);
     cta_.resize(n_);
     std::map<uint32_t, uint32_t> agents, ctas;
     for (size_t i = 0; i < n_; ++i) {
-        agent_[i] =
+        agent[i] =
             agents.emplace(log_[i].gtid, uint32_t(agents.size())).first->second;
         cta_[i] =
             ctas.emplace(log_[i].block, uint32_t(ctas.size())).first->second;
@@ -274,7 +267,7 @@ Checker::buildAgents()
     n_ctas_ = ctas.size();
     agent_evs_.assign(n_agents_, {});
     for (size_t i = 0; i < n_; ++i)
-        agent_evs_[agent_[i]].push_back(i);
+        agent_evs_[agent[i]].push_back(i);
     for (auto& evs : agent_evs_)
         std::stable_sort(evs.begin(), evs.end(), [&](size_t a, size_t b) {
             return log_[a].seq < log_[b].seq;
@@ -394,8 +387,6 @@ Checker::buildFrames()
         f.st.freed.reserve(n_);
         f.st.watch_vals.assign(n_watch_, 0);
         f.trans.reserve(2 * n_);
-        f.sleep.reserve(2 * n_);
-        f.done.reserve(2 * n_);
     }
 }
 
@@ -640,51 +631,43 @@ Checker::apply(State& st, uint64_t id)
 }
 
 /**
- * Conservative dependence for sleep sets: may-commute only when clearly
- * touching disjoint state. Over-approximating dependence is always
- * sound (it just prunes less).
+ * Pack every field of @p st into @p key, so that two states get equal
+ * keys exactly when they are equal. The per-checker sizes (addresses,
+ * CTAs, watch loads) are fixed, the lists carry their lengths, and a
+ * CTA view holds only the values its presence mask names (the rest
+ * are zero).
  */
-bool
-Checker::dependent(uint64_t a, uint64_t b) const
+void
+Checker::pack(const State& st, std::vector<uint64_t>& key) const
 {
-    const auto flush_cta = [&](uint64_t id) {
-        return uint32_t((id - kFlushBase) / slot_addr_.size());
-    };
-    const auto flush_slot = [&](uint64_t id) {
-        return size_t((id - kFlushBase) % slot_addr_.size());
-    };
-
-    if (a < kFlushBase && b < kFlushBase) {
-        const MemEvent& ea = log_[a];
-        const MemEvent& eb = log_[b];
-        if (agent_[a] == agent_[b] || cta_[a] == cta_[b])
-            return true;
-        if (isHeap(ea) || isHeap(eb) || isDrainer(ea) || isDrainer(eb))
-            return true;
-        if (isAccess(ea) && isAccess(eb) &&
-            rangesOverlap(ea.addr, ea.width, eb.addr, eb.width))
-            return writesMemory(ea) || writesMemory(eb);
-        return false;
+    key.assign(1, st.executed);
+    key.insert(key.end(), st.mem.begin(), st.mem.end());
+    key.insert(key.end(), st.in_view.begin(), st.in_view.end());
+    for (size_t c = 0; c < n_ctas_; ++c)
+        for (uint64_t m = st.in_view[c]; m; m &= m - 1)
+            key.push_back(st.view[c * n_addr_ + size_t(__builtin_ctzll(m))]);
+    key.push_back(st.buf.size());
+    for (const Buffered& b : st.buf) {
+        key.push_back(b.val);
+        key.push_back(b.cta | b.aid << 8 | b.slot << 16 | b.width << 24);
     }
-    if (a >= kFlushBase && b >= kFlushBase) {
-        return flush_cta(a) == flush_cta(b) ||
-               flush_slot(a) == flush_slot(b);
+    for (const std::vector<HeapRange>* heap : {&st.live, &st.freed}) {
+        key.push_back(heap->size());
+        for (const HeapRange& r : *heap) {
+            key.push_back(r.base);
+            key.push_back(r.size);
+        }
     }
-    const uint64_t ev = a < kFlushBase ? a : b;
-    const uint64_t fl = a < kFlushBase ? b : a;
-    const MemEvent& e = log_[ev];
-    if (cta_[ev] == flush_cta(fl) || isHeap(e) || isDrainer(e))
-        return true;
-    if (!isAccess(e))
-        return false;
-    // Conservative address match (flush width is dynamic; assume 8).
-    return rangesOverlap(e.addr, e.width, slot_addr_[flush_slot(fl)], 8);
+    key.insert(key.end(), st.watch_vals.begin(), st.watch_vals.end());
 }
 
 /**
- * Explore from frames_[depth], whose state and sleep set the caller
- * filled. Children are built in frames_[depth + 1] by copy-assignment,
- * so the walk allocates only when it records a new outcome tuple.
+ * Explore from frames_[depth], whose state the caller filled. A final
+ * state is one maximal execution. Any other state is explored once:
+ * it fixes every future step, so when an earlier branch entered it,
+ * the outcomes and faults below it are on record already. Children
+ * are built in frames_[depth + 1] by copy-assignment, so the walk
+ * allocates only when it stores a new state or outcome tuple.
  */
 void
 Checker::explore(size_t depth)
@@ -700,25 +683,21 @@ Checker::explore(size_t depth)
         report_.outcomes.insert(f.st.watch_vals);
         return;
     }
+    pack(f.st, key_);
+    if (visited_.size() >= kMaxModelStates && !visited_.count(key_)) {
+        report_.hit_bound = true;
+        return;
+    }
+    if (!visited_.insert(key_).second) {
+        ++report_.pruned;
+        return;
+    }
     assert(depth + 1 < frames_.size()); // paths are at most 2n long
     Frame& child = frames_[depth + 1];
-    f.done.clear();
     for (uint64_t t : f.trans) {
-        if (std::find(f.sleep.begin(), f.sleep.end(), t) != f.sleep.end()) {
-            ++report_.pruned;
-            continue;
-        }
         child.st = f.st;
         apply(child.st, t);
-        child.sleep.clear();
-        for (uint64_t s : f.sleep)
-            if (!dependent(s, t))
-                child.sleep.push_back(s);
-        for (uint64_t s : f.done)
-            if (!dependent(s, t))
-                child.sleep.push_back(s);
         explore(depth + 1);
-        f.done.push_back(t);
         if (report_.hit_bound)
             return;
     }
@@ -849,6 +828,7 @@ Checker::run()
 
     buildFrames();
     explore(0);
+    report_.states = visited_.size();
     return report_;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Bounded stateless model checker for scoped weak memory, replaying
+ * Bounded stateful model checker for scoped weak memory, replaying
  * per-SM transaction logs (sim/mem_event.hpp).
  *
  * The slice-synchronous engine executes atomics at the slice barrier in
@@ -35,15 +35,21 @@
  *    event is enabled until every logging agent of the CTA executed its
  *    matching barrier, and the barrier itself is an acq_rel cta fence.
  *
- * Exploration is a DFS over (enabled event, flush) transitions with
- * DPOR-style sleep sets pruning commuting permutations, bounded by a
- * configurable execution count. Transitions are tried in a fixed
- * order (events by log index, then each CTA's flushes in buffer
- * order), which is what makes execution and pruned counts, outcomes
- * and fault order deterministic. The state is flat: addresses get
- * dense ids at preprocessing, M and each V_c are arrays over them, and
- * the DFS keeps one pre-sized frame per depth that it copy-assigns
- * into, so a transition allocates nothing.
+ * Exploration is a DFS over (enabled event, flush) transitions that
+ * explores each state once. The state is a complete description of
+ * what can still happen (executed events, M, the views, the store
+ * buffers, the heap ranges, the watch values so far), so the DFS keeps
+ * a set of the states it entered, compared exactly, and a transition
+ * into one of them is pruned: that state's outcomes and faults are on
+ * record already. Final states are not stored; each arrival at one is
+ * a maximal execution. The search stops at a configurable execution
+ * count or at kMaxModelStates stored states. Transitions are tried in
+ * a fixed order (events by log index, then each CTA's flushes in
+ * buffer order), which makes the counts deterministic and, when no
+ * bound cuts the search, the outcomes and the faults in order those
+ * of the full search. The state is flat: addresses get dense ids at preprocessing, M and each
+ * V_c are arrays over them, and the DFS keeps one pre-sized frame per
+ * depth that it copy-assigns into.
  *
  * Each maximal execution records the tuple of values observed by the
  * *watch loads* (by default every atomic load in the log) — the
@@ -59,8 +65,8 @@
  * the log is a witness — control flow and addresses are replayed, so
  * outcomes are only exhaustive for data-independent (litmus-style)
  * kernels; store *values* are replayed from the witness; at most
- * kMaxEvents model-relevant events (bitmask frontiers); addresses are
- * plain (run litmus under the Baseline mechanism — encoded pointers
+ * kMaxModelEvents model-relevant events (bitmask frontiers); addresses
+ * are plain (run litmus under the Baseline mechanism — encoded pointers
  * would defeat address matching).
  */
 
@@ -123,10 +129,14 @@ struct ModelCheckReport
     /** Model-relevant events replayed and distinct agents. */
     size_t events = 0;
     size_t agents = 0;
-    /** Maximal executions explored / transitions pruned by sleep sets. */
+    /** Maximal executions: arrivals at a final state. */
     uint64_t executions = 0;
+    /** Arrivals at an already explored state (not explored again). */
     uint64_t pruned = 0;
-    /** True when the execution bound cut exploration short. */
+    /** Distinct non-final states explored, at most kMaxModelStates. */
+    uint64_t states = 0;
+    /** True when the execution bound or kMaxModelStates cut
+     *  exploration short. */
     bool hit_bound = false;
     /** Distinct watch-load outcome tuples over all explored executions. */
     std::set<std::vector<uint64_t>> outcomes;
@@ -143,6 +153,13 @@ struct ModelCheckReport
 
 /** Hard cap on model-relevant events (frontiers are 64-bit masks). */
 inline constexpr size_t kMaxModelEvents = 64;
+
+/**
+ * Cap on the states the search stores. A packed state of a 64-event
+ * log is at most ~4 KiB, so the set stays under ~70 MB; a search that
+ * needs more states stops with hit_bound set.
+ */
+inline constexpr size_t kMaxModelStates = size_t(1) << 14;
 
 /**
  * Replay @p log under the scoped weak-memory model, exploring

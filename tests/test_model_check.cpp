@@ -164,6 +164,25 @@ TEST(ModelCheck, RejectsOversizedLogs)
     EXPECT_EQ(r.executions, 0u);
 }
 
+TEST(ModelCheck, StateCapBoundsMemory)
+{
+    using K = MemEvent::Kind;
+    // 32 CTAs each store to their own address and read their
+    // neighbour's: every CTA steps independently, so the states number
+    // in the billions. The search must stop at the state cap.
+    std::vector<MemEvent> log;
+    for (uint32_t c = 0; c < 32; ++c) {
+        log.push_back(ev(K::Store, c, c, 0, 0x4000 + 8 * c, 1));
+        log.push_back(ev(K::Load, c, c, 1, 0x4000 + 8 * ((c + 1) % 32)));
+    }
+    ASSERT_EQ(log.size(), analysis::kMaxModelEvents);
+    ModelCheckConfig cfg;
+    cfg.max_executions = std::numeric_limits<uint64_t>::max();
+    const ModelCheckReport r = modelCheck(log, cfg);
+    EXPECT_TRUE(r.hit_bound);
+    EXPECT_EQ(r.states, analysis::kMaxModelStates);
+}
+
 TEST(ModelCheck, ScopeMismatchRaceIsReported)
 {
     using K = MemEvent::Kind;
@@ -339,206 +358,206 @@ constexpr uint64_t kSeededCases = 200;
 
 // clang-format off
 const std::vector<std::string> kSeededGolden = {
-    "000 x=3000 p=1730 b=1 b6c2c9117f70508c",
-    "001 x=3 p=0 b=0 6507f6abd6668858",
-    "002 x=60 p=0 b=0 6aede7827df96a3f",
-    "003 x=18 p=4 b=1 3738c3df84cc9130",
-    "004 x=54 p=0 b=0 17641293a28a0ea3",
-    "005 x=2264 p=1315 b=0 cac3277ce610488c",
-    "006 x=440 p=0 b=0 25b3f94a40120210",
-    "007 x=8 p=1 b=1 76f8550f88d893d8",
-    "008 x=9 p=3 b=0 9205d7a524a187b9",
-    "009 x=56 p=0 b=0 8db3cdee94f86ec1",
-    "010 x=325 p=50 b=0 f49b189feca7f17a",
-    "011 x=30 p=0 b=1 231a8334518ba6ee",
-    "012 x=45 p=70 b=0 4ed2c04ef6f6d572",
-    "013 x=80 p=16 b=0 b1ae480e524ead3d",
-    "014 x=3 p=0 b=0 0931b5e2595a714a",
-    "015 x=6 p=0 b=1 2a79ed556f56e421",
-    "016 x=900 p=171 b=0 e407157ed0c49c24",
-    "017 x=1200 p=1066 b=0 0265cabd3277f9fc",
-    "018 x=3 p=0 b=0 ac996a37a797a904",
-    "019 x=14 p=0 b=0 af4cfcbbb4fc9dec",
-    "020 x=6 p=0 b=0 b2226cb3dddc1f90",
-    "021 x=2 p=4 b=0 45a283445b377484",
-    "022 x=677 p=63 b=0 8eebc63c926e18b6",
-    "023 x=12 p=0 b=0 10c16f2a2dc0e744",
-    "024 x=13 p=0 b=0 2a79ed556f56e421",
-    "025 x=22 p=9 b=0 b496489b0ee9e8a2",
-    "026 x=3000 p=0 b=1 b710f1742136b5aa",
-    "027 x=38 p=0 b=1 065fbb182b5ede4a",
-    "028 x=2 p=0 b=0 cd00953547efd540",
-    "029 x=88 p=0 b=0 cd00953547efd540",
-    "030 x=315 p=0 b=0 65d365baffe03f7f",
-    "031 x=13 p=5 b=1 d26d6598dbd40eca",
-    "032 x=180 p=108 b=0 58eb523d3b510201",
-    "033 x=17 p=0 b=0 55efd30013993bcf",
-    "034 x=54 p=102 b=0 764e03cd00aef0e3",
-    "035 x=32 p=38 b=1 6068835edc453bd7",
-    "036 x=300 p=49 b=0 e373369bc4099270",
-    "037 x=40 p=13 b=0 2cf016dded1be333",
+    "000 x=28 p=507 b=0 b6c2c9117f70508c",
+    "001 x=2 p=1 b=0 6507f6abd6668858",
+    "002 x=7 p=28 b=0 6aede7827df96a3f",
+    "003 x=18 p=34 b=1 3738c3df84cc9130",
+    "004 x=5 p=16 b=0 17641293a28a0ea3",
+    "005 x=17 p=169 b=0 cac3277ce610488c",
+    "006 x=10 p=57 b=0 25b3f94a40120210",
+    "007 x=8 p=6 b=1 76f8550f88d893d8",
+    "008 x=5 p=5 b=0 9205d7a524a187b9",
+    "009 x=4 p=16 b=0 8db3cdee94f86ec1",
+    "010 x=7 p=76 b=0 f49b189feca7f17a",
+    "011 x=30 p=62 b=1 0326e0451d27e56d",
+    "012 x=4 p=46 b=0 4ed2c04ef6f6d572",
+    "013 x=6 p=37 b=0 b1ae480e524ead3d",
+    "014 x=1 p=2 b=0 0931b5e2595a714a",
+    "015 x=2 p=15 b=0 2a79ed556f56e421",
+    "016 x=16 p=147 b=0 e407157ed0c49c24",
+    "017 x=19 p=229 b=0 0265cabd3277f9fc",
+    "018 x=2 p=1 b=0 ac996a37a797a904",
+    "019 x=5 p=5 b=0 af4cfcbbb4fc9dec",
+    "020 x=3 p=3 b=0 b2226cb3dddc1f90",
+    "021 x=3 p=3 b=0 45a283445b377484",
+    "022 x=17 p=133 b=0 8eebc63c926e18b6",
+    "023 x=6 p=4 b=0 10c16f2a2dc0e744",
+    "024 x=2 p=7 b=0 2a79ed556f56e421",
+    "025 x=7 p=20 b=0 b496489b0ee9e8a2",
+    "026 x=46 p=926 b=0 31837680303bdbea",
+    "027 x=11 p=199 b=0 065fbb182b5ede4a",
+    "028 x=1 p=1 b=0 cd00953547efd540",
+    "029 x=10 p=20 b=0 cd00953547efd540",
+    "030 x=10 p=56 b=0 65d365baffe03f7f",
+    "031 x=13 p=12 b=1 d26d6598dbd40eca",
+    "032 x=7 p=57 b=0 58eb523d3b510201",
+    "033 x=2 p=10 b=0 55efd30013993bcf",
+    "034 x=14 p=62 b=0 764e03cd00aef0e3",
+    "035 x=9 p=209 b=0 6068835edc453bd7",
+    "036 x=8 p=83 b=0 e373369bc4099270",
+    "037 x=5 p=20 b=0 2cf016dded1be333",
     "038 x=1 p=0 b=0 5750c666876285bb",
-    "039 x=5 p=0 b=1 07b06bca89818a45",
-    "040 x=120 p=0 b=0 f4f4df43ba4cc994",
-    "041 x=430 p=383 b=0 fa660ef17b829085",
-    "042 x=1712 p=248 b=0 7dd8c323507735b2",
-    "043 x=5 p=0 b=0 764e03cd00aef0e3",
-    "044 x=20 p=0 b=0 314e726fc7256ac2",
-    "045 x=12 p=0 b=0 20aba59de203cf03",
-    "046 x=60 p=0 b=0 3efa8c97f9d0218c",
-    "047 x=21 p=0 b=1 8f27a7257b4b16b3",
-    "048 x=54 p=385 b=0 87ac6e71d00079e5",
-    "049 x=99 p=0 b=0 5ba8562e2fc68ce2",
-    "050 x=600 p=65 b=0 795d460fac6e8cdc",
-    "051 x=33 p=0 b=1 eadea773e39ff383",
-    "052 x=48 p=38 b=0 c1160e1ad5860e20",
-    "053 x=6 p=5 b=0 45a283445b377484",
-    "054 x=3000 p=2319 b=1 e088a4d1ca1c29eb",
-    "055 x=26 p=0 b=1 cd00953547efd540",
-    "056 x=9 p=2 b=0 45a283445b377484",
-    "057 x=3000 p=0 b=1 8479f5a340b01514",
-    "058 x=9 p=7 b=0 47c171437b942f43",
-    "059 x=12 p=0 b=0 76e7abc0ab623460",
-    "060 x=20 p=10 b=0 e32e97498605a6f3",
-    "061 x=60 p=7 b=0 c04cef3da9cc9f30",
-    "062 x=10 p=0 b=0 764e03cd00aef0e3",
-    "063 x=18 p=5 b=0 7a4e23b02016ca63",
-    "064 x=36 p=135 b=0 440bf7a77d79666b",
-    "065 x=68 p=7 b=0 4278536986e23d80",
-    "066 x=60 p=8 b=0 584342cf17b05e69",
-    "067 x=16 p=0 b=1 5ba8562e2fc68ce2",
-    "068 x=21 p=135 b=0 47c171437b942f43",
-    "069 x=36 p=29 b=0 0a38a6ca2d950a82",
-    "070 x=3000 p=251 b=1 846cf3f2dd3aca0b",
-    "071 x=16 p=40 b=1 592790bf5ed1970d",
-    "072 x=83 p=7 b=0 a05efc7122e8957d",
-    "073 x=520 p=866 b=0 03c14820f1ae7425",
-    "074 x=4 p=0 b=0 3a0cbe89e01208d1",
-    "075 x=6 p=0 b=0 e3739408fc5e99c1",
-    "076 x=50 p=3 b=0 f2d6b135bb1c608d",
-    "077 x=47 p=8 b=0 d7b94e639daee537",
-    "078 x=42 p=0 b=0 918ba2fcc0568e18",
-    "079 x=39 p=3 b=1 4ba520625c08afd4",
-    "080 x=1770 p=1578 b=0 890b6d8e2edf075b",
-    "081 x=96 p=0 b=0 48d5933037e2432d",
-    "082 x=13 p=0 b=0 f43160773565804d",
-    "083 x=33 p=0 b=1 a01020aad53c5900",
-    "084 x=900 p=761 b=0 95e021f8ff065c82",
-    "085 x=68 p=0 b=0 9c9213cf88bdbc60",
-    "086 x=144 p=70 b=0 09f96a92a560f82b",
-    "087 x=6 p=5 b=0 ac996a37a797a904",
-    "088 x=9 p=2 b=0 02dd0d87fb2b4ce2",
-    "089 x=498 p=388 b=0 0b9d7990b7c464aa",
-    "090 x=4 p=140 b=0 f852530d7fcf1206",
-    "091 x=22 p=0 b=1 4840738b4fe43606",
-    "092 x=6 p=0 b=0 c30c690b5c066d85",
-    "093 x=3000 p=627 b=1 4f564f7663c431a4",
-    "094 x=1800 p=572 b=0 5097b8600c2a08d5",
+    "039 x=4 p=3 b=0 07b06bca89818a45",
+    "040 x=8 p=47 b=0 f4f4df43ba4cc994",
+    "041 x=9 p=154 b=0 fa660ef17b829085",
+    "042 x=11 p=161 b=0 7dd8c323507735b2",
+    "043 x=2 p=3 b=0 764e03cd00aef0e3",
+    "044 x=3 p=9 b=0 314e726fc7256ac2",
+    "045 x=3 p=7 b=0 20aba59de203cf03",
+    "046 x=6 p=26 b=0 3efa8c97f9d0218c",
+    "047 x=21 p=92 b=1 c1aae5bfbdf0822b",
+    "048 x=7 p=83 b=0 87ac6e71d00079e5",
+    "049 x=5 p=22 b=0 5ba8562e2fc68ce2",
+    "050 x=16 p=149 b=0 795d460fac6e8cdc",
+    "051 x=1 p=21 b=0 eadea773e39ff383",
+    "052 x=5 p=42 b=0 c1160e1ad5860e20",
+    "053 x=5 p=5 b=0 45a283445b377484",
+    "054 x=64 p=492 b=0 e088a4d1ca1c29eb",
+    "055 x=16 p=131 b=0 cd00953547efd540",
+    "056 x=5 p=5 b=0 45a283445b377484",
+    "057 x=48 p=1031 b=0 8479f5a340b01514",
+    "058 x=3 p=11 b=0 47c171437b942f43",
+    "059 x=1 p=6 b=0 76e7abc0ab623460",
+    "060 x=2 p=12 b=0 e32e97498605a6f3",
+    "061 x=8 p=24 b=0 c04cef3da9cc9f30",
+    "062 x=2 p=5 b=0 764e03cd00aef0e3",
+    "063 x=6 p=11 b=0 7a4e23b02016ca63",
+    "064 x=5 p=77 b=0 440bf7a77d79666b",
+    "065 x=3 p=17 b=0 4278536986e23d80",
+    "066 x=4 p=26 b=0 584342cf17b05e69",
+    "067 x=3 p=21 b=0 5ba8562e2fc68ce2",
+    "068 x=14 p=80 b=0 47c171437b942f43",
+    "069 x=5 p=24 b=0 0a38a6ca2d950a82",
+    "070 x=23 p=370 b=0 846cf3f2dd3aca0b",
+    "071 x=14 p=113 b=0 592790bf5ed1970d",
+    "072 x=8 p=20 b=0 a05efc7122e8957d",
+    "073 x=7 p=130 b=0 03c14820f1ae7425",
+    "074 x=2 p=2 b=0 3a0cbe89e01208d1",
+    "075 x=2 p=3 b=0 e3739408fc5e99c1",
+    "076 x=10 p=23 b=0 f2d6b135bb1c608d",
+    "077 x=6 p=13 b=0 d7b94e639daee537",
+    "078 x=3 p=13 b=0 918ba2fcc0568e18",
+    "079 x=4 p=66 b=0 4ba520625c08afd4",
+    "080 x=21 p=275 b=0 890b6d8e2edf075b",
+    "081 x=4 p=27 b=0 48d5933037e2432d",
+    "082 x=1 p=7 b=0 f43160773565804d",
+    "083 x=22 p=756 b=0 994653e4684f482a",
+    "084 x=39 p=264 b=0 95e021f8ff065c82",
+    "085 x=5 p=26 b=0 9c9213cf88bdbc60",
+    "086 x=19 p=49 b=0 09f96a92a560f82b",
+    "087 x=5 p=5 b=0 ac996a37a797a904",
+    "088 x=3 p=7 b=0 02dd0d87fb2b4ce2",
+    "089 x=16 p=146 b=0 0b9d7990b7c464aa",
+    "090 x=4 p=98 b=0 f852530d7fcf1206",
+    "091 x=8 p=202 b=0 4840738b4fe43606",
+    "092 x=3 p=3 b=0 c30c690b5c066d85",
+    "093 x=31 p=634 b=0 4f564f7663c431a4",
+    "094 x=6 p=204 b=0 5097b8600c2a08d5",
     "095 x=1 p=0 b=0 6cad5333776055f0",
-    "096 x=190 p=76 b=0 9ab690936b28be13",
-    "097 x=70 p=74 b=0 85c420037569a921",
-    "098 x=42 p=13 b=0 20aba59de203cf03",
-    "099 x=38 p=10 b=1 0906256605bcddec",
+    "096 x=13 p=53 b=0 9ab690936b28be13",
+    "097 x=3 p=38 b=0 85c420037569a921",
+    "098 x=8 p=27 b=0 20aba59de203cf03",
+    "099 x=28 p=328 b=0 49e0ab5a2fb6a3f6",
     "100 x=1 p=0 b=0 f92f4b974f49dada",
-    "101 x=1681 p=304 b=0 995bfb70f3f6a9b5",
-    "102 x=65 p=0 b=0 074b2b7cf9b324e2",
-    "103 x=17 p=0 b=0 764e03cd00aef0e3",
-    "104 x=20 p=0 b=0 804baf3accbf1561",
-    "105 x=12 p=0 b=0 57ea1dffd5c3d32d",
-    "106 x=24 p=48 b=0 09e15ca3cfe509dc",
-    "107 x=4 p=0 b=0 a5fa43b863371122",
+    "101 x=52 p=277 b=0 995bfb70f3f6a9b5",
+    "102 x=6 p=20 b=0 074b2b7cf9b324e2",
+    "103 x=5 p=7 b=0 764e03cd00aef0e3",
+    "104 x=4 p=10 b=0 804baf3accbf1561",
+    "105 x=3 p=7 b=0 57ea1dffd5c3d32d",
+    "106 x=7 p=35 b=0 09e15ca3cfe509dc",
+    "107 x=1 p=2 b=0 a5fa43b863371122",
     "108 x=1 p=0 b=0 82da94d940dca9c6",
-    "109 x=2 p=4 b=0 45a283445b377484",
-    "110 x=3000 p=2239 b=1 1a46bd6aa6e1dc48",
-    "111 x=30 p=85 b=1 86ab66cfc2aafe13",
-    "112 x=720 p=35 b=0 2d2daf6c4aa1348f",
+    "109 x=3 p=3 b=0 45a283445b377484",
+    "110 x=18 p=395 b=0 1a46bd6aa6e1dc48",
+    "111 x=18 p=224 b=0 86ab66cfc2aafe13",
+    "112 x=4 p=98 b=0 2d2daf6c4aa1348f",
     "113 x=1 p=0 b=0 e3739408fc5e99c1",
-    "114 x=38 p=20 b=0 8dd135d9ddb377e1",
-    "115 x=28 p=0 b=1 ce61762d539b9743",
-    "116 x=3000 p=3690 b=1 1325c25879eaf3d7",
-    "117 x=6 p=5 b=0 4e5e5b3e8cf4726f",
-    "118 x=60 p=0 b=0 d8a776f5e80aaa81",
-    "119 x=34 p=0 b=1 dbd51fa37dc86ff2",
-    "120 x=1440 p=770 b=0 6f9dbe02abd87e77",
-    "121 x=600 p=170 b=0 e01ba79551ae3a4a",
-    "122 x=50 p=0 b=0 edc0a178e7f5b109",
-    "123 x=2 p=4 b=0 196f5252bc9bc167",
-    "124 x=20 p=9 b=0 8dd135d9ddb377e1",
-    "125 x=4 p=0 b=0 b1b7e0472e515ae5",
-    "126 x=300 p=49 b=0 584a78e8f0c3e90d",
-    "127 x=29 p=0 b=1 cd00953547efd540",
-    "128 x=24 p=25 b=0 291564f24e712682",
-    "129 x=89 p=71 b=0 47b688b2fd4cda42",
-    "130 x=26 p=3 b=0 2984b6c3b8953743",
-    "131 x=5 p=0 b=0 42c620c0bd32b22a",
-    "132 x=2890 p=1075 b=0 45315f801b05d886",
-    "133 x=80 p=0 b=0 eadea773e39ff383",
-    "134 x=3000 p=0 b=1 2f6b0b2b0284bd8a",
-    "135 x=4 p=3 b=0 b496489b0ee9e8a2",
-    "136 x=10 p=0 b=0 cde2a31c5b603590",
-    "137 x=90 p=75 b=0 9cad0a7d6dd53115",
-    "138 x=3 p=33 b=0 db9b4f65c3b1872a",
-    "139 x=9 p=3 b=0 969f4d9677f13a33",
-    "140 x=96 p=90 b=0 4944715d8d097ac7",
-    "141 x=20 p=0 b=0 b496489b0ee9e8a2",
-    "142 x=801 p=1116 b=0 e940a5598f607ca4",
-    "143 x=4 p=220 b=0 1406ee81bae81fa0",
-    "144 x=21 p=0 b=0 deffc9158be8bd63",
-    "145 x=900 p=283 b=0 e3da950f170f4db6",
-    "146 x=3 p=9 b=0 2e218533ecd80be0",
-    "147 x=22 p=0 b=1 5a610719c21867ad",
-    "148 x=92 p=25 b=0 dda233c4c87d2c26",
-    "149 x=252 p=0 b=0 05a6416e25c2a275",
-    "150 x=4 p=0 b=0 2edcf58051c93f78",
-    "151 x=1 p=5 b=0 b1b7e0472e515ae5",
-    "152 x=3000 p=279 b=1 50660ae47d333ca2",
-    "153 x=3 p=0 b=0 e3739408fc5e99c1",
-    "154 x=12 p=33 b=0 efa1402ba1999603",
+    "114 x=6 p=20 b=0 8dd135d9ddb377e1",
+    "115 x=9 p=33 b=0 ce61762d539b9743",
+    "116 x=55 p=1400 b=0 1325c25879eaf3d7",
+    "117 x=6 p=4 b=0 4e5e5b3e8cf4726f",
+    "118 x=5 p=24 b=0 d8a776f5e80aaa81",
+    "119 x=24 p=512 b=0 fa91f8e0bbd93ade",
+    "120 x=24 p=254 b=0 6f9dbe02abd87e77",
+    "121 x=5 p=109 b=0 e01ba79551ae3a4a",
+    "122 x=3 p=15 b=0 edc0a178e7f5b109",
+    "123 x=3 p=3 b=0 196f5252bc9bc167",
+    "124 x=2 p=18 b=0 8dd135d9ddb377e1",
+    "125 x=3 p=1 b=0 b1b7e0472e515ae5",
+    "126 x=9 p=90 b=0 584a78e8f0c3e90d",
+    "127 x=5 p=16 b=0 cd00953547efd540",
+    "128 x=7 p=28 b=0 291564f24e712682",
+    "129 x=6 p=28 b=0 47b688b2fd4cda42",
+    "130 x=5 p=12 b=0 2984b6c3b8953743",
+    "131 x=1 p=3 b=0 42c620c0bd32b22a",
+    "132 x=24 p=318 b=0 45315f801b05d886",
+    "133 x=3 p=22 b=0 eadea773e39ff383",
+    "134 x=18 p=610 b=0 65abc5202922aece",
+    "135 x=3 p=4 b=0 b496489b0ee9e8a2",
+    "136 x=3 p=4 b=0 cde2a31c5b603590",
+    "137 x=15 p=46 b=0 9cad0a7d6dd53115",
+    "138 x=4 p=26 b=0 db9b4f65c3b1872a",
+    "139 x=3 p=7 b=0 969f4d9677f13a33",
+    "140 x=8 p=59 b=0 4944715d8d097ac7",
+    "141 x=4 p=8 b=0 b496489b0ee9e8a2",
+    "142 x=6 p=136 b=0 e940a5598f607ca4",
+    "143 x=14 p=142 b=0 1406ee81bae81fa0",
+    "144 x=2 p=9 b=0 deffc9158be8bd63",
+    "145 x=17 p=113 b=0 e3da950f170f4db6",
+    "146 x=5 p=6 b=0 2e218533ecd80be0",
+    "147 x=2 p=14 b=0 5a610719c21867ad",
+    "148 x=14 p=42 b=0 dda233c4c87d2c26",
+    "149 x=5 p=26 b=0 05a6416e25c2a275",
+    "150 x=1 p=2 b=0 2edcf58051c93f78",
+    "151 x=4 p=2 b=0 b1b7e0472e515ae5",
+    "152 x=19 p=961 b=0 95911243e7c8e93c",
+    "153 x=1 p=2 b=0 e3739408fc5e99c1",
+    "154 x=12 p=31 b=0 efa1402ba1999603",
     "155 x=1 p=0 b=0 e108c28ecc179fe4",
-    "156 x=43 p=3 b=0 43282dd201868d45",
-    "157 x=3000 p=3303 b=1 58eb523d3b510201",
-    "158 x=20 p=0 b=0 ce61762d539b9743",
-    "159 x=20 p=0 b=0 a9382a0f683cf19b",
-    "160 x=642 p=0 b=0 cc197aa7ebee6fa0",
-    "161 x=156 p=76 b=0 91289f372a6183e4",
-    "162 x=6 p=0 b=0 b1b7e0472e515ae5",
-    "163 x=5 p=0 b=1 622f8c28dbaa25ca",
-    "164 x=12 p=0 b=0 5f4b9256a7336be2",
-    "165 x=48 p=5 b=0 c341c7a66f745c44",
-    "166 x=144 p=208 b=0 f43582ed2dfc7edd",
-    "167 x=9 p=3 b=1 f9b9dd9e9d270d43",
-    "168 x=4 p=9 b=0 b496489b0ee9e8a2",
-    "169 x=10 p=2 b=0 cc197aa7ebee6fa0",
-    "170 x=90 p=54 b=0 66e9fa35e6e1d01f",
-    "171 x=6 p=5 b=1 747b2ef5510a7ab4",
-    "172 x=626 p=0 b=0 61010914d2bccd63",
-    "173 x=240 p=84 b=0 f9f22baa3a6d24c9",
-    "174 x=9 p=11 b=0 a58c94b70cf9a281",
+    "156 x=4 p=16 b=0 43282dd201868d45",
+    "157 x=30 p=263 b=0 58eb523d3b510201",
+    "158 x=3 p=7 b=0 ce61762d539b9743",
+    "159 x=5 p=10 b=0 a9382a0f683cf19b",
+    "160 x=12 p=81 b=0 cc197aa7ebee6fa0",
+    "161 x=9 p=73 b=0 91289f372a6183e4",
+    "162 x=3 p=2 b=0 b1b7e0472e515ae5",
+    "163 x=5 p=28 b=1 70a6f810cc4fd3aa",
+    "164 x=3 p=7 b=0 5f4b9256a7336be2",
+    "165 x=4 p=26 b=0 c341c7a66f745c44",
+    "166 x=9 p=125 b=0 f43582ed2dfc7edd",
+    "167 x=9 p=8 b=1 05800d0abeaac621",
+    "168 x=4 p=5 b=0 b496489b0ee9e8a2",
+    "169 x=2 p=7 b=0 cc197aa7ebee6fa0",
+    "170 x=9 p=43 b=0 66e9fa35e6e1d01f",
+    "171 x=6 p=3 b=1 747b2ef5510a7ab4",
+    "172 x=6 p=96 b=0 61010914d2bccd63",
+    "173 x=9 p=90 b=0 f9f22baa3a6d24c9",
+    "174 x=5 p=12 b=0 a58c94b70cf9a281",
     "175 x=1 p=0 b=0 b5ce1c0cd3453dc1",
-    "176 x=300 p=854 b=0 9f2f67fc67229609",
-    "177 x=270 p=0 b=0 b945fbee765af0b5",
-    "178 x=8 p=0 b=0 b1b7e0472e515ae5",
-    "179 x=25 p=2 b=1 fb50bcbe5978ab55",
-    "180 x=2 p=0 b=0 7566e93fa4ad8b43",
-    "181 x=12 p=6 b=0 1d3fa71257e26ede",
-    "182 x=3000 p=4330 b=1 8a96d281e9915d32",
-    "183 x=33 p=21 b=1 6a46e83f5160d935",
-    "184 x=1172 p=0 b=0 7963a00cb9915f88",
-    "185 x=170 p=216 b=0 ff123873db162d32",
+    "176 x=14 p=125 b=0 9f2f67fc67229609",
+    "177 x=13 p=36 b=0 b945fbee765af0b5",
+    "178 x=4 p=3 b=0 b1b7e0472e515ae5",
+    "179 x=5 p=77 b=0 fb50bcbe5978ab55",
+    "180 x=1 p=1 b=0 7566e93fa4ad8b43",
+    "181 x=3 p=11 b=0 1d3fa71257e26ede",
+    "182 x=827 p=9227 b=0 8a96d281e9915d32",
+    "183 x=14 p=136 b=0 2046df19b3e69fcf",
+    "184 x=80 p=227 b=0 7963a00cb9915f88",
+    "185 x=10 p=68 b=0 ff123873db162d32",
     "186 x=1 p=0 b=0 82da94d940dca9c6",
-    "187 x=20 p=15 b=1 ec1dae18faf6fde3",
-    "188 x=654 p=646 b=0 dca6210315096b90",
-    "189 x=40 p=0 b=0 0a38a6ca2d950a82",
-    "190 x=14 p=9 b=0 9265ddb98b75e675",
-    "191 x=27 p=15 b=1 9c6fe3074f2f1f22",
-    "192 x=35 p=0 b=0 4278536986e23d80",
-    "193 x=24 p=0 b=0 f1ce5a2ff48f1de4",
-    "194 x=2 p=0 b=0 e3739408fc5e99c1",
-    "195 x=40 p=11 b=1 405cc6855c25a839",
-    "196 x=6 p=0 b=0 a20442cf9c7a2ac6",
-    "197 x=6 p=5 b=0 196f5252bc9bc167",
-    "198 x=900 p=706 b=0 65da85039ff73c0d",
-    "199 x=12 p=0 b=0 1c6cc52a9e42904d",
+    "187 x=15 p=124 b=0 ec1dae18faf6fde3",
+    "188 x=17 p=161 b=0 dca6210315096b90",
+    "189 x=4 p=18 b=0 0a38a6ca2d950a82",
+    "190 x=9 p=9 b=0 9265ddb98b75e675",
+    "191 x=27 p=131 b=1 9c6fe3074f2f1f22",
+    "192 x=2 p=11 b=0 4278536986e23d80",
+    "193 x=4 p=14 b=0 f1ce5a2ff48f1de4",
+    "194 x=1 p=1 b=0 e3739408fc5e99c1",
+    "195 x=5 p=203 b=0 405cc6855c25a839",
+    "196 x=3 p=3 b=0 a20442cf9c7a2ac6",
+    "197 x=5 p=5 b=0 196f5252bc9bc167",
+    "198 x=11 p=199 b=0 65da85039ff73c0d",
+    "199 x=5 p=5 b=0 1c6cc52a9e42904d",
 };
 // clang-format on
 
@@ -906,16 +925,16 @@ const std::map<std::string, LitmusStats>&
 litmusStats()
 {
     static const std::map<std::string, LitmusStats> stats = {
-        {"mp_relaxed", {483, 34, false, binaryTuples(2)}},
-        {"mp_release_gpu", {36, 1, false, binaryTuples(2, {{1, 0}})}},
-        {"mp_scope_mismatch", {110, 12, false, binaryTuples(2)}},
-        {"sb_relaxed", {633, 47, false, binaryTuples(2)}},
-        {"sb_fenced", {289, 28, false, binaryTuples(2, {{0, 0}})}},
-        {"iriw_relaxed", {100000, 11144, true, binaryTuples(4)}},
+        {"mp_relaxed", {16, 80, false, binaryTuples(2)}},
+        {"mp_release_gpu", {6, 14, false, binaryTuples(2, {{1, 0}})}},
+        {"mp_scope_mismatch", {12, 29, false, binaryTuples(2)}},
+        {"sb_relaxed", {12, 98, false, binaryTuples(2)}},
+        {"sb_fenced", {6, 41, false, binaryTuples(2, {{0, 0}})}},
+        {"iriw_relaxed", {62, 1400, false, binaryTuples(4)}},
         {"iriw_acquire",
-         {31240, 3709, false, binaryTuples(4, {{1, 0, 1, 0}})}},
-        {"lmi_uaf_race", {9, 0, false, {{}}}},
-        {"lmi_uaf_sync", {33, 0, false, {{}}}},
+         {60, 821, false, binaryTuples(4, {{1, 0, 1, 0}})}},
+        {"lmi_uaf_race", {3, 2, false, {{}}}},
+        {"lmi_uaf_sync", {2, 8, false, {{}}}},
     };
     return stats;
 }
@@ -933,7 +952,7 @@ TEST(Litmus, EveryTestMatchesItsExpectations)
         EXPECT_EQ(r.race_found, test.expect_race);
 
         // Exploration is deterministic: the transition order fixes the
-        // execution count, the sleep-set prunes and the bound flag.
+        // execution count, the revisits pruned and the bound flag.
         const auto it = litmusStats().find(test.name);
         ASSERT_NE(it, litmusStats().end());
         const LitmusStats& want = it->second;
