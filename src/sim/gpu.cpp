@@ -854,8 +854,8 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
 {
     // One lane loop for every tier: the mechanism check, the
     // architectural load/store through the per-SM global view / shared
-    // / local arenas, the sanitizer hook, the memlog record and the
-    // region profile. Memory state and faults are therefore identical
+    // / local arenas, the memlog record and the region profile, then
+    // one sanitizer call for the warp. Memory state and faults are therefore identical
     // across tiers; only the timing tail differs. The detailed tier
     // collects coalesced lines and charges the LSU and hierarchy; the
     // functional tier skips both.
@@ -927,10 +927,6 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             dst_row[lane] = mem->read(addr, inst.width);
         }
 
-        if (launch_.options.sanitizer)
-            launch_.options.sanitizer->onAccess(
-                space, warp.block, warp.warp_in_block, gtid, warp.pc, addr,
-                inst.width, is_store);
         if (launch_.options.memlog && space == MemSpace::Global) {
             MemEvent e = memEvent(is_store ? MemEvent::Kind::Store
                                            : MemEvent::Kind::Load,
@@ -964,6 +960,10 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
             }
         }
     }
+    if (launch_.options.sanitizer)
+        launch_.options.sanitizer->onWarpAccess(
+            space, warp.block, warp.warp_in_block, warp.first_gtid, warp.pc,
+            mask, addrs.data(), inst.width, is_store);
 
     if (check.fault) {
         pendFault(sm, *check.fault);
@@ -1109,10 +1109,6 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
             op.cmps[lane] = is_cas ? v1.get(lane) : 0;
         }
 
-        if (launch_.options.sanitizer)
-            launch_.options.sanitizer->onAccess(
-                space, warp.block, warp.warp_in_block, gtid, warp.pc, addr,
-                width, writes, /*is_atomic=*/true, inst.scope);
         if (launch_.options.memlog && space == MemSpace::Global) {
             MemEvent e = memEvent(
                 is_cas ? MemEvent::Kind::Cas
@@ -1132,6 +1128,11 @@ GpuSim::executeAtomic(SmCtx& sm, Warp& warp, const Instruction& inst,
             launch_.options.memlog->record(e);
         }
     }
+    if (launch_.options.sanitizer)
+        launch_.options.sanitizer->onWarpAccess(
+            space, warp.block, warp.warp_in_block, warp.first_gtid, warp.pc,
+            mask, addrs.data(), width, writes, /*is_atomic=*/true,
+            inst.scope);
 
     if (check.fault) {
         pendFault(sm, *check.fault);

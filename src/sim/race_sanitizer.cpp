@@ -133,12 +133,13 @@ RaceSanitizer::forget(Shadow& shadow, Page& page, uint32_t lo, uint32_t hi)
 }
 
 void
-RaceSanitizer::onAccess(MemSpace space, uint32_t block, uint32_t warp,
-                        uint32_t gtid, uint64_t pc, uint64_t addr,
-                        unsigned width, bool is_store, bool is_atomic,
-                        MemScope scope)
+RaceSanitizer::onWarpAccess(MemSpace space, uint32_t block, uint32_t warp,
+                            uint32_t first_gtid, uint64_t pc,
+                            uint32_t lanes, const uint64_t* addrs,
+                            unsigned width, bool is_store, bool is_atomic,
+                            MemScope scope)
 {
-    if (space != MemSpace::Global && space != MemSpace::Shared)
+    if (!lanes || (space != MemSpace::Global && space != MemSpace::Shared))
         return; // local/constant memory is thread-private/read-only
 
     BlockState& state = blockState(block);
@@ -149,28 +150,33 @@ RaceSanitizer::onAccess(MemSpace space, uint32_t block, uint32_t warp,
     cur.scope = scope;
     cur.block = block;
     cur.warp = warp;
-    cur.gtid = gtid;
     cur.pc = pc;
     cur.epoch = state.epoch;
 
     Shadow& shadow = space == MemSpace::Shared ? state.shared : global_;
-    // Count words rather than compare word indexes, so a range ending
-    // past 2^64 wraps instead of covering nothing.
-    const uint64_t first_word = addr >> 2;
-    const uint64_t words = ((addr & 3) + (width ? width : 1) - 1) / 4 + 1;
-    for (uint64_t k = 0; k < words; ++k) {
-        const uint64_t w = (first_word + k) & kWordMask;
-        Cell& c = cell(shadow, w);
-        // A store conflicts with the previous write and the previous
-        // read; a load only with the previous write.
-        if (conflicts(cur, c.last_write))
-            report(space, cur, c.last_write, w << 2);
-        if (is_store) {
-            if (conflicts(cur, c.last_read))
-                report(space, cur, c.last_read, w << 2);
-            c.last_write = cur;
-        } else {
-            c.last_read = cur;
+    for (uint32_t m = lanes; m; m &= m - 1) {
+        const unsigned lane = unsigned(__builtin_ctz(m));
+        const uint64_t addr = addrs[lane];
+        cur.gtid = first_gtid + lane;
+        // Count words rather than compare word indexes, so a range
+        // ending past 2^64 wraps instead of covering nothing.
+        const uint64_t first_word = addr >> 2;
+        const uint64_t words =
+            ((addr & 3) + (width ? width : 1) - 1) / 4 + 1;
+        for (uint64_t k = 0; k < words; ++k) {
+            const uint64_t w = (first_word + k) & kWordMask;
+            Cell& c = cell(shadow, w);
+            // A store conflicts with the previous write and the
+            // previous read; a load only with the previous write.
+            if (conflicts(cur, c.last_write))
+                report(space, cur, c.last_write, w << 2);
+            if (is_store) {
+                if (conflicts(cur, c.last_read))
+                    report(space, cur, c.last_read, w << 2);
+                c.last_write = cur;
+            } else {
+                c.last_read = cur;
+            }
         }
     }
 }

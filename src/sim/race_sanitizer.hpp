@@ -4,7 +4,8 @@
  * static race analyzer (analysis/race_analysis.hpp).
  *
  * The simulator, when a launch carries a sanitizer, reports every
- * shared- and global-memory access it executes. The sanitizer keeps one
+ * shared- and global-memory access it executes, once per warp
+ * instruction (onWarpAccess). The sanitizer keeps one
  * shadow cell per touched 4-byte word recording the last write and the
  * last read (block, warp, global thread id, barrier epoch, pc). Two
  * accesses to the same word conflict when at least one is a store and:
@@ -20,8 +21,9 @@
  * cells (1024 words) per page it touched, found through a page map
  * with a one-entry cache of the last page used. Each live block keeps
  * its own state: its barrier epoch and its shared-memory shadow pages,
- * behind a one-entry cache of the last block used. So an access costs
- * a couple of compares in the common case, a block retiring frees only
+ * behind a one-entry cache of the last block used; a warp instruction
+ * looks both up once for all its lanes. So an access costs a couple
+ * of compares in the common case, a block retiring frees only
  * that block's pages, and a device allocation clears only the pages it
  * overlaps that hold shadow.
  *
@@ -67,16 +69,28 @@ class RaceSanitizer
         std::string toString() const;
     };
 
-    /** Record one executed access covering [addr, addr+width) (width 0
-     *  counts as 1; the range wraps past 2^64 to address 0). Scoped
-     *  atomics pass is_atomic=true with their scope: a conflicting pair
-     *  where both sides are atomic at sufficient scope (cta for
-     *  same-block pairs, gpu/sys across blocks) synchronizes rather
-     *  than races and is not reported. */
+    /** Record one warp instruction's executed accesses: each lane l
+     *  set in @p lanes (ascending) is thread first_gtid + l and covers
+     *  [addrs[l], addrs[l]+width) (width 0 counts as 1; the range wraps
+     *  past 2^64 to address 0). Scoped atomics pass is_atomic=true
+     *  with their scope: a conflicting pair where both sides are atomic
+     *  at sufficient scope (cta for same-block pairs, gpu/sys across
+     *  blocks) synchronizes rather than races and is not reported. */
+    void onWarpAccess(MemSpace space, uint32_t block, uint32_t warp,
+                      uint32_t first_gtid, uint64_t pc, uint32_t lanes,
+                      const uint64_t* addrs, unsigned width, bool is_store,
+                      bool is_atomic = false,
+                      MemScope scope = MemScope::Cta);
+
+    /** One access by thread @p gtid: onWarpAccess with one lane. */
     void onAccess(MemSpace space, uint32_t block, uint32_t warp,
                   uint32_t gtid, uint64_t pc, uint64_t addr,
                   unsigned width, bool is_store, bool is_atomic = false,
-                  MemScope scope = MemScope::Cta);
+                  MemScope scope = MemScope::Cta)
+    {
+        onWarpAccess(space, block, warp, gtid, pc, 1, &addr, width,
+                     is_store, is_atomic, scope);
+    }
 
     /** A barrier released in @p block: everything before it
      *  happens-before everything after. */

@@ -1,14 +1,16 @@
 /**
  * @file
  * Differential and edge-case tests for the dynamic race sanitizer
- * (sim/race_sanitizer.hpp). Seeded operation streams drive it and the
- * hash-map reference model (reference_race_sanitizer.hpp) side by side;
- * after every operation their conflict counts, reports and tracked-word
- * counts must agree.
+ * (sim/race_sanitizer.hpp). Seeded operation streams drive it, one
+ * warp-wide call per access instruction, and the hash-map reference
+ * model (reference_race_sanitizer.hpp), one call per lane, side by
+ * side; after every operation their conflict counts, reports and
+ * tracked-word counts must agree.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 
 #include "common/rng.hpp"
@@ -56,21 +58,36 @@ runStream(uint64_t seed, size_t ops)
             const MemSpace space = s < 10   ? MemSpace::Global
                                    : s < 19 ? MemSpace::Shared
                                             : MemSpace::Local;
+            // One warp instruction: one lane, every lane or a random
+            // mask; lanes coalesced from one base or scattered.
             const uint32_t warp = uint32_t(rng.below(warps));
-            const uint32_t gtid =
-                block * 128 + warp * 32 + uint32_t(rng.below(32));
+            const uint32_t first_gtid = block * 128 + warp * 32;
             const uint64_t pc = rng.below(64);
-            const uint64_t addr = space == MemSpace::Global
-                                      ? globalAddr(rng)
-                                      : sharedAddr(rng);
+            const uint64_t m = rng.below(4);
+            const uint32_t lanes = m == 0   ? 1u << rng.below(32)
+                                   : m == 1 ? ~0u
+                                            : uint32_t(rng.next());
+            const bool coalesced = rng.chance(0.5);
+            const auto addr = [&] {
+                return space == MemSpace::Global ? globalAddr(rng)
+                                                 : sharedAddr(rng);
+            };
+            std::array<uint64_t, 32> addrs;
+            const uint64_t base = addr();
+            for (unsigned l = 0; l < 32; ++l)
+                addrs[l] = coalesced ? base + 4 * l : addr();
             const unsigned width = unsigned(rng.range(0, 16));
             const bool is_store = rng.chance(0.5);
             const bool is_atomic = rng.chance(0.25);
             const MemScope scope = kScopes[rng.below(3)];
-            real.onAccess(space, block, warp, gtid, pc, addr, width,
-                          is_store, is_atomic, scope);
-            ref.onAccess(space, block, warp, gtid, pc, addr, width,
-                         is_store, is_atomic, scope);
+            real.onWarpAccess(space, block, warp, first_gtid, pc, lanes,
+                              addrs.data(), width, is_store, is_atomic,
+                              scope);
+            for (unsigned l = 0; l < 32; ++l)
+                if (lanes & (1u << l))
+                    ref.onAccess(space, block, warp, first_gtid + l, pc,
+                                 addrs[l], width, is_store, is_atomic,
+                                 scope);
         } else if (kind < 87) {
             real.onBarrierRelease(block);
             ref.onBarrierRelease(block);
