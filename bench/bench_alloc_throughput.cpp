@@ -7,9 +7,10 @@
  * Runs the fixed 6-spec basket (small/mixed/cross-SM device-heap
  * churn, packed and pow2 host churn, and a stale-free temporal
  * scenario), reports per-spec ops/s plus the remote-free machinery's
- * drain statistics and end-state fragmentation, and writes the numbers
- * to a JSON file (BENCH_alloc_throughput.json by default — the
- * committed copy at the repo root is the tracked baseline).
+ * drain statistics and end-state fragmentation. `--out FILE` writes
+ * the numbers to a JSON file (the committed BENCH_alloc_throughput.json
+ * at the repo root is the tracked baseline); without it the bench
+ * writes no file.
  *
  * Regression mode: `--check FILE [--tolerance PCT]` re-measures and
  * exits non-zero when any spec's deterministic fields (digest, alloc,
@@ -88,7 +89,7 @@ int
 main(int argc, char** argv)
 {
     double scale = 1.0;
-    std::string out_path = "BENCH_alloc_throughput.json";
+    std::string out_path;
     std::string check_path;
     double tolerance = 30.0;
     unsigned drain_interval = 256;
@@ -194,7 +195,7 @@ main(int argc, char** argv)
         spec_json.push_back(o.str());
     }
 
-    std::ofstream out(out_path, std::ios::trunc);
+    std::ostringstream out;
     out << "{\n";
     out << "  \"scale\": " << scale << ",\n";
     out << "  \"drain_interval\": " << drain_interval << ",\n";
@@ -209,8 +210,10 @@ main(int argc, char** argv)
     out << "  \"host_cpus\": "
         << std::max(1u, std::thread::hardware_concurrency()) << "\n";
     out << "}\n";
-    out.close();
-    std::printf("wrote %s\n", out_path.c_str());
+    if (!out_path.empty()) {
+        std::ofstream(out_path, std::ios::trunc) << out.str();
+        std::printf("wrote %s\n", out_path.c_str());
+    }
 
     if (!check_path.empty()) {
         const double base =

@@ -8,9 +8,9 @@
  * of host core count), then reports per-mechanism and aggregate
  * simulation rate (million simulated cycles per second), warp
  * instructions and host nanoseconds per warp instruction, plus the
- * process peak RSS, and writes the numbers to a JSON file
- * (BENCH_sim_throughput.json by default — the committed copy at the
- * repo root is the tracked baseline).
+ * process peak RSS. `--out FILE` writes the numbers to a JSON file
+ * (the committed BENCH_sim_throughput.json at the repo root is the
+ * tracked baseline); without it the bench writes no file.
  *
  * Regression mode: `--check FILE [--tolerance PCT]` re-measures and
  * exits non-zero when the aggregate rate fell more than PCT percent
@@ -129,7 +129,7 @@ main(int argc, char** argv)
 {
     double scale = 1.0;
     unsigned jobs = 1;
-    std::string out_path = "BENCH_sim_throughput.json";
+    std::string out_path;
     std::string check_path;
     double tolerance = 30.0;
     std::vector<unsigned> thread_counts;
@@ -346,7 +346,7 @@ main(int argc, char** argv)
         check_path.empty() ? 0.0
                            : baselineNumber(check_path, "peak_rss_kb");
 
-    std::ofstream out(out_path, std::ios::trunc);
+    std::ostringstream out;
     out << "{\n";
     out << "  \"scale\": " << scale << ",\n";
     out << "  \"jobs\": " << jobs << ",\n";
@@ -397,8 +397,10 @@ main(int argc, char** argv)
         out << "  ]";
     }
     out << "\n}\n";
-    out.close();
-    std::printf("wrote %s\n", out_path.c_str());
+    if (!out_path.empty()) {
+        std::ofstream(out_path, std::ios::trunc) << out.str();
+        std::printf("wrote %s\n", out_path.c_str());
+    }
 
     if (!check_path.empty()) {
         if (base <= 0.0 || base_rss <= 0.0) {
