@@ -828,7 +828,6 @@ Checker::run()
 
     buildFrames();
     explore(0);
-    report_.states = visited_.size();
     return report_;
 }
 

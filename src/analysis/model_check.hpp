@@ -47,9 +47,9 @@
  * a fixed order (events by log index, then each CTA's flushes in
  * buffer order), which makes the counts deterministic and, when no
  * bound cuts the search, the outcomes and the faults in order those
- * of the full search. The state is flat: addresses get dense ids at preprocessing, M and each
- * V_c are arrays over them, and the DFS keeps one pre-sized frame per
- * depth that it copy-assigns into.
+ * of the full search. The state is flat: addresses get dense ids at
+ * preprocessing, M and each V_c are arrays over them, and the DFS
+ * keeps one pre-sized frame per depth that it copy-assigns into.
  *
  * Each maximal execution records the tuple of values observed by the
  * *watch loads* (by default every atomic load in the log) — the
@@ -133,8 +133,6 @@ struct ModelCheckReport
     uint64_t executions = 0;
     /** Arrivals at an already explored state (not explored again). */
     uint64_t pruned = 0;
-    /** Distinct non-final states explored, at most kMaxModelStates. */
-    uint64_t states = 0;
     /** True when the execution bound or kMaxModelStates cut
      *  exploration short. */
     bool hit_bound = false;

@@ -855,8 +855,8 @@ GpuSim::executeMemory(SmCtx& sm, Warp& warp, const Instruction& inst)
     // One lane loop for every tier: the mechanism check, the
     // architectural load/store through the per-SM global view / shared
     // / local arenas, the memlog record and the region profile, then
-    // one sanitizer call for the warp. Memory state and faults are therefore identical
-    // across tiers; only the timing tail differs. The detailed tier
+    // one sanitizer call for the warp. Memory state and faults are
+    // therefore identical across tiers; only the timing tail differs. The detailed tier
     // collects coalesced lines and charges the LSU and hierarchy; the
     // functional tier skips both.
     const InstDesc& d = idesc_[warp.pc];

@@ -169,18 +169,17 @@ TEST(ModelCheck, StateCapBoundsMemory)
     using K = MemEvent::Kind;
     // 32 CTAs each store to their own address and read their
     // neighbour's: every CTA steps independently, so the states number
-    // in the billions. The search must stop at the state cap.
+    // in the billions. The state cap stops the search before the
+    // default execution bound does.
     std::vector<MemEvent> log;
     for (uint32_t c = 0; c < 32; ++c) {
         log.push_back(ev(K::Store, c, c, 0, 0x4000 + 8 * c, 1));
         log.push_back(ev(K::Load, c, c, 1, 0x4000 + 8 * ((c + 1) % 32)));
     }
     ASSERT_EQ(log.size(), analysis::kMaxModelEvents);
-    ModelCheckConfig cfg;
-    cfg.max_executions = std::numeric_limits<uint64_t>::max();
-    const ModelCheckReport r = modelCheck(log, cfg);
+    const ModelCheckReport r = modelCheck(log);
     EXPECT_TRUE(r.hit_bound);
-    EXPECT_EQ(r.states, analysis::kMaxModelStates);
+    EXPECT_LT(r.executions, ModelCheckConfig{}.max_executions);
 }
 
 TEST(ModelCheck, ScopeMismatchRaceIsReported)
