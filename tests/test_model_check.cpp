@@ -563,9 +563,10 @@ const std::vector<std::string> kSeededGolden = {
 /**
  * Pins every report field of 200 seeded logs: the execution and
  * pruned counts and the bound flag in the clear, and the outcome set,
- * faults and races in report order as their outcomeDigest. The table was recorded from the map-based checker
- * that copied a std::map state per transition, so a change to the
- * state representation that leaks state between sibling DFS frames, or
+ * faults and races in report order as their outcomeDigest. On every
+ * row that finishes within its budget the digest is that of the
+ * stateless search this checker replaced, so a change to the state
+ * representation that leaks state between sibling DFS frames, or
  * reorders transitions, shows up here. A mismatch prints the actual
  * table.
  */
