@@ -57,7 +57,7 @@ main()
         LivenessTracker::Config cfg;
         cfg.page_invalidate_opt = opt;
         StatRegistry stats;
-        LivenessTracker tracker(kDefaultCodec, cfg, &stats);
+        LivenessTracker tracker(cfg, &stats);
         const PointerCodec codec;
         Rng rng(7);
         std::vector<uint64_t> live;

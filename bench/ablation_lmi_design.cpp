@@ -97,9 +97,10 @@ main(int argc, char** argv)
         auto n = b.constInt(64);
         auto one = b.constInt(1);
         auto four = b.constInt(4);
+        auto zero = b.constInt(0);
         b.jump(header);
         b.setInsertPoint(header);
-        auto i = b.phi(Type::i64(), {{b.constInt(0), entry}});
+        auto i = b.phi(Type::i64(), {{zero, entry}});
         // ptr = start + i, recomputed each iteration; the final
         // increment reaches one-past-the-end without a dereference.
         auto ptr = b.gep(start, i);

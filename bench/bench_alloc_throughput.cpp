@@ -83,10 +83,8 @@ const char* const kDeterministicFields[] = {
     "stale_faults",   "remote_posted",  "remote_batches", "remote_drained",
     "drain_calls",    "footprint"};
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     double scale = 1.0;
     std::string out_path;
@@ -210,10 +208,8 @@ main(int argc, char** argv)
     out << "  \"host_cpus\": "
         << std::max(1u, std::thread::hardware_concurrency()) << "\n";
     out << "}\n";
-    if (!out_path.empty()) {
-        std::ofstream(out_path, std::ios::trunc) << out.str();
-        std::printf("wrote %s\n", out_path.c_str());
-    }
+    if (!out_path.empty())
+        writeOutputFile(out_path, out.str());
 
     if (!check_path.empty()) {
         const double base =
@@ -261,4 +257,12 @@ main(int argc, char** argv)
         }
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return bench::exitOnFatal([&] { return run(argc, argv); });
 }

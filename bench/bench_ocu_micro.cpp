@@ -42,7 +42,7 @@ void
 BM_OcuCheckInBounds(benchmark::State& state)
 {
     const PointerCodec codec;
-    Ocu ocu(codec);
+    Ocu ocu;
     const uint64_t p = codec.encode(0x40000, 4096);
     uint64_t off = 0;
     for (auto _ : state) {
@@ -56,7 +56,7 @@ void
 BM_OcuCheckViolation(benchmark::State& state)
 {
     const PointerCodec codec;
-    Ocu ocu(codec);
+    Ocu ocu;
     const uint64_t p = codec.encode(0x40000, 4096);
     for (auto _ : state)
         benchmark::DoNotOptimize(ocu.check(p, p + 4096));

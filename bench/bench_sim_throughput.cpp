@@ -122,10 +122,8 @@ baselineNumber(const std::string& path, const std::string& field)
     return std::strtod(s.c_str() + pos + key.size(), nullptr);
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(int argc, char** argv)
 {
     double scale = 1.0;
     unsigned jobs = 1;
@@ -397,10 +395,8 @@ main(int argc, char** argv)
         out << "  ]";
     }
     out << "\n}\n";
-    if (!out_path.empty()) {
-        std::ofstream(out_path, std::ios::trunc) << out.str();
-        std::printf("wrote %s\n", out_path.c_str());
-    }
+    if (!out_path.empty())
+        writeOutputFile(out_path, out.str());
 
     if (!check_path.empty()) {
         if (base <= 0.0 || base_rss <= 0.0) {
@@ -473,4 +469,12 @@ main(int argc, char** argv)
         }
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    return bench::exitOnFatal([&] { return run(argc, argv); });
 }

@@ -22,6 +22,22 @@
 
 namespace lmi::bench {
 
+/**
+ * Run a harness's main body: a FatalError, such as an unwritable output
+ * file, prints "error: ..." and exits 1 instead of aborting.
+ */
+template <typename Body>
+int
+exitOnFatal(Body&& body)
+{
+    try {
+        return body();
+    } catch (const FatalError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 1;
+    }
+}
+
 /** Print the standard experiment banner. */
 inline void
 banner(const std::string& artifact, const std::string& what)

@@ -19,7 +19,7 @@ RegionLayout::find(const std::string& name) const
 
 RegionLayout
 layoutBuffers(const std::vector<BufferSpec>& specs, AllocPolicy policy,
-              uint64_t packed_align, const PointerCodec& codec)
+              uint64_t packed_align)
 {
     RegionLayout layout;
     layout.buffers.resize(specs.size());
@@ -42,13 +42,13 @@ layoutBuffers(const std::vector<BufferSpec>& specs, AllocPolicy policy,
     std::vector<size_t> order(specs.size());
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return codec.alignedSize(specs[a].size) >
-               codec.alignedSize(specs[b].size);
+        return kDefaultCodec.alignedSize(specs[a].size) >
+               kDefaultCodec.alignedSize(specs[b].size);
     });
 
     uint64_t cursor = 0;
     for (size_t idx : order) {
-        const uint64_t reserved = codec.alignedSize(specs[idx].size);
+        const uint64_t reserved = kDefaultCodec.alignedSize(specs[idx].size);
         if (reserved == 0)
             lmi_fatal("buffer '%s' (%llu bytes) exceeds the maximum "
                       "extent-encodable size",

@@ -58,11 +58,9 @@ struct RegionLayout
  * @param specs        the buffers to place
  * @param policy       Packed (baseline) or Pow2Aligned (LMI)
  * @param packed_align alignment for the packed policy (default 16)
- * @param codec        pointer codec supplying K for the LMI policy
  */
 RegionLayout layoutBuffers(const std::vector<BufferSpec>& specs,
                            AllocPolicy policy,
-                           uint64_t packed_align = 16,
-                           const PointerCodec& codec = kDefaultCodec);
+                           uint64_t packed_align = 16);
 
 } // namespace lmi

@@ -11,7 +11,6 @@ analyzeFunction(const ir::IrFunction& f, const AnalysisOptions& opts)
         return report; // later passes assume structurally valid IR
 
     RangeAnalysisOptions ropts;
-    ropts.codec = opts.codec;
     ropts.subobject = opts.subobject;
     RangeAnalysis ranges = analyzeRanges(f, ropts);
     report.safety = std::move(ranges.safety);
@@ -25,7 +24,6 @@ analyzeFunction(const ir::IrFunction& f, const AnalysisOptions& opts)
     }
 
     LintOptions lopts;
-    lopts.codec = opts.codec;
     // The oracle's temporal automaton is CFG-exact where the lint
     // heuristic is dominance-approximate; don't report the same UAF
     // twice at different precision.
@@ -35,9 +33,7 @@ analyzeFunction(const ir::IrFunction& f, const AnalysisOptions& opts)
                               lint.end());
 
     if (opts.level == AnalysisLevel::Oracle) {
-        SafetyOracleOptions oopts;
-        oopts.codec = opts.codec;
-        SafetyOracleReport oracle = analyzeSafety(f, oopts);
+        SafetyOracleReport oracle = analyzeSafety(f);
         report.oracle_safe = oracle.count(AccessVerdict::ProvenSafe);
         report.oracle_spatial = oracle.count(AccessVerdict::SpatialOOB);
         report.oracle_subobject =

@@ -55,7 +55,6 @@ struct AnalysisOptions
     AnalysisLevel level = AnalysisLevel::Verify;
     /** Sub-object (narrowed fieldgep extent) mode: see range analysis. */
     bool subobject = false;
-    PointerCodec codec{};
 };
 
 /** Combined result of one pipeline run over one function. */

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "analysis/cfg.hpp"
+#include "core/pointer.hpp"
 
 namespace lmi::analysis {
 
@@ -105,12 +106,12 @@ Linter::checkSaturation()
     auto check = [&](ValueId v, uint64_t size, const std::string& what) {
         // Valid spatial extents stop below kDebugExtentBase; anything
         // larger lands in the debug/poison range and dereferences fault.
-        const unsigned e = size ? opts_.codec.extentForSize(size) : 0;
+        const unsigned e = size ? kDefaultCodec.extentForSize(size) : 0;
         if (size > 0 && (e == 0 || e >= kDebugExtentBase))
             warn(v, what + " of " + std::to_string(size) +
                         " bytes exceeds the largest encodable extent (" +
                         std::to_string(
-                            opts_.codec.sizeForExtent(kDebugExtentBase - 1)) +
+                            kDefaultCodec.sizeForExtent(kDebugExtentBase - 1)) +
                         " bytes); the extent saturates to an invalid "
                         "encoding and every derived pointer faults on "
                         "dereference");

@@ -22,14 +22,12 @@
 #include <vector>
 
 #include "analysis/diagnostic.hpp"
-#include "core/pointer.hpp"
 #include "ir/ir.hpp"
 
 namespace lmi::analysis {
 
 struct LintOptions
 {
-    PointerCodec codec{};
     /**
      * Skip the use-after-invalidate heuristic: the safety oracle
      * (safety_oracle.hpp) is running in the same pipeline and proves

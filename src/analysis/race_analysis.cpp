@@ -1033,9 +1033,7 @@ RaceAnalyzer::run()
         return report;
 
     cfg_ = Cfg::build(f_);
-    RangeAnalysisOptions ropts;
-    ropts.codec = opts_.codec;
-    ranges_ = analyzeRanges(f_, ropts);
+    ranges_ = analyzeRanges(f_);
 
     mapBlocks();
     computePurity();

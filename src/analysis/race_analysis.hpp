@@ -88,7 +88,6 @@ struct RaceAnalysisOptions
      * callers that pass one buffer twice.
      */
     bool assume_param_noalias = true;
-    PointerCodec codec{};
 };
 
 /** One shared/global access the analyzer reasons about. */

@@ -195,7 +195,7 @@ RangePass::siteFact(ValueId v, uint64_t requested) const
     // Extents at or above kDebugExtentBase collide with the debug/poison
     // encoding: the OCU treats them as invalid input and poisons the
     // result, so no check on such a pointer may ever be elided.
-    const unsigned e = requested ? opts_.codec.extentForSize(requested) : 0;
+    const unsigned e = requested ? kDefaultCodec.extentForSize(requested) : 0;
     if (e == 0 || e >= kDebugExtentBase)
         return fact; // saturated or poison-range extent: nothing provable
     fact.known_site = true;
@@ -419,7 +419,7 @@ RangePass::classifyOp(ValueId v, const IrInst& in, unsigned ptr_operand)
     if (in_fact.known_site && out_fact.known_site &&
         in_fact.site == out_fact.site) {
         const int64_t aligned =
-            int64_t(opts_.codec.alignedSize(in_fact.site_size));
+            int64_t(kDefaultCodec.alignedSize(in_fact.site_size));
         if (in_fact.offset.within(0, aligned - 1)) {
             if (out_fact.offset.within(0, aligned - 1)) {
                 out_.safety[v] = SafetyClass::ProvenSafe;
@@ -484,9 +484,8 @@ RangeAnalysis
 RangePass::run()
 {
     const Cfg cfg = Cfg::build(f_);
-    const unsigned cap = std::max(opts_.max_iters, 4u);
     bool changed = true;
-    for (unsigned iter = 0; iter < cap && changed; ++iter) {
+    for (unsigned iter = 0; iter < kFixpointPassBound && changed; ++iter) {
         changed = false;
         for (BlockId b : cfg.rpo)
             for (ValueId v : f_.blocks[b].insts)

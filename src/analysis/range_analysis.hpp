@@ -107,17 +107,20 @@ struct PointerFact
     bool operator==(const PointerFact&) const = default;
 };
 
+/**
+ * Fixpoint pass bound of the range pass and of the safety oracle's field
+ * dataflow (widening guarantees convergence well before).
+ */
+inline constexpr unsigned kFixpointPassBound = 8;
+
 struct RangeAnalysisOptions
 {
-    PointerCodec codec{};
     /**
      * Sub-object mode narrows fieldgep extents below the allocation
      * size, which invalidates the [0, alignedSize) proof for anything
      * derived from a fieldgep; such pointers stay unknown.
      */
     bool subobject = false;
-    /** Fixpoint pass bound (widening guarantees convergence well before). */
-    unsigned max_iters = 8;
 };
 
 /** Result of the pass over one (flattened) function. */

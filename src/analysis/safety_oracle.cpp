@@ -105,8 +105,7 @@ struct FieldFact
 class Oracle
 {
   public:
-    Oracle(const IrFunction& f, const SafetyOracleOptions& opts)
-        : f_(f), opts_(opts), cfg_(Cfg::build(f))
+    explicit Oracle(const IrFunction& f) : f_(f), cfg_(Cfg::build(f))
     {
     }
 
@@ -127,7 +126,6 @@ class Oracle
                                  const std::vector<SiteState>& state) const;
 
     const IrFunction& f_;
-    const SafetyOracleOptions& opts_;
     Cfg cfg_;
     RangeAnalysis ranges_;
 
@@ -171,7 +169,7 @@ Oracle::collectSites()
 void
 Oracle::computeFields()
 {
-    for (unsigned iter = 0; iter < opts_.max_iters; ++iter) {
+    for (unsigned iter = 0; iter < kFixpointPassBound; ++iter) {
         bool changed = false;
         for (BlockId b : cfg_.rpo) {
             for (ValueId v : f_.blocks[b].insts) {
@@ -317,8 +315,7 @@ Oracle::solveTemporal()
         return;
     // Forward dataflow to fixpoint. The lattice has height 3 per site,
     // so convergence is quick; the cap is a safety valve only.
-    const unsigned cap = std::max(opts_.max_iters, 4u) +
-                         unsigned(f_.blocks.size());
+    const unsigned cap = kFixpointPassBound + unsigned(f_.blocks.size());
     for (unsigned iter = 0; iter < cap; ++iter) {
         bool changed = false;
         for (BlockId b : cfg_.rpo) {
@@ -404,7 +401,7 @@ Oracle::classifyAccess(ValueId v,
     if (off.hi < 0 || off.lo > size - width) {
         w.verdict = AccessVerdict::SpatialOOB;
         const int64_t padded =
-            int64_t(opts_.codec.alignedSize(fact.site_size));
+            int64_t(kDefaultCodec.alignedSize(fact.site_size));
         w.within_padding =
             off.lo >= 0 && !off.isFull() && off.hi <= padded - width;
         return w;
@@ -471,11 +468,8 @@ Oracle::classify()
 SafetyOracleReport
 Oracle::run()
 {
-    RangeAnalysisOptions ropts;
-    ropts.codec = opts_.codec;
-    ropts.subobject = false; // absolute offsets: field windows are ours
-    ropts.max_iters = opts_.max_iters;
-    ranges_ = analyzeRanges(f_, ropts);
+    // Absolute offsets (no sub-object mode): field windows are ours.
+    ranges_ = analyzeRanges(f_);
 
     collectSites();
     computeFields();
@@ -487,9 +481,9 @@ Oracle::run()
 } // namespace
 
 SafetyOracleReport
-analyzeSafety(const IrFunction& f, const SafetyOracleOptions& opts)
+analyzeSafety(const IrFunction& f)
 {
-    return Oracle(f, opts).run();
+    return Oracle(f).run();
 }
 
 } // namespace lmi::analysis

@@ -109,13 +109,6 @@ struct AccessWitness
     std::string describe() const;
 };
 
-struct SafetyOracleOptions
-{
-    PointerCodec codec{};
-    /** Fixpoint pass bound for the field/temporal dataflow. */
-    unsigned max_iters = 8;
-};
-
 /** Result of the oracle over one (flattened) function. */
 struct SafetyOracleReport
 {
@@ -145,7 +138,6 @@ struct SafetyOracleReport
 };
 
 /** Run the oracle over one flattened (inlineCalls) function. */
-SafetyOracleReport analyzeSafety(const ir::IrFunction& f,
-                                 const SafetyOracleOptions& opts = {});
+SafetyOracleReport analyzeSafety(const ir::IrFunction& f);
 
 } // namespace lmi::analysis

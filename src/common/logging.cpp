@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdarg>
 #include <cstdlib>
+#include <fstream>
 
 namespace lmi {
 
@@ -16,6 +17,17 @@ void
 setVerbose(bool verbose)
 {
     g_verbose.store(verbose, std::memory_order_relaxed);
+}
+
+void
+writeOutputFile(const std::string& path, const std::string& text)
+{
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+    out.close();
+    if (!out)
+        lmi_fatal("cannot write %s", path.c_str());
+    std::printf("wrote %s\n", path.c_str());
 }
 
 namespace detail {

@@ -37,6 +37,12 @@ std::string formatv(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Enable/disable inform()/warn() output (benches silence them). */
 void setVerbose(bool verbose);
 
+/**
+ * Write @p text to @p path, replacing the file, and print "wrote PATH".
+ * Throws FatalError naming the path when it cannot be written.
+ */
+void writeOutputFile(const std::string& path, const std::string& text);
+
 } // namespace lmi
 
 /** Abort with a message: an internal bug, never a user error. */

@@ -438,7 +438,7 @@ Codegen::emitConst64(unsigned reg, uint64_t value)
 void
 Codegen::emitExtentEncode(unsigned reg, uint64_t size)
 {
-    const unsigned e = opts_.codec.extentForSize(size);
+    const unsigned e = kDefaultCodec.extentForSize(size);
     if (e == 0)
         lmi_fatal("%s: buffer of %llu bytes is not extent-encodable",
                   f_.name.c_str(), static_cast<unsigned long long>(size));
@@ -499,7 +499,7 @@ Codegen::emitSwCheck(unsigned in_reg, unsigned out_reg)
               Operand::imm(kExtentShift - 32)));
     // 3: derive the discard shift (modifiable bits).
     emit(make(Opcode::IADD, kScratchReg0, Operand::reg(kScratchReg0),
-              Operand::imm(opts_.codec.minAllocLog2() - 1)));
+              Operand::imm(kDefaultCodec.minAllocLog2() - 1)));
     // 4-7: XOR hi/lo pairs of input and output.
     emit(make(Opcode::LOP_XOR, kScratchReg1, Operand::reg(in_reg),
               Operand::reg(out_reg)));
@@ -952,10 +952,10 @@ Codegen::run()
         if (f_.inst(v).op == IrOp::Alloca)
             stack_specs.push_back({"alloca_" + std::to_string(v),
                                    uint64_t(f_.inst(v).imm)});
-    const AllocPolicy stack_policy =
-        (opts_.lmi || opts_.sw_baggy) ? AllocPolicy::Pow2Aligned
-                                      : opts_.stack_policy;
-    frame_ = layoutBuffers(stack_specs, stack_policy, 16, opts_.codec);
+    const AllocPolicy policy = (opts_.lmi || opts_.sw_baggy)
+                                   ? AllocPolicy::Pow2Aligned
+                                   : AllocPolicy::Packed;
+    frame_ = layoutBuffers(stack_specs, policy);
     prog_.frame_bytes = frame_.total_bytes;
     for (const auto& p : frame_.buffers)
         prog_.frame_slots.push_back(
@@ -966,10 +966,7 @@ Codegen::run()
     std::vector<BufferSpec> shared_specs;
     for (const auto& [n, sz] : f_.shared_buffers)
         shared_specs.push_back({n, sz});
-    const AllocPolicy shared_policy =
-        (opts_.lmi || opts_.sw_baggy) ? AllocPolicy::Pow2Aligned
-                                      : opts_.shared_policy;
-    shared_ = layoutBuffers(shared_specs, shared_policy, 16, opts_.codec);
+    shared_ = layoutBuffers(shared_specs, policy);
     prog_.static_shared_bytes = shared_.total_bytes;
     for (const auto& p : shared_.buffers)
         prog_.shared_slots.push_back(
@@ -1044,7 +1041,6 @@ compileKernel(const IrModule& m, const std::string& kernel_name,
     analysis::AnalysisOptions aopts;
     aopts.level = opts.analysis_level;
     aopts.subobject = opts.subobject;
-    aopts.codec = opts.codec;
     analysis::AnalysisReport report = analysis::analyzeFunction(flat, aopts);
     if (report.errors() > 0) {
         std::vector<analysis::Diagnostic> errs;
@@ -1056,8 +1052,7 @@ compileKernel(const IrModule& m, const std::string& kernel_name,
         throw CompileError(std::move(what), std::move(errs));
     }
 
-    const bool restrict_casts =
-        (opts.lmi || opts.sw_baggy) && opts.restrict_casts;
+    const bool restrict_casts = opts.lmi || opts.sw_baggy;
     PointerAnalysis pa = analyzePointers(flat, restrict_casts);
     if (restrict_casts && !pa.ok()) {
         std::string what = "LMI pass rejected kernel '" + kernel_name +

@@ -61,11 +61,12 @@ inline constexpr unsigned kScratchReg1 = 3;
 /** Compilation options selecting the protection flavor. */
 struct CodegenOptions
 {
-    /** Stack-frame buffer placement. */
-    AllocPolicy stack_policy = AllocPolicy::Packed;
-    /** Static shared-memory buffer placement. */
-    AllocPolicy shared_policy = AllocPolicy::Packed;
-    /** LMI mode: hint bits, extent encoding, temporal nullification. */
+    /**
+     * LMI mode: hint bits, extent encoding, temporal nullification.
+     * LMI and sw_baggy place stack and shared buffers 2^n-aligned and
+     * reject inttoptr/ptrtoint and pointer stores; other flavors pack
+     * them and allow casts.
+     */
     bool lmi = false;
     /**
      * Sub-object extension: fieldgep results are re-encoded with a
@@ -75,10 +76,8 @@ struct CodegenOptions
      */
     bool subobject = false;
     /** Software Baggy-Bounds: inject SASS check sequences instead of
-     *  relying on the hardware OCU (implies aligned policies). */
+     *  relying on the hardware OCU. */
     bool sw_baggy = false;
-    /** Reject inttoptr/ptrtoint and pointer stores (LMI default). */
-    bool restrict_casts = true;
     /**
      * Pointer-tagging flavor (cuCatch-style): stack/shared buffer
      * pointers carry a 16-bit buffer id in bits [63:48] instead of an
@@ -95,7 +94,6 @@ struct CodegenOptions
      * their dynamic checks.
      */
     analysis::AnalysisLevel analysis_level = analysis::AnalysisLevel::Verify;
-    PointerCodec codec{};
 };
 
 /** Bit position of the 16-bit buffer-id tag used by tagging schemes. */

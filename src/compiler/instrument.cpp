@@ -39,7 +39,6 @@ appendCheckSequence(std::vector<Instruction>& out, const DbiOptions& opts,
         ld.op = Opcode::LDG;
         ld.dst = int(kDbiReg2);
         ld.src[0] = Operand::reg(kDbiReg1);
-        ld.imm_offset = int64_t(opts.metadata_base & 0x7FFFFF);
         ld.width = 4;
         out.push_back(ld);
     }
@@ -104,7 +103,7 @@ instrumentProgram(const Program& prog, const DbiOptions& opts,
              inst.op != Opcode::ISETP && inst.op != Opcode::S2R);
 
         // memcheck-style: check the address BEFORE the access.
-        if (opts.instrument_ldst && is_mem) {
+        if (is_mem) {
             appendCheckSequence(out.code, opts, addrRegOf(inst));
             ++rep.sites_ldst;
         }

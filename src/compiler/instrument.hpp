@@ -26,11 +26,12 @@
 
 namespace lmi {
 
-/** What to instrument and how expensive each check is. */
+/**
+ * What to instrument and how expensive each check is. Every memory
+ * LD/ST always gets a check before it.
+ */
 struct DbiOptions
 {
-    /** Inject a check before every memory LD/ST. */
-    bool instrument_ldst = true;
     /** Inject a check after every hint-marked pointer operation. */
     bool instrument_pointer_ops = false;
     /**
@@ -44,8 +45,6 @@ struct DbiOptions
     unsigned check_alu_instrs = 24;
     /** Metadata loads per injected check (tripwire table lookups). */
     unsigned check_mem_loads = 2;
-    /** Base address of the (simulated) metadata table. */
-    uint64_t metadata_base = 0;
 };
 
 /** Instrumentation summary for reporting the Fig. 13 check ratio. */

@@ -41,11 +41,10 @@ class LivenessTracker
         uint64_t page_size = 64 * 1024;
     };
 
-    LivenessTracker() : LivenessTracker(kDefaultCodec, Config{}, nullptr) {}
+    LivenessTracker() : LivenessTracker(Config{}) {}
 
-    explicit LivenessTracker(const PointerCodec& codec, Config config,
-                             StatRegistry* stats = nullptr)
-        : codec_(codec), config_(config), stats_(stats)
+    explicit LivenessTracker(Config config, StatRegistry* stats = nullptr)
+        : config_(config), stats_(stats)
     {
     }
 
@@ -56,9 +55,9 @@ class LivenessTracker
     void
     onMalloc(uint64_t encoded_ptr)
     {
-        const uint64_t key = codec_.baseOf(encoded_ptr);
+        const uint64_t key = kDefaultCodec.baseOf(encoded_ptr);
         freed_.erase(key);
-        if (usesTable(codec_.sizeOf(encoded_ptr))) {
+        if (usesTable(kDefaultCodec.sizeOf(encoded_ptr))) {
             live_.insert(key);
             if (stats_) {
                 stats_->inc("liveness.registered");
@@ -85,8 +84,8 @@ class LivenessTracker
     MaybeFault
     onFree(uint64_t encoded_ptr)
     {
-        const uint64_t key = codec_.baseOf(encoded_ptr);
-        const uint64_t size = codec_.sizeOf(encoded_ptr);
+        const uint64_t key = kDefaultCodec.baseOf(encoded_ptr);
+        const uint64_t size = kDefaultCodec.sizeOf(encoded_ptr);
 
         if (!PointerCodec::isValid(encoded_ptr)) {
             // Extent already zero: either freed before or never valid.
@@ -130,8 +129,8 @@ class LivenessTracker
     {
         if (!PointerCodec::isValid(encoded_ptr))
             return false;
-        const uint64_t size = codec_.sizeOf(encoded_ptr);
-        const uint64_t key = codec_.baseOf(encoded_ptr);
+        const uint64_t size = kDefaultCodec.sizeOf(encoded_ptr);
+        const uint64_t key = kDefaultCodec.baseOf(encoded_ptr);
         if (usesTable(size))
             return live_.count(key) != 0;
         return invalidated_pages_.count(pageOf(key)) == 0;
@@ -160,15 +159,14 @@ class LivenessTracker
     void
     forEachPage(uint64_t encoded_ptr, Fn&& fn) const
     {
-        const uint64_t base = codec_.baseOf(encoded_ptr);
-        const uint64_t size = codec_.sizeOf(encoded_ptr);
+        const uint64_t base = kDefaultCodec.baseOf(encoded_ptr);
+        const uint64_t size = kDefaultCodec.sizeOf(encoded_ptr);
         // 2^n-aligned buffers > pageSize/2 are rounded to whole pages.
         const uint64_t span = std::max(size, config_.page_size);
         for (uint64_t a = base; a < base + span; a += config_.page_size)
             fn(pageOf(a));
     }
 
-    PointerCodec codec_;
     Config config_;
     StatRegistry* stats_;
     std::unordered_set<uint64_t> live_;

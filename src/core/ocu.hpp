@@ -87,14 +87,9 @@ class Ocu
      */
     static constexpr unsigned kExtraLatency = 3;
 
-    /**
-     * @param codec pointer codec (K parameterization)
-     * @param stats optional registry receiving ocu.* counters
-     */
-    explicit Ocu(const PointerCodec& codec = kDefaultCodec,
-                 StatRegistry* stats = nullptr,
-                 bool sub_extents = false)
-        : codec_(codec), stats_(stats), sub_extents_(sub_extents)
+    /** @param stats optional registry receiving ocu.* counters */
+    explicit Ocu(StatRegistry* stats = nullptr, bool sub_extents = false)
+        : stats_(stats), sub_extents_(sub_extents)
     {
     }
 
@@ -141,7 +136,7 @@ class Ocu
         }
 
         // Mask generation + XOR + AND + zero-compare (paper §VII-B/C).
-        const uint64_t mask = codec_.unmodifiableMask(e);
+        const uint64_t mask = kDefaultCodec.unmodifiableMask(e);
         const uint64_t diff = (ptr_in ^ alu_out) & mask;
         if (diff != 0) {
             ++tally.violations;
@@ -166,11 +161,7 @@ class Ocu
             stats_->inc("ocu.invalid_input", tally.invalid_input);
     }
 
-    /** The codec this unit was built with. */
-    const PointerCodec& codec() const { return codec_; }
-
   private:
-    PointerCodec codec_;
     StatRegistry* stats_;
     bool sub_extents_ = false;
 };

@@ -96,8 +96,8 @@ subExtentForSize(uint64_t size)
  * Encoder/decoder for LMI pointers.
  *
  * Parameterized on log2 of the minimum allocation size K so the alignment
- * ablation (K sweep) can instantiate non-default codecs; all production
- * paths use the paper's K = 256.
+ * ablation (K sweep) can instantiate non-default codecs; every other
+ * path uses kDefaultCodec, the paper's K = 256.
  */
 class PointerCodec
 {

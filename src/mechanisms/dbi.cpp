@@ -1,6 +1,5 @@
 #include "mechanisms/dbi.hpp"
 
-#include "arch/mem_map.hpp"
 #include "core/pointer.hpp"
 
 namespace lmi {
@@ -13,19 +12,16 @@ Program
 MemcheckMechanism::transformBinary(const Program& p)
 {
     DbiOptions opts;
-    opts.instrument_ldst = true;
-    opts.instrument_pointer_ops = false;
-    opts.check_alu_instrs = options_.check_alu_instrs;
-    opts.check_mem_loads = options_.check_mem_loads;
-    opts.metadata_base = kGlobalBase + kGlobalSize - 64 * kMiB;
+    opts.check_alu_instrs = kCheckAluInstrs;
+    opts.check_mem_loads = kCheckMemLoads;
     return instrumentProgram(p, opts, &report_);
 }
 
 uint64_t
 MemcheckMechanism::onHostAlloc(uint64_t ptr, uint64_t requested)
 {
-    tripwires_[ptr - options_.redzone] = ptr;
-    tripwires_[ptr + requested] = ptr + requested + options_.redzone;
+    tripwires_[ptr - kRedzone] = ptr;
+    tripwires_[ptr + requested] = ptr + requested + kRedzone;
     return ptr;
 }
 
@@ -99,14 +95,13 @@ Program
 LmiDbiMechanism::transformBinary(const Program& p)
 {
     DbiOptions opts;
-    opts.instrument_ldst = true;
     opts.instrument_pointer_ops = true;
     // NVBit cannot see the hint bits' dataflow precisely; the tool
     // conservatively instruments every integer ALU instruction whose
     // result could feed an address (paper §X-B: "tracked the registers
     // ... associated with these pointers").
     opts.instrument_all_int_ops = true;
-    opts.check_alu_instrs = options_.check_alu_instrs;
+    opts.check_alu_instrs = kCheckAluInstrs;
     opts.check_mem_loads = 0; // the extent check is metadata-free
     return instrumentProgram(p, opts, &report_);
 }
@@ -126,7 +121,7 @@ LmiDbiMechanism::onIntResults(const Instruction& inst, uint32_t sm,
         const unsigned e = PointerCodec::extentOf(p);
         if (e == 0 || e >= kDebugExtentBase)
             out[lane] = PointerCodec::poison(out[lane], e);
-        else if (((p ^ out[lane]) & options_.codec.unmodifiableMask(e)) != 0)
+        else if (((p ^ out[lane]) & kDefaultCodec.unmodifiableMask(e)) != 0)
             out[lane] = PointerCodec::poison(out[lane], kPoisonSpatial);
     });
 }

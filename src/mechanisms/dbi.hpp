@@ -30,31 +30,22 @@ namespace lmi {
 class MemcheckMechanism : public ProtectionMechanism
 {
   public:
-    struct Options
-    {
-        /** Trampoline ALU instructions per check: NVBit callbacks spill
-         *  live state, make an ABI call, classify the address and walk
-         *  the tripwire table — hundreds of dynamic instructions. */
-        unsigned check_alu_instrs = 960;
-        /** Tripwire-table loads per check. */
-        unsigned check_mem_loads = 12;
-        /** Red-zone bytes around each host allocation. */
-        uint64_t redzone = 64;
-        /** NVBit JIT recompilation overhead (paper: ~5.2%). */
-        double jit_fraction = 0.052;
-    };
-
-    MemcheckMechanism() : MemcheckMechanism(Options{}) {}
-    explicit MemcheckMechanism(Options options) : options_(options) {}
+    /** Trampoline ALU instructions per check: NVBit callbacks spill
+     *  live state, make an ABI call, classify the address and walk
+     *  the tripwire table — hundreds of dynamic instructions. */
+    static constexpr unsigned kCheckAluInstrs = 960;
+    /** Tripwire-table loads per check. */
+    static constexpr unsigned kCheckMemLoads = 12;
+    /** Red-zone bytes around each host allocation. */
+    static constexpr uint64_t kRedzone = 64;
+    /** NVBit JIT recompilation overhead (paper: ~5.2%). */
+    static constexpr double kJitFraction = 0.052;
 
     std::string name() const override { return "memcheck-dbi"; }
 
     Program transformBinary(const Program& p) override;
-    double launchOverheadFraction() const override
-    {
-        return options_.jit_fraction;
-    }
-    uint64_t hostRedzoneBytes() const override { return options_.redzone; }
+    double launchOverheadFraction() const override { return kJitFraction; }
+    uint64_t hostRedzoneBytes() const override { return kRedzone; }
     uint64_t onHostAlloc(uint64_t ptr, uint64_t requested) override;
     MaybeFault onHostFree(uint64_t ptr) override;
     WarpMemCheck onMemAccesses(const MemAccess& access,
@@ -65,7 +56,6 @@ class MemcheckMechanism : public ProtectionMechanism
   private:
     MemCheck checkLane(const MemAccess& access, uint64_t reg_value) const;
 
-    Options options_;
     DbiReport report_;
     /** Tripwire zones: [start, end) intervals keyed by start. */
     std::map<uint64_t, uint64_t> tripwires_;
@@ -75,18 +65,12 @@ class MemcheckMechanism : public ProtectionMechanism
 class LmiDbiMechanism : public ProtectionMechanism
 {
   public:
-    struct Options
-    {
-        /** ALU instructions per injected extent check: the check itself
-         *  is metadata-free and much cheaper than memcheck's table walk,
-         *  but the NVBit trampoline (spill/call/restore) still dominates. */
-        unsigned check_alu_instrs = 255;
-        double jit_fraction = 0.04;
-        PointerCodec codec{};
-    };
-
-    LmiDbiMechanism() : LmiDbiMechanism(Options{}) {}
-    explicit LmiDbiMechanism(Options options) : options_(options) {}
+    /** ALU instructions per injected extent check: the check itself
+     *  is metadata-free and much cheaper than memcheck's table walk,
+     *  but the NVBit trampoline (spill/call/restore) still dominates. */
+    static constexpr unsigned kCheckAluInstrs = 255;
+    /** NVBit JIT recompilation overhead. */
+    static constexpr double kJitFraction = 0.04;
 
     std::string name() const override { return "lmi-dbi"; }
 
@@ -97,7 +81,6 @@ class LmiDbiMechanism : public ProtectionMechanism
         // ops the tool instruments) but no hardware acts on them.
         CodegenOptions opts;
         opts.lmi = true;
-        opts.codec = options_.codec;
         return opts;
     }
 
@@ -105,10 +88,7 @@ class LmiDbiMechanism : public ProtectionMechanism
     bool encodePointers() const override { return true; }
 
     Program transformBinary(const Program& p) override;
-    double launchOverheadFraction() const override
-    {
-        return options_.jit_fraction;
-    }
+    double launchOverheadFraction() const override { return kJitFraction; }
     /** The injected check sequence poisons the pointer in software. */
     void onIntResults(const Instruction& inst, uint32_t sm, uint32_t mask,
                       const uint64_t* ptr_in, uint64_t* out) override;
@@ -118,7 +98,6 @@ class LmiDbiMechanism : public ProtectionMechanism
     const DbiReport& report() const { return report_; }
 
   private:
-    Options options_;
     DbiReport report_;
 };
 

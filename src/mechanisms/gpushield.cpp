@@ -7,22 +7,12 @@
 
 namespace lmi {
 
-GpuShieldMechanism::GpuShieldMechanism(Options options)
-    : options_(options)
-{
-    sms_.emplace_back(options_);
-}
-
 void
 GpuShieldMechanism::bind(DeviceState state)
 {
     ProtectionMechanism::bind(state);
-    const size_t n =
-        state_.config ? std::max(1u, state_.config->num_sms) : 1;
-    sms_.clear();
-    sms_.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        sms_.emplace_back(options_);
+    sms_ = std::vector<SmState>(
+        state_.config ? std::max(1u, state_.config->num_sms) : 1);
 }
 
 uint64_t
@@ -59,7 +49,7 @@ GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
                 // RCache probe: one bounds entry per (buffer, region
                 // chunk) in the issuing SM's RCache. A miss fetches the
                 // entry from L2.
-                const uint64_t granule = addr / options_.entry_granule;
+                const uint64_t granule = addr / kEntryGranule;
                 const uint64_t key = (tag << 20) ^ granule;
                 // Next-granule prefetch: sequential sweeps pre-fill the
                 // RCache, so only non-sequential (uncoalesced) streams
@@ -69,9 +59,8 @@ GpuShieldMechanism::onMemAccesses(const MemAccess& access, uint64_t* addrs)
                     granule == last || granule == last + 1;
                 last = granule;
                 if (!sm.rcache.access(key * 16) && !sequential) {
-                    result.extra_cycles = options_.miss_penalty;
-                    result.serialize_cycles =
-                        options_.miss_fill_occupancy;
+                    result.extra_cycles = kMissPenalty;
+                    result.serialize_cycles = kMissFillOccupancy;
                     ++sm.misses;
                 }
                 ++sm.probes;

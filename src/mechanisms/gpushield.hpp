@@ -29,29 +29,23 @@ namespace lmi {
 class GpuShieldMechanism : public ProtectionMechanism
 {
   public:
-    struct Options
-    {
-        /** RCache capacity in bounds entries. */
-        unsigned rcache_entries = 64;
-        unsigned rcache_assoc = 2;
-        /**
-         * Address granule per RCache entry: bounds are cached per
-         * (buffer, region chunk), so scattered streams touch many
-         * entries while dense streams reuse one.
-         */
-        uint64_t entry_granule = 512;
-        /** Added latency of a missing bounds entry (L2 round trip). */
-        unsigned miss_penalty = 200;
-        /**
-         * LSU-port cycles a bounds refill occupies (the fill competes
-         * with data accesses for the single load path) — the throughput
-         * cost behind needle/LSTM in Fig. 12.
-         */
-        unsigned miss_fill_occupancy = 11;
-    };
-
-    GpuShieldMechanism() : GpuShieldMechanism(Options{}) {}
-    explicit GpuShieldMechanism(Options options);
+    /** RCache capacity in bounds entries. */
+    static constexpr unsigned kRCacheEntries = 64;
+    static constexpr unsigned kRCacheAssoc = 2;
+    /**
+     * Address granule per RCache entry: bounds are cached per
+     * (buffer, region chunk), so scattered streams touch many
+     * entries while dense streams reuse one.
+     */
+    static constexpr uint64_t kEntryGranule = 512;
+    /** Added latency of a missing bounds entry (L2 round trip). */
+    static constexpr unsigned kMissPenalty = 200;
+    /**
+     * LSU-port cycles a bounds refill occupies (the fill competes
+     * with data accesses for the single load path) — the throughput
+     * cost behind needle/LSTM in Fig. 12.
+     */
+    static constexpr unsigned kMissFillOccupancy = 11;
 
     std::string name() const override { return "gpushield"; }
 
@@ -74,8 +68,7 @@ class GpuShieldMechanism : public ProtectionMechanism
     /** RCache and prefetch-detector state for one SM. */
     struct SmState
     {
-        explicit SmState(const Options& o)
-            : rcache(uint64_t(o.rcache_entries) * 16, o.rcache_assoc, 16)
+        SmState() : rcache(uint64_t(kRCacheEntries) * 16, kRCacheAssoc, 16)
         {
         }
 
@@ -87,14 +80,13 @@ class GpuShieldMechanism : public ProtectionMechanism
         uint64_t probes = 0, misses = 0;
     };
 
-    Options options_;
     /**
      * One RCache per SM (the paper's RCache is an SM-local structure);
      * MemAccess::sm selects the instance, so concurrent SM workers
      * never share a bounds cache. Sized in bind() from the config;
      * until then a single slot serves host-less unit tests.
      */
-    std::vector<SmState> sms_;
+    std::vector<SmState> sms_ = std::vector<SmState>(1);
     std::unordered_map<uint64_t, Bounds> bounds_table_;
     uint64_t next_id_ = 1;
 };

@@ -9,7 +9,7 @@
 namespace lmi {
 
 LmiMechanism::LmiMechanism(Options options)
-    : options_(options), ocu_(options.codec), ec_(), sms_(1)
+    : options_(options), sms_(1)
 {
 }
 
@@ -30,14 +30,14 @@ LmiMechanism::bind(DeviceState state)
     if (options_.subobject && options_.liveness_tracking)
         lmi_fatal("LMI options subobject and liveness_tracking are "
                   "mutually exclusive");
-    ocu_ = Ocu(options_.codec, state_.stats, options_.subobject);
+    ocu_ = Ocu(state_.stats, options_.subobject);
     ec_ = ExtentChecker(state_.stats, options_.subobject);
     sms_.assign(state_.config ? std::max(1u, state_.config->num_sms) : 1,
                 SmTally{});
     if (options_.liveness_tracking) {
         LivenessTracker::Config cfg;
         cfg.page_invalidate_opt = options_.page_invalidate_opt;
-        liveness_.emplace(options_.codec, cfg, state_.stats);
+        liveness_.emplace(cfg, state_.stats);
     }
 }
 
@@ -49,7 +49,6 @@ LmiMechanism::codegenOptions() const
     opts.subobject = options_.subobject;
     if (options_.static_elide)
         opts.analysis_level = analysis::AnalysisLevel::Full;
-    opts.codec = options_.codec;
     return opts;
 }
 

@@ -54,7 +54,6 @@ class LmiMechanism : public ProtectionMechanism
          * hint bit. Proven violations become compile errors.
          */
         bool static_elide = false;
-        PointerCodec codec{};
     };
 
     LmiMechanism() : LmiMechanism(Options{}) {}

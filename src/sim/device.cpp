@@ -91,13 +91,13 @@ checkTransfer(const ProtectionMechanism& mech, uint64_t ptr, uint64_t n)
 {
     if (!mech.encodePointers())
         return std::nullopt;
-    const PointerCodec codec;
     if (!PointerCodec::isDereferenceable(ptr)) {
         return Fault{FaultKind::InvalidExtent,
                      PointerCodec::addressOf(ptr),
                      "memcpy through a pointer with no valid extent"};
     }
-    const uint64_t end = codec.baseOf(ptr) + codec.sizeOf(ptr);
+    const uint64_t end =
+        kDefaultCodec.baseOf(ptr) + kDefaultCodec.sizeOf(ptr);
     if (PointerCodec::addressOf(ptr) + n > end) {
         return Fault{FaultKind::SpatialOverflow,
                      PointerCodec::addressOf(ptr),

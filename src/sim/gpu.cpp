@@ -667,13 +667,12 @@ GpuSim::GpuSim(const GpuConfig& config, ProtectionMechanism& mech,
         uint64_t dyn_base = program_.static_shared_bytes;
         uint64_t dyn_ptr = dyn_base;
         if (launch_.options.dynamic_shared_bytes > 0) {
-            const PointerCodec codec;
             if (mech_.encodePointers()) {
-                const uint64_t aligned =
-                    codec.alignedSize(launch_.options.dynamic_shared_bytes);
+                const uint64_t aligned = kDefaultCodec.alignedSize(
+                    launch_.options.dynamic_shared_bytes);
                 dyn_base = alignUp(dyn_base, aligned);
-                dyn_ptr = codec.encode(dyn_base,
-                                       launch_.options.dynamic_shared_bytes);
+                dyn_ptr = kDefaultCodec.encode(
+                    dyn_base, launch_.options.dynamic_shared_bytes);
             }
         }
         dyn_shared_base_ = dyn_base;

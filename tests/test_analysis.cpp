@@ -628,7 +628,6 @@ TEST(AnalysisPipeline, ProvenSafeOpsGetTheElideHint)
     b.ret();
     CodegenOptions opts;
     opts.lmi = true;
-    opts.stack_policy = AllocPolicy::Pow2Aligned;
     opts.analysis_level = AnalysisLevel::Full;
     const CompiledKernel ck =
         compileKernel(singleKernelModule(std::move(f)), "hinted", opts);

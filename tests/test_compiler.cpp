@@ -324,7 +324,6 @@ TEST(Dbi, MemcheckInstrumentsLdst)
     const CompiledKernel ck =
         compileKernel(stackKernel(), "stacky", CodegenOptions{});
     DbiOptions opts;
-    opts.instrument_ldst = true;
     opts.check_alu_instrs = 10;
     opts.check_mem_loads = 2;
     DbiReport rep;
@@ -343,7 +342,6 @@ TEST(Dbi, LmiDbiInstrumentsPointerOpsToo)
     copts.lmi = true;
     const CompiledKernel ck = compileKernel(stackKernel(), "stacky", copts);
     DbiOptions opts;
-    opts.instrument_ldst = true;
     opts.instrument_pointer_ops = true;
     DbiReport rep;
     instrumentProgram(ck.program, opts, &rep);

@@ -92,7 +92,7 @@ TEST(Liveness, PageInvalidationForLargeBuffers)
     LivenessTracker::Config cfg;
     cfg.page_invalidate_opt = true;
     cfg.page_size = 64 * 1024;
-    LivenessTracker t(kDefaultCodec, cfg);
+    LivenessTracker t(cfg);
     const PointerCodec c;
 
     // 48 KB rounds to 64 KB: above pageSize/2, so no table entry — the
@@ -114,7 +114,7 @@ TEST(Liveness, SmallBuffersStillUseTableUnderPageOpt)
 {
     LivenessTracker::Config cfg;
     cfg.page_invalidate_opt = true;
-    LivenessTracker t(kDefaultCodec, cfg);
+    LivenessTracker t(cfg);
     const PointerCodec c;
     const uint64_t small = c.encode(0x60000, 256);
     t.onMalloc(small);
@@ -128,7 +128,7 @@ TEST(Liveness, PageRemappedOnReallocation)
 {
     LivenessTracker::Config cfg;
     cfg.page_invalidate_opt = true;
-    LivenessTracker t(kDefaultCodec, cfg);
+    LivenessTracker t(cfg);
     const PointerCodec c;
     const uint64_t base = uint64_t(64) * 1024 * 32;
     const uint64_t big = c.encode(base, 128 * 1024);
@@ -142,7 +142,7 @@ TEST(Liveness, PageRemappedOnReallocation)
 TEST(Liveness, PeakEntriesGauge)
 {
     StatRegistry stats;
-    LivenessTracker t(kDefaultCodec, {}, &stats);
+    LivenessTracker t({}, &stats);
     const PointerCodec c;
     const uint64_t a = c.encode(0x10000, 256);
     const uint64_t b = c.encode(0x10100, 256);

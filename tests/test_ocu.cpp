@@ -17,7 +17,7 @@ class OcuTest : public ::testing::Test
   protected:
     PointerCodec codec;
     StatRegistry stats;
-    Ocu ocu{codec, &stats};
+    Ocu ocu{&stats};
 };
 
 TEST_F(OcuTest, InBoundsArithmeticPasses)
@@ -137,7 +137,7 @@ TEST(ExtentChecker, DelayedTerminationIdiom)
     // dereferenced there — the OCU poisons it, yet no fault is raised
     // because the EC is never consulted for that value.
     const PointerCodec codec;
-    Ocu ocu(codec);
+    Ocu ocu;
     ExtentChecker ec;
 
     // 64 ints = 256 B, exactly the minimum allocation: one-past-the-end
@@ -174,7 +174,7 @@ class OcuBoundary : public ::testing::TestWithParam<unsigned>
 TEST_P(OcuBoundary, ExactBoundary)
 {
     const PointerCodec codec;
-    Ocu ocu(codec);
+    Ocu ocu;
     const unsigned e = GetParam();
     const uint64_t size = codec.sizeForExtent(e);
     if (size > (uint64_t(1) << 40))

@@ -105,7 +105,7 @@ TEST(Property, OcuBoundaryRandomized)
 {
     Rng rng(0xBEEF);
     const PointerCodec codec;
-    Ocu ocu(codec);
+    Ocu ocu;
     for (unsigned trial = 0; trial < 20000; ++trial) {
         const unsigned e = unsigned(rng.range(1, 20));
         const uint64_t size = codec.sizeForExtent(e);

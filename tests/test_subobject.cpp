@@ -37,8 +37,7 @@ TEST(SubExtent, CodecHelpers)
 
 TEST(SubExtent, OcuEnforcesFieldBounds)
 {
-    const PointerCodec codec;
-    Ocu ocu(codec, nullptr, /*sub_extents=*/true);
+    Ocu ocu(nullptr, /*sub_extents=*/true);
     // A 32 B field at a 32 B-aligned address.
     const uint64_t field =
         PointerCodec::poison(0x10020, subExtentForSize(32));
@@ -50,8 +49,7 @@ TEST(SubExtent, OcuEnforcesFieldBounds)
 
 TEST(SubExtent, DefaultOcuTreatsSubExtentsAsPoison)
 {
-    const PointerCodec codec;
-    Ocu ocu(codec); // base LMI: 27..31 are all invalid
+    Ocu ocu; // base LMI: 27..31 are all invalid
     const uint64_t field =
         PointerCodec::poison(0x10020, subExtentForSize(32));
     const OcuResult r = ocu.check(field, field + 4);

@@ -74,7 +74,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -383,16 +383,10 @@ cmdSweep(double scale, const GlobalOpts& opts)
         std::printf("result cache: %zu hits, %zu misses\n",
                     sweep.cache_hits, sweep.cache_misses);
 
-    if (!opts.csv_path.empty()) {
-        std::ofstream out(opts.csv_path, std::ios::trunc);
-        out << sweep.renderCsv();
-        std::printf("wrote %s\n", opts.csv_path.c_str());
-    }
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path, std::ios::trunc);
-        out << sweep.renderJson();
-        std::printf("wrote %s\n", opts.json_path.c_str());
-    }
+    if (!opts.csv_path.empty())
+        writeOutputFile(opts.csv_path, sweep.renderCsv());
+    if (!opts.json_path.empty())
+        writeOutputFile(opts.json_path, sweep.renderJson());
     return sweep.failures ? 1 : 0;
 }
 
@@ -562,11 +556,8 @@ cmdVerify(const GlobalOpts& opts)
                 "(failing at severity >= %s: %zu)\n",
                 names.size(), total_errors, total_warnings,
                 analysis::severityName(threshold), over_threshold);
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path, std::ios::trunc);
-        out << json;
-        std::printf("wrote %s\n", opts.json_path.c_str());
-    }
+    if (!opts.json_path.empty())
+        writeOutputFile(opts.json_path, json);
     return over_threshold ? 1 : 0;
 }
 
@@ -702,11 +693,8 @@ cmdRaces(const GlobalOpts& opts)
     std::printf("%s", table.render().c_str());
     std::printf("%zu kernels analyzed, %zu disagreements\n",
                 items.size(), disagreements);
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path, std::ios::trunc);
-        out << json;
-        std::printf("wrote %s\n", opts.json_path.c_str());
-    }
+    if (!opts.json_path.empty())
+        writeOutputFile(opts.json_path, json);
     return disagreements ? 1 : 0;
 }
 
@@ -796,11 +784,8 @@ cmdCheck(const std::string& test_name, const GlobalOpts& opts)
                 "(bound %llu per test)\n",
                 results.size(), failed,
                 static_cast<unsigned long long>(opts.bound));
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path, std::ios::trunc);
-        out << json;
-        std::printf("wrote %s\n", opts.json_path.c_str());
-    }
+    if (!opts.json_path.empty())
+        writeOutputFile(opts.json_path, json);
     return failed ? 1 : 0;
 }
 
@@ -839,16 +824,10 @@ cmdCoverage(const GlobalOpts& opts)
     std::printf("%zu cells, %zu disagreements\n", matrix.cells.size(),
                 disagreements);
 
-    if (!opts.csv_path.empty()) {
-        std::ofstream out(opts.csv_path, std::ios::trunc);
-        out << matrix.renderCsv();
-        std::printf("wrote %s\n", opts.csv_path.c_str());
-    }
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path, std::ios::trunc);
-        out << matrix.renderJson();
-        std::printf("wrote %s\n", opts.json_path.c_str());
-    }
+    if (!opts.csv_path.empty())
+        writeOutputFile(opts.csv_path, matrix.renderCsv());
+    if (!opts.json_path.empty())
+        writeOutputFile(opts.json_path, matrix.renderJson());
     return disagreements ? 1 : 0;
 }
 
@@ -917,7 +896,7 @@ cmdChurn(double scale, const GlobalOpts& opts)
     std::printf("%s", table.render().c_str());
 
     if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path, std::ios::trunc);
+        std::ostringstream out;
         out << "{\n  \"scale\": " << scale << ",\n  \"specs\": {\n";
         for (size_t i = 0; i < specs.size(); ++i) {
             const ChurnResult& r = results[i];
@@ -935,7 +914,7 @@ cmdChurn(double scale, const GlobalOpts& opts)
                 << (i + 1 < specs.size() ? "," : "") << "\n";
         }
         out << "  }\n}\n";
-        std::printf("wrote %s\n", opts.json_path.c_str());
+        writeOutputFile(opts.json_path, out.str());
     }
     return bad ? 1 : 0;
 }
