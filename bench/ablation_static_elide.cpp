@@ -2,10 +2,10 @@
  * @file
  * Static-elision ablation (extension beyond the paper).
  *
- * The lmi+elide configuration compiles kernels at analysis level Full:
- * the range analysis proves pointer operations in-bounds at compile
- * time and marks them with the E hint bit, so the OCU power-gates
- * their dynamic checks. This harness sweeps the Table V workloads and
+ * The lmi+elide configuration compiles kernels with check elision
+ * (CodegenOptions::elide_checks): the range analysis proves pointer
+ * operations in-bounds at compile time and marks them with the E hint
+ * bit, so the OCU power-gates their dynamic checks. This harness sweeps the Table V workloads and
  * reports, per workload:
  *
  *   - how many OCU checks execute dynamically vs how many are elided

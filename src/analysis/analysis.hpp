@@ -4,7 +4,7 @@
  * the GPUArmor/L4-Pointer axis of removing statically redundant GPU
  * bounds checks on top of LMI's in-pointer metadata).
  *
- * Pass order:
+ * Pass order at AnalysisLevel::Oracle:
  *
  *   1. verify          — structural/SSA/type diagnostics; errors stop
  *                        the pipeline (later passes assume valid IR);
@@ -12,22 +12,19 @@
  *                        every hint-marked pointer op (PROVEN_SAFE /
  *                        PROVEN_VIOLATING / UNKNOWN); proven violations
  *                        are error diagnostics;
- *   3. lint            — LMI-specific advisory findings (warnings).
+ *   3. lint            — LMI-specific advisory findings (warnings);
+ *   4. safety oracle   — (safety_oracle.hpp) on the range facts of
+ *                        step 2: every memory access is classified
+ *                        {ProvenSafe, SpatialOOB, SubObjectOOB,
+ *                        TemporalUAF, Unknown}, and proven violations,
+ *                        use-after-free among them, surface as
+ *                        Severity::Violation diagnostics.
  *
- * The compiler driver consumes this through
- * CodegenOptions::analysis_level; every level runs the verifier first:
+ * AnalysisLevel::Verify (the default) stops after step 1.
  *
- *   Verify  the verifier gates compilation (the default; codegen never
- *           compiles a kernel without it, in any build);
- *   Full    verifier + range + lint; PROVEN_SAFE ops get the elide
- *           hint bit and skip the dynamic OCU check;
- *   Oracle  Full plus the whole-kernel safety oracle
- *           (safety_oracle.hpp): every memory access is classified
- *           {ProvenSafe, SpatialOOB, SubObjectOOB, TemporalUAF,
- *           Unknown}, proven violations surface as
- *           Severity::Violation diagnostics, and the lint pass defers
- *           its weaker use-after-invalidate heuristic to the oracle's
- *           CFG-exact temporal automaton.
+ * The compiler does not run this driver: compileKernel calls the
+ * verifier on every kernel and, for the elide variant, the range
+ * analysis, whose PROVEN_SAFE ops get the E hint bit.
  *
  * The barrier-aware race analyzer (race_analysis.hpp) is not a level:
  * it needs the launch geometry, so its callers run analyzeRaces().
@@ -47,14 +44,12 @@
 
 namespace lmi::analysis {
 
-/** How much of the pipeline the compiler driver runs. */
-enum class AnalysisLevel : uint8_t { Verify, Full, Oracle };
+/** How much of the pipeline analyzeFunction runs. */
+enum class AnalysisLevel : uint8_t { Verify, Oracle };
 
 struct AnalysisOptions
 {
     AnalysisLevel level = AnalysisLevel::Verify;
-    /** Sub-object (narrowed fieldgep extent) mode: see range analysis. */
-    bool subobject = false;
 };
 
 /** Combined result of one pipeline run over one function. */
@@ -62,14 +57,11 @@ struct AnalysisReport
 {
     /** All findings, in pass order. */
     std::vector<Diagnostic> diagnostics;
-    /** Range-analysis verdict per hint-marked pointer op (Full only). */
-    std::unordered_map<ir::ValueId, SafetyClass> safety;
+    /** Verdict counts of the range analysis (hint-marked pointer ops)
+     *  and of the safety oracle (memory accesses); Oracle level only. */
     size_t proven_safe = 0;
     size_t proven_violating = 0;
     size_t unknown = 0;
-
-    /** Safety-oracle access classification (Oracle level only). */
-    std::unordered_map<ir::ValueId, AccessWitness> accesses;
     size_t oracle_safe = 0;
     size_t oracle_spatial = 0;
     size_t oracle_subobject = 0;

@@ -3,7 +3,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "analysis/cfg.hpp"
 #include "core/pointer.hpp"
 
 namespace lmi::analysis {
@@ -18,10 +17,7 @@ using RootSet = std::set<ValueId>;
 class Linter
 {
   public:
-    Linter(const IrFunction& f, const LintOptions& opts)
-        : f_(f), opts_(opts), cfg_(Cfg::build(f))
-    {
-    }
+    explicit Linter(const IrFunction& f) : f_(f) {}
 
     std::vector<Diagnostic> run();
 
@@ -40,11 +36,8 @@ class Linter
     const RootSet& rootsOf(ValueId v);
     void checkSaturation();
     void checkPhiMixing();
-    void checkUseAfterInvalidate();
 
     const IrFunction& f_;
-    const LintOptions& opts_;
-    Cfg cfg_;
     std::vector<Diagnostic> diags_;
     std::unordered_map<ValueId, RootSet> roots_;
     std::set<ValueId> in_progress_;
@@ -158,81 +151,20 @@ Linter::checkPhiMixing()
     }
 }
 
-void
-Linter::checkUseAfterInvalidate()
-{
-    struct Invalidate
-    {
-        ValueId at;
-        BlockId block;
-        size_t index;
-        IrOp op;
-    };
-    std::unordered_map<ValueId, std::vector<Invalidate>> kills;
-    for (BlockId b = 0; b < f_.blocks.size(); ++b) {
-        const auto& insts = f_.blocks[b].insts;
-        for (size_t i = 0; i < insts.size(); ++i) {
-            const ValueId v = insts[i];
-            if (!valid(v))
-                continue;
-            const IrInst& in = f_.inst(v);
-            if ((in.op == IrOp::Free || in.op == IrOp::ScopeEnd) &&
-                !in.ops.empty() && valid(in.ops[0]))
-                kills[in.ops[0]].push_back({v, b, i, in.op});
-        }
-    }
-    if (kills.empty())
-        return;
-    for (BlockId b = 0; b < f_.blocks.size(); ++b) {
-        const auto& insts = f_.blocks[b].insts;
-        for (size_t i = 0; i < insts.size(); ++i) {
-            const ValueId v = insts[i];
-            if (!valid(v))
-                continue;
-            const IrInst& in = f_.inst(v);
-            if (in.op == IrOp::Phi)
-                continue; // phi uses happen on edges; skip to stay exact
-            for (ValueId o : in.ops) {
-                auto it = kills.find(o);
-                if (it == kills.end())
-                    continue;
-                for (const Invalidate& kill : it->second) {
-                    const bool after =
-                        kill.block == b
-                            ? kill.index < i
-                            : cfg_.dominates(kill.block, b);
-                    if (after) {
-                        warn(v, std::string(irOpName(in.op)) + " uses %" +
-                                    std::to_string(o) + " after " +
-                                    (kill.op == IrOp::Free ? "free"
-                                                           : "scope exit") +
-                                    " nullified its extent (dead-extent "
-                                    "pointer: the access faults at run "
-                                    "time)");
-                        break; // one finding per (use, operand) pair
-                    }
-                }
-            }
-        }
-    }
-}
-
 std::vector<Diagnostic>
 Linter::run()
 {
     checkSaturation();
     checkPhiMixing();
-    if (!opts_.defer_temporal)
-        checkUseAfterInvalidate();
     return std::move(diags_);
 }
 
 } // namespace
 
 std::vector<Diagnostic>
-lintFunction(const IrFunction& f, const LintOptions& opts)
+lintFunction(const IrFunction& f)
 {
-    return Linter(f, opts).run();
+    return Linter(f).run();
 }
 
 } // namespace lmi::analysis

@@ -5,16 +5,15 @@
  *
  * Rules:
  *
- *  - use-after-invalidate: a pointer is used at a point dominated by
- *    the free()/scope-end that nullified its extent — every such use
- *    dereferences (or derives from) a dead-extent pointer and will
- *    fault at run time;
  *  - phi-mixes-allocations: a pointer phi merges values deriving from
  *    distinct allocation sites, so no single extent describes the
  *    merged value and the range analysis can never elide its checks;
  *  - extent-saturation: an allocation larger than the codec's maximum
  *    representable size encodes extent 0 (invalid), silently degrading
  *    every derived pointer to always-faulting.
+ *
+ * Use-after-free is not a lint rule: the safety oracle
+ * (safety_oracle.hpp) proves it CFG-exactly.
  */
 
 #pragma once
@@ -26,18 +25,6 @@
 
 namespace lmi::analysis {
 
-struct LintOptions
-{
-    /**
-     * Skip the use-after-invalidate heuristic: the safety oracle
-     * (safety_oracle.hpp) is running in the same pipeline and proves
-     * temporal violations CFG-exactly, so the dominance-based
-     * approximation here would only duplicate (or contradict) it.
-     */
-    bool defer_temporal = false;
-};
-
-std::vector<Diagnostic> lintFunction(const ir::IrFunction& f,
-                                     const LintOptions& opts = {});
+std::vector<Diagnostic> lintFunction(const ir::IrFunction& f);
 
 } // namespace lmi::analysis

@@ -138,10 +138,7 @@ namespace {
 class RangePass
 {
   public:
-    RangePass(const IrFunction& f, const RangeAnalysisOptions& opts)
-        : f_(f), opts_(opts)
-    {
-    }
+    explicit RangePass(const IrFunction& f) : f_(f) {}
 
     RangeAnalysis run();
 
@@ -184,7 +181,6 @@ class RangePass
     void classifyOp(ValueId v, const IrInst& in, unsigned ptr_operand);
 
     const IrFunction& f_;
-    const RangeAnalysisOptions& opts_;
     RangeAnalysis out_;
 };
 
@@ -292,8 +288,8 @@ RangePass::evalPtr(ValueId v, const IrInst& in, unsigned iter)
         return fact;
       }
       case IrOp::FieldGep: {
-        if (opts_.subobject)
-            return {}; // the extent is narrowed; [0, A) no longer proves
+        // Whole-allocation extent: elision never runs in sub-object
+        // mode, so a field pointer keeps its allocation's [0, A) proof.
         PointerFact fact = factOf(in.ops[0]);
         fact.offset = Interval::add(fact.offset, Interval::of(in.imm));
         return fact;
@@ -507,9 +503,9 @@ RangePass::run()
 } // namespace
 
 RangeAnalysis
-analyzeRanges(const IrFunction& f, const RangeAnalysisOptions& opts)
+analyzeRanges(const IrFunction& f)
 {
-    return RangePass(f, opts).run();
+    return RangePass(f).run();
 }
 
 } // namespace lmi::analysis

@@ -113,16 +113,6 @@ struct PointerFact
  */
 inline constexpr unsigned kFixpointPassBound = 8;
 
-struct RangeAnalysisOptions
-{
-    /**
-     * Sub-object mode narrows fieldgep extents below the allocation
-     * size, which invalidates the [0, alignedSize) proof for anything
-     * derived from a fieldgep; such pointers stay unknown.
-     */
-    bool subobject = false;
-};
-
 /** Result of the pass over one (flattened) function. */
 struct RangeAnalysis
 {
@@ -144,7 +134,6 @@ struct RangeAnalysis
     }
 };
 
-RangeAnalysis analyzeRanges(const ir::IrFunction& f,
-                            const RangeAnalysisOptions& opts = {});
+RangeAnalysis analyzeRanges(const ir::IrFunction& f);
 
 } // namespace lmi::analysis

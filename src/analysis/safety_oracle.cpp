@@ -105,7 +105,8 @@ struct FieldFact
 class Oracle
 {
   public:
-    explicit Oracle(const IrFunction& f) : f_(f), cfg_(Cfg::build(f))
+    Oracle(const IrFunction& f, const RangeAnalysis& ranges)
+        : f_(f), cfg_(Cfg::build(f)), ranges_(ranges)
     {
     }
 
@@ -127,7 +128,9 @@ class Oracle
 
     const IrFunction& f_;
     Cfg cfg_;
-    RangeAnalysis ranges_;
+    /** Absolute offsets from the allocation base: field windows are
+     *  the oracle's own (computeFields). */
+    const RangeAnalysis& ranges_;
 
     /** Allocation sites (Alloca + Malloc ids) in program order. */
     std::vector<ValueId> sites_;
@@ -468,9 +471,6 @@ Oracle::classify()
 SafetyOracleReport
 Oracle::run()
 {
-    // Absolute offsets (no sub-object mode): field windows are ours.
-    ranges_ = analyzeRanges(f_);
-
     collectSites();
     computeFields();
     solveTemporal();
@@ -481,9 +481,9 @@ Oracle::run()
 } // namespace
 
 SafetyOracleReport
-analyzeSafety(const IrFunction& f)
+analyzeSafety(const IrFunction& f, const RangeAnalysis& ranges)
 {
-    return Oracle(f).run();
+    return Oracle(f, ranges).run();
 }
 
 } // namespace lmi::analysis

@@ -137,7 +137,15 @@ struct SafetyOracleReport
     }
 };
 
-/** Run the oracle over one flattened (inlineCalls) function. */
-SafetyOracleReport analyzeSafety(const ir::IrFunction& f);
+/** Run the oracle over one flattened (inlineCalls) function, reading
+ *  the range analysis of the same function. */
+SafetyOracleReport analyzeSafety(const ir::IrFunction& f,
+                                 const RangeAnalysis& ranges);
+
+/** The same, running the range analysis first. */
+inline SafetyOracleReport analyzeSafety(const ir::IrFunction& f)
+{
+    return analyzeSafety(f, analyzeRanges(f));
+}
 
 } // namespace lmi::analysis

@@ -6,6 +6,8 @@
 #include <set>
 #include <unordered_map>
 
+#include "analysis/range_analysis.hpp"
+#include "analysis/verify.hpp"
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
 #include "core/fault.hpp"
@@ -1016,11 +1018,24 @@ Codegen::run()
 
     CompiledKernel out;
     out.program = std::move(prog_);
-    out.flat_ir = f_;
-    out.analysis = pa_;
     out.frame = frame_;
-    out.shared = shared_;
     return out;
+}
+
+/** Throw a CompileError naming @p pass when @p diags hold errors. */
+void
+rejectOnErrors(const std::string& kernel_name, const char* pass,
+               const std::vector<analysis::Diagnostic>& diags)
+{
+    std::vector<analysis::Diagnostic> errs;
+    for (const auto& d : diags)
+        if (d.severity == analysis::Severity::Error)
+            errs.push_back(d);
+    if (errs.empty())
+        return;
+    std::string what = std::string(pass) + " rejected kernel '" +
+                       kernel_name + "': " + errs.front().message;
+    throw CompileError(std::move(what), std::move(errs));
 }
 
 } // namespace
@@ -1035,44 +1050,29 @@ compileKernel(const IrModule& m, const std::string& kernel_name,
 
     IrFunction flat = inlineCalls(m, *kernel);
 
-    // --- Static analysis pipeline (verifier, ranges, lints). --------
-    // Every level starts with the verifier, so no kernel is lowered
-    // without it.
-    analysis::AnalysisOptions aopts;
-    aopts.level = opts.analysis_level;
-    aopts.subobject = opts.subobject;
-    analysis::AnalysisReport report = analysis::analyzeFunction(flat, aopts);
-    if (report.errors() > 0) {
-        std::vector<analysis::Diagnostic> errs;
-        for (const auto& d : report.diagnostics)
-            if (d.severity == analysis::Severity::Error)
-                errs.push_back(d);
-        std::string what = "static analysis rejected kernel '" +
-                           kernel_name + "': " + errs.front().message;
-        throw CompileError(std::move(what), std::move(errs));
-    }
+    // The verifier gates every compile; later passes assume valid IR.
+    rejectOnErrors(kernel_name, "static analysis",
+                   analysis::verifyFunction(flat));
 
     const bool restrict_casts = opts.lmi || opts.sw_baggy;
     PointerAnalysis pa = analyzePointers(flat, restrict_casts);
-    if (restrict_casts && !pa.ok()) {
-        std::string what = "LMI pass rejected kernel '" + kernel_name +
-                           "': " + pa.violations.front().message;
-        throw CompileError(std::move(what), pa.violations);
-    }
 
-    // Propagate proven-safe classifications into the hint metadata: the
-    // backend sets the E bit and the OCU power-gates those checks.
-    if (aopts.level >= analysis::AnalysisLevel::Full)
+    // Check elision: proven violations are compile errors, and proven-
+    // safe ops get the E hint bit so the OCU power-gates their checks.
+    if (opts.elide_checks) {
+        const analysis::RangeAnalysis ranges = analysis::analyzeRanges(flat);
+        rejectOnErrors(kernel_name, "static analysis", ranges.diagnostics);
         for (auto& [v, info] : pa.pointer_ops)
-            if (auto it = report.safety.find(v);
-                it != report.safety.end() &&
+            if (auto it = ranges.safety.find(v);
+                it != ranges.safety.end() &&
                 it->second == analysis::SafetyClass::ProvenSafe)
                 info.elide = true;
+    }
+    if (restrict_casts)
+        rejectOnErrors(kernel_name, "LMI pass", pa.violations);
 
     Codegen cg(flat, pa, opts);
-    CompiledKernel out = cg.run();
-    out.report = std::move(report);
-    return out;
+    return cg.run();
 }
 
 } // namespace lmi

@@ -39,7 +39,7 @@
 #include <string>
 
 #include "alloc/layout.hpp"
-#include "analysis/analysis.hpp"
+#include "analysis/diagnostic.hpp"
 #include "arch/isa.hpp"
 #include "common/logging.hpp"
 #include "compiler/pointer_analysis.hpp"
@@ -85,15 +85,15 @@ struct CodegenOptions
      */
     bool buffer_id_tags = false;
     /**
-     * Static-analysis pipeline depth run over the flattened kernel
-     * before lowering. Every level runs the verifier, which rejects
-     * malformed IR with a CompileError; `Verify` (the default) stops
-     * there. `Full` adds the range analysis, which turns provably
-     * violating pointer arithmetic into compile errors and marks
-     * provably safe operations with the E hint bit so the OCU elides
-     * their dynamic checks.
+     * Static check elision. The verifier runs on every kernel and
+     * rejects malformed IR with a CompileError; this adds the range
+     * analysis, which turns provably violating pointer arithmetic into
+     * compile errors and marks provably safe operations with the E hint
+     * bit so the OCU elides their dynamic checks. Not combined with
+     * `subobject`, whose narrowed field extents the range analysis
+     * does not model.
      */
-    analysis::AnalysisLevel analysis_level = analysis::AnalysisLevel::Verify;
+    bool elide_checks = false;
 };
 
 /** Bit position of the 16-bit buffer-id tag used by tagging schemes. */
@@ -141,27 +141,18 @@ class CompileError : public FatalError
 ir::IrFunction inlineCalls(const ir::IrModule& m,
                            const ir::IrFunction& kernel);
 
-/** Per-kernel artifacts beyond the instruction stream. */
+/** A compiled kernel: the instruction stream and its stack frame. */
 struct CompiledKernel
 {
     Program program;
-    /** Flattened (inlined) IR the program was generated from. */
-    ir::IrFunction flat_ir;
-    /** The pointer analysis used for hint bits. */
-    PointerAnalysis analysis;
-    /** Static-analysis report: the verifier's findings (warnings only,
-     *  since errors abort the compile) plus whatever analysis_level
-     *  adds. */
-    analysis::AnalysisReport report;
     /** Stack-frame layout (offsets relative to the frame base). */
     RegionLayout frame;
-    /** Shared-memory layout. */
-    RegionLayout shared;
 };
 
 /**
  * Compile kernel @p kernel_name of module @p m.
- * Throws CompileError when the LMI pass rejects the kernel.
+ * Throws CompileError when the verifier, the range analysis (with
+ * elide_checks) or the LMI pass rejects the kernel.
  */
 CompiledKernel compileKernel(const ir::IrModule& m,
                              const std::string& kernel_name,

@@ -16,12 +16,10 @@ analyzePointers(const IrFunction& f, bool restrict_casts)
                                      f.name, v, std::move(msg)});
     };
 
-    // Pass 1: pointer-typedness. Types are explicit in this IR, so one
-    // sweep suffices (LLVM's getType()->isPointerTy() walk in Fig. 8).
-    for (ValueId v = 1; v < f.values.size(); ++v)
-        result.is_pointer[v] = f.inst(v).type.isPtr();
+    // Types are explicit in this IR, so pointer-typedness is a lookup
+    // (LLVM's getType()->isPointerTy() walk in Fig. 8).
+    auto isPointer = [&](ValueId v) { return f.inst(v).type.isPtr(); };
 
-    // Pass 2: classify instructions.
     for (ValueId v = 1; v < f.values.size(); ++v) {
         const IrInst& in = f.inst(v);
         switch (in.op) {
@@ -36,7 +34,7 @@ analyzePointers(const IrFunction& f, bool restrict_casts)
           case IrOp::ISub:
             // Lowered pointer arithmetic: exactly one pointer operand.
             for (unsigned i = 0; i < in.ops.size(); ++i) {
-                if (result.is_pointer[in.ops[i]]) {
+                if (isPointer(in.ops[i])) {
                     result.pointer_ops[v] = {i};
                     break;
                 }
@@ -66,7 +64,7 @@ analyzePointers(const IrFunction& f, bool restrict_casts)
 
           case IrOp::Store:
             // LMI restricts storing pointers to memory (paper VI-A).
-            if (result.is_pointer[in.ops[1]])
+            if (isPointer(in.ops[1]))
                 reject(v, "store of pointer %" + std::to_string(in.ops[1]) +
                               " to memory (unsupported; pointer would "
                               "escape OCU tracking)");

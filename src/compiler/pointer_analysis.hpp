@@ -44,8 +44,6 @@ struct PointerAnalysis
 {
     /** Instructions that need an OCU check, keyed by value id. */
     std::unordered_map<ir::ValueId, PointerOpInfo> pointer_ops;
-    /** Values with pointer type (includes phis and params). */
-    std::unordered_map<ir::ValueId, bool> is_pointer;
     /** Compile-time violations (casts, pointer stores), error severity. */
     std::vector<analysis::Diagnostic> violations;
 

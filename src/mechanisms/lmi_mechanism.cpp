@@ -16,27 +16,27 @@ LmiMechanism::LmiMechanism(Options options)
 std::string
 LmiMechanism::name() const
 {
-    if (options_.subobject)
-        return "lmi+subobject";
-    if (options_.static_elide)
-        return "lmi+elide";
-    return options_.liveness_tracking ? "lmi+liveness" : "lmi";
+    switch (options_.variant) {
+      case Variant::Plain:     return "lmi";
+      case Variant::Liveness:  return "lmi+liveness";
+      case Variant::Subobject: return "lmi+subobject";
+      case Variant::Elide:     return "lmi+elide";
+    }
+    lmi_panic("unknown LMI variant");
 }
 
 void
 LmiMechanism::bind(DeviceState state)
 {
     ProtectionMechanism::bind(state);
-    if (options_.subobject && options_.liveness_tracking)
-        lmi_fatal("LMI options subobject and liveness_tracking are "
-                  "mutually exclusive");
-    ocu_ = Ocu(state_.stats, options_.subobject);
-    ec_ = ExtentChecker(state_.stats, options_.subobject);
+    const bool subobject = options_.variant == Variant::Subobject;
+    ocu_ = Ocu(state_.stats, subobject);
+    ec_ = ExtentChecker(state_.stats, subobject);
     sms_.assign(state_.config ? std::max(1u, state_.config->num_sms) : 1,
                 SmTally{});
-    if (options_.liveness_tracking) {
+    if (options_.variant == Variant::Liveness) {
         LivenessTracker::Config cfg;
-        cfg.page_invalidate_opt = options_.page_invalidate_opt;
+        cfg.page_invalidate_opt = true;
         liveness_.emplace(cfg, state_.stats);
     }
 }
@@ -46,9 +46,8 @@ LmiMechanism::codegenOptions() const
 {
     CodegenOptions opts;
     opts.lmi = true;
-    opts.subobject = options_.subobject;
-    if (options_.static_elide)
-        opts.analysis_level = analysis::AnalysisLevel::Full;
+    opts.subobject = options_.variant == Variant::Subobject;
+    opts.elide_checks = options_.variant == Variant::Elide;
     return opts;
 }
 

@@ -28,32 +28,41 @@ namespace lmi {
 class LmiMechanism : public ProtectionMechanism
 {
   public:
+    /** The LMI variants the registry builds. */
+    enum class Variant : uint8_t
+    {
+        /** The paper's mechanism. */
+        Plain,
+        /**
+         * §XII-C membership-table liveness tracking, with the
+         * page-invalidation optimization for large buffers.
+         */
+        Liveness,
+        /**
+         * Intra-object (sub-K extent) extension: the compiler narrows
+         * field pointers and the OCU/EC honor extents 27..30 as
+         * 16/32/64/128 B fields. No liveness counterpart: sub-extents
+         * repurpose the UM-identity assumptions the tracker relies on.
+         */
+        Subobject,
+        /**
+         * Static-elision extension: the range analysis proves pointer
+         * operations safe and the OCU power-gates (elides) their
+         * dynamic checks via the E hint bit. Proven violations become
+         * compile errors.
+         */
+        Elide,
+    };
+
     struct Options
     {
-        /** Enable the §XII-C membership-table liveness tracker. */
-        bool liveness_tracking = false;
-        /** Enable the page-invalidation optimization for large buffers. */
-        bool page_invalidate_opt = false;
+        Variant variant = Variant::Plain;
         /**
          * Extra result latency of hinted integer ops (register-sliced
          * OCU). Default 3 cycles per §XI-C; the latency-sensitivity
          * ablation sweeps this.
          */
         unsigned ocu_latency = Ocu::kExtraLatency;
-        /**
-         * Intra-object (sub-K extent) extension: the compiler narrows
-         * field pointers and the OCU/EC honor extents 27..30 as
-         * 16/32/64/128 B fields. Not combinable with liveness tracking
-         * (sub-extents repurpose the UM-identity assumptions).
-         */
-        bool subobject = false;
-        /**
-         * Static-elision extension: compile kernels at analysis level
-         * Full, so the range analysis proves pointer operations safe and
-         * the OCU power-gates (elides) their dynamic checks via the E
-         * hint bit. Proven violations become compile errors.
-         */
-        bool static_elide = false;
     };
 
     LmiMechanism() : LmiMechanism(Options{}) {}
@@ -70,7 +79,7 @@ class LmiMechanism : public ProtectionMechanism
         // The liveness extension pairs the membership table with
         // one-time allocation (Markus/FFmalloc, cited in §XII-C) so a
         // stale alias can never match a new owner's identity.
-        return options_.liveness_tracking;
+        return options_.variant == Variant::Liveness;
     }
 
     uint64_t onHostAlloc(uint64_t ptr, uint64_t requested) override;

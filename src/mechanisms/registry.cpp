@@ -60,22 +60,15 @@ makeMechanism(MechanismKind kind)
         return std::make_unique<BaselineMechanism>();
       case MechanismKind::Lmi:
         return std::make_unique<LmiMechanism>();
-      case MechanismKind::LmiLiveness: {
-        LmiMechanism::Options opts;
-        opts.liveness_tracking = true;
-        opts.page_invalidate_opt = true;
-        return std::make_unique<LmiMechanism>(opts);
-      }
-      case MechanismKind::LmiSubobject: {
-        LmiMechanism::Options opts;
-        opts.subobject = true;
-        return std::make_unique<LmiMechanism>(opts);
-      }
-      case MechanismKind::LmiElide: {
-        LmiMechanism::Options opts;
-        opts.static_elide = true;
-        return std::make_unique<LmiMechanism>(opts);
-      }
+      case MechanismKind::LmiLiveness:
+        return std::make_unique<LmiMechanism>(
+            LmiMechanism::Options{LmiMechanism::Variant::Liveness});
+      case MechanismKind::LmiSubobject:
+        return std::make_unique<LmiMechanism>(
+            LmiMechanism::Options{LmiMechanism::Variant::Subobject});
+      case MechanismKind::LmiElide:
+        return std::make_unique<LmiMechanism>(
+            LmiMechanism::Options{LmiMechanism::Variant::Elide});
       case MechanismKind::GpuShield:
         return std::make_unique<GpuShieldMechanism>();
       case MechanismKind::BaggySw:

@@ -167,6 +167,9 @@ runSweep(const SweepSpec& spec)
                  "%u hardware thread(s); clamping sim_threads to %u",
                  jobs_used, threads_req, hw, threads_eff);
     }
+    sweep.jobs = jobs_used;
+    sweep.sim_threads_requested = threads_req;
+    sweep.sim_threads = threads_eff;
 
     std::vector<std::function<void()>> jobs;
     jobs.reserve(cells.size());

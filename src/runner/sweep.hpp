@@ -130,6 +130,14 @@ struct SweepResult
     size_t failures = 0;
     size_t timeouts = 0;
     double wall_ms = 0.0;
+    /**
+     * The thread budget the sweep ran with: job workers, and SM worker
+     * threads per cell before and after the jobs x sim_threads clamp
+     * (sim_threads < sim_threads_requested when it clamped).
+     */
+    unsigned jobs = 0;
+    unsigned sim_threads_requested = 0;
+    unsigned sim_threads = 0;
 
     /** Cell lookup; nullptr when absent. */
     const CellResult* find(const std::string& workload,

@@ -384,6 +384,24 @@ TEST(MechMemcheck, TripwireHitAndJitCost)
     EXPECT_GT(ck.program.code.size(), cb.program.code.size() + 50);
 }
 
+TEST(MechMemcheck, FreedBufferIsATripwireUntilReallocated)
+{
+    Device dev(makeMechanism(MechanismKind::MemcheckDbi));
+    uint64_t buf = dev.cudaMalloc(1024);
+    const uint64_t stale = buf;
+    ASSERT_FALSE(dev.cudaFree(buf).has_value());
+    const RunResult r = runPoke(dev, stale, 0);
+    ASSERT_TRUE(r.faulted());
+    EXPECT_EQ(r.faults[0].kind, FaultKind::TripwireHit);
+    EXPECT_EQ(r.faults[0].detail, "memcheck: access hit a red zone");
+
+    // A same-size cudaMalloc hands the base back and lifts the tripwire.
+    const uint64_t again = dev.cudaMalloc(1024);
+    ASSERT_EQ(again, stale);
+    EXPECT_FALSE(runPoke(dev, again, 0).faulted());   // byte offset 0
+    EXPECT_FALSE(runPoke(dev, again, 128).faulted()); // byte offset 512
+}
+
 TEST(MechLmiDbi, DetectsOverflowWithoutHardware)
 {
     Device dev(makeMechanism(MechanismKind::LmiDbi));

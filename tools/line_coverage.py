@@ -26,7 +26,7 @@ import sys
 # Executed share of the gcov lines in src/**/*.cpp, in percent, measured
 # on a Debug -O0 --coverage build after a full ctest run. Raise it when
 # coverage rises; lowering it needs a reason in the change log.
-FLOOR_PCT = 90.9
+FLOOR_PCT = 91.2
 
 SRC_ROOT = os.path.realpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))

@@ -76,7 +76,6 @@
 #include <cstring>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "analysis/analysis.hpp"
 #include "common/parse.hpp"
@@ -349,21 +348,16 @@ cmdSweep(double scale, const GlobalOpts& opts)
         std::printf("note: --jobs %u exceeds the %zu-cell grid; "
                     "using %zu worker(s)\n",
                     opts.jobs, ncells, ncells);
-    // The two thread axes share one budget; runSweep clamps the inner
-    // pool when the product overshoots, so say so before the run.
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned jobs_eff = unsigned(std::min<size_t>(
-        opts.jobs == 0 ? hw : opts.jobs, std::max<size_t>(ncells, 1)));
-    if (opts.sim_threads &&
-        uint64_t(jobs_eff) * opts.sim_threads > hw)
+    const SweepResult sweep = runSweep(spec);
+    // The two thread axes share one budget; say when runSweep clamped
+    // the inner one (its own warning shows only under verbose logging).
+    if (sweep.sim_threads < sweep.sim_threads_requested)
         std::fprintf(stderr,
                      "warning: %u sweep worker(s) x %u sim thread(s) "
-                     "oversubscribes %u hardware thread(s); "
-                     "sim_threads clamps to %u per cell\n",
-                     jobs_eff, opts.sim_threads, hw,
-                     std::max(1u, hw / jobs_eff));
-
-    const SweepResult sweep = runSweep(spec);
+                     "oversubscribed the host; sim_threads was clamped "
+                     "to %u per cell\n",
+                     sweep.jobs, sweep.sim_threads_requested,
+                     sweep.sim_threads);
 
     TextTable table({"workload", "mechanism", "cycles", "faults",
                      "status"});
@@ -485,9 +479,10 @@ cmdVerify(const GlobalOpts& opts)
         for (const auto& profile : workloadSuite())
             names.push_back(profile.name);
 
-    // Oracle level: the Full pipeline plus the safety oracle, so
-    // proven UAF/sub-object violations surface next to the spatial
-    // ones and the oracle access-classification counts get reported.
+    // Oracle level: verifier, range analysis, lint and the safety
+    // oracle, so proven UAF/sub-object violations surface next to the
+    // spatial ones and the oracle access-classification counts get
+    // reported.
     analysis::AnalysisOptions aopts;
     aopts.level = analysis::AnalysisLevel::Oracle;
 
