@@ -6,8 +6,7 @@
  *
  * The whole figure is one declarative SweepSpec — 28 workloads x
  * (baseline + 3 mechanisms) — executed by the ExperimentRunner across
- * all cores; `--jobs N` controls the pool, `LMI_CACHE_DIR` enables the
- * on-disk result cache so a re-run only simulates changed cells.
+ * all cores; `--jobs N` controls the pool.
  *
  * Paper headlines this harness must reproduce in shape:
  *  - LMI: near-zero overhead everywhere (average 0.22%);
@@ -62,8 +61,6 @@ main(int argc, char** argv)
     spec.scales = {args.scale};
     spec.jobs = args.jobs;
     spec.progress = true;
-    if (const char* dir = std::getenv("LMI_CACHE_DIR"))
-        spec.cache_dir = dir;
 
     const SweepResult sweep = runSweep(spec);
 
@@ -138,8 +135,7 @@ main(int argc, char** argv)
                 "GPUShield's outliers are the uncoalesced workloads "
                 "(needle, LSTM); LMI stays below %.2f%% on every "
                 "benchmark.\n", lmi_max);
-    std::printf("Sweep: %zu cells in %.1f s (%zu cached, %zu failed).\n",
-                sweep.cells.size(), sweep.wall_ms / 1000.0,
-                sweep.cache_hits, sweep.failures);
+    std::printf("Sweep: %zu cells in %.1f s (%zu failed).\n",
+                sweep.cells.size(), sweep.wall_ms / 1000.0, sweep.failures);
     return 0;
 }

@@ -7,7 +7,7 @@
  *
  * Runs as one ExperimentRunner sweep; the SweepSpec post hook pulls the
  * mechanism-specific check/LDST ratio into the cell's stat gauges so it
- * exports (and caches) with the rest of the cell.
+ * exports with the rest of the cell.
  *
  * Paper headlines: memcheck geomean 32.98x, LMI-by-DBI geomean 72.95x;
  * the per-workload winner flips with the ratio of LMI bound checks to
@@ -39,8 +39,6 @@ main(int argc, char** argv)
     spec.scales = {args.scale};
     spec.jobs = args.jobs;
     spec.progress = true;
-    if (const char* dir = std::getenv("LMI_CACHE_DIR"))
-        spec.cache_dir = dir;
     spec.post = [](Device& dev, CellResult& cell) {
         if (cell.mechanism == MechanismKind::LmiDbi) {
             const auto& mech =
@@ -97,8 +95,7 @@ main(int argc, char** argv)
     bench::compare("swin check/LDST ratio", 28.13, swin_ratio, "");
     std::printf("\nJIT recompilation launch overhead modeled at %.1f%% "
                 "(paper measured ~5.2%% via perf).\n", 5.2);
-    std::printf("Sweep: %zu cells in %.1f s (%zu cached, %zu failed).\n",
-                sweep.cells.size(), sweep.wall_ms / 1000.0,
-                sweep.cache_hits, sweep.failures);
+    std::printf("Sweep: %zu cells in %.1f s (%zu failed).\n",
+                sweep.cells.size(), sweep.wall_ms / 1000.0, sweep.failures);
     return 0;
 }

@@ -63,8 +63,6 @@ main(int argc, char** argv)
     spec.scales = {scale};
     spec.jobs = args.jobs;
     spec.progress = true;
-    if (const char* dir = std::getenv("LMI_CACHE_DIR"))
-        spec.cache_dir = dir;
     const SweepResult sweep = runSweep(spec);
 
     struct Row

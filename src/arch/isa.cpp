@@ -285,7 +285,8 @@ Instruction::toString() const
     if (op == Opcode::ISETP)
         s << "." << cmpOpName(cmp);
     if (hints.active)
-        s << " [A,S=" << hints.pointer_operand << "]";
+        s << " [A,S=" << hints.pointer_operand
+          << (hints.elide_check ? ",E" : "") << "]";
 
     if (isAtomicFamily(op)) {
         // ATOMG.add.acqrel.gpu R4, [R2], R5 /*4B*/ ; MEMBAR.release.cta

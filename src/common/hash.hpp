@@ -1,12 +1,13 @@
 /**
  * @file
- * Streaming FNV-1a hashing for experiment fingerprints.
+ * Streaming FNV-1a hashing for experiment fingerprints and digests.
  *
- * The ExperimentRunner's on-disk result cache keys every sweep cell by a
- * hash of everything that determines the (deterministic) simulation
- * outcome: the workload profile, the mechanism, the scale factor, and
- * the full GpuConfig. A stable, dependency-free hash keeps those keys
- * reproducible across processes and builds.
+ * Every sweep cell's payload names the cell by a hash of everything
+ * that determines its (deterministic) simulation outcome: the workload
+ * profile, the mechanism, the scale factor, and the full GpuConfig
+ * (cellFingerprint, runner/sweep.hpp). The digest goldens hash whole
+ * payloads. A stable, dependency-free hash keeps both reproducible
+ * across processes and builds.
  */
 
 #pragma once
@@ -61,18 +62,6 @@ class Fnv1a
     }
 
     uint64_t value() const { return state_; }
-
-    /** 16-hex-digit rendering, suitable as a cache file name. */
-    std::string
-    hex() const
-    {
-        static const char* digits = "0123456789abcdef";
-        std::string out(16, '0');
-        uint64_t v = state_;
-        for (int i = 15; i >= 0; --i, v >>= 4)
-            out[size_t(i)] = digits[v & 0xf];
-        return out;
-    }
 
   private:
     uint64_t state_ = kOffsetBasis;

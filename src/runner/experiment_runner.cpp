@@ -4,12 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <thread>
 
 #include "common/logging.hpp"
-#include "runner/result_cache.hpp"
 
 namespace lmi {
 
@@ -28,9 +26,8 @@ msSince(Clock::time_point start)
 class ProgressLine
 {
   public:
-    ProgressLine(bool enabled, std::string label, size_t total)
-        : enabled_(enabled && total > 0), label_(std::move(label)),
-          total_(total)
+    ProgressLine(bool enabled, size_t total)
+        : enabled_(enabled && total > 0), total_(total)
     {
     }
 
@@ -41,7 +38,7 @@ class ProgressLine
         if (!enabled_)
             return;
         std::lock_guard<std::mutex> lock(mutex_);
-        std::fprintf(stderr, "\r%s: %zu/%zu", label_.c_str(), done, total_);
+        std::fprintf(stderr, "\rsweep: %zu/%zu", done, total_);
         if (failures)
             std::fprintf(stderr, " (%zu failed)", failures);
         std::fflush(stderr);
@@ -56,7 +53,6 @@ class ProgressLine
 
   private:
     const bool enabled_;
-    const std::string label_;
     const size_t total_;
     std::atomic<size_t> done_{0};
     std::mutex mutex_;
@@ -87,7 +83,7 @@ std::vector<ExperimentRunner::JobOutcome>
 ExperimentRunner::run(const std::vector<std::function<void()>>& jobs)
 {
     std::vector<JobOutcome> outcomes(jobs.size());
-    ProgressLine progress(options_.progress, options_.label, jobs.size());
+    ProgressLine progress(options_.progress, jobs.size());
     std::atomic<size_t> failures{0};
 
     auto execute = [&](size_t idx) {
@@ -102,8 +98,6 @@ ExperimentRunner::run(const std::vector<std::function<void()>>& jobs)
             outcome.error = "unknown exception";
         }
         outcome.wall_ms = msSince(start);
-        outcome.timed_out = options_.timeout_sec > 0.0 &&
-                            outcome.wall_ms > options_.timeout_sec * 1e3;
         if (!outcome.ok)
             ++failures;
         progress.tick(failures.load());
@@ -138,14 +132,8 @@ runSweep(const SweepSpec& spec)
     const Clock::time_point sweep_start = Clock::now();
     const std::vector<SweepCell> cells = spec.expand();
 
-    std::unique_ptr<ResultCache> cache;
-    if (!spec.cache_dir.empty())
-        cache = std::make_unique<ResultCache>(spec.cache_dir);
-
     SweepResult sweep;
     sweep.cells.resize(cells.size());
-    std::atomic<size_t> cache_hits{0};
-    std::atomic<size_t> cache_misses{0};
 
     // One thread budget covers both axes: `jobs` workers each running a
     // cell whose launches step SMs on `sim_threads` workers. Clamp the
@@ -183,18 +171,9 @@ runSweep(const SweepSpec& spec)
             out.tier = cell.tier;
             out.fingerprint = cellFingerprint(cell);
 
-            if (cache) {
-                if (cache->load(out.fingerprint, &out)) {
-                    out.from_cache = true;
-                    ++cache_hits;
-                    return;
-                }
-                ++cache_misses; // absent, stale, or truncated entry
-            }
-
             // sim_threads is deliberately outside the fingerprint
-            // (byte-identical results), so overriding it here never
-            // splits or invalidates the cache.
+            // (byte-identical results), so overriding it here leaves
+            // the payload unchanged.
             GpuConfig cfg = cell.config;
             cfg.sim_threads =
                 cfg.sim_threads
@@ -215,16 +194,12 @@ runSweep(const SweepSpec& spec)
             out.ok = true;
             if (spec.post)
                 spec.post(dev, out);
-            if (cache)
-                cache->store(out);
         });
     }
 
     ExperimentRunner::Options opts;
     opts.jobs = spec.jobs;
-    opts.timeout_sec = spec.timeout_sec;
     opts.progress = spec.progress;
-    opts.label = "sweep";
     ExperimentRunner runner(opts);
     const std::vector<ExperimentRunner::JobOutcome> outcomes =
         runner.run(jobs);
@@ -232,7 +207,6 @@ runSweep(const SweepSpec& spec)
     for (size_t i = 0; i < outcomes.size(); ++i) {
         CellResult& cell = sweep.cells[i];
         cell.wall_ms = outcomes[i].wall_ms;
-        cell.timed_out = outcomes[i].timed_out;
         if (!outcomes[i].ok) {
             // The job threw (device exhaustion, bad config, ...): record
             // and keep sweeping — identity fields were set before the
@@ -241,11 +215,7 @@ runSweep(const SweepSpec& spec)
             cell.error = outcomes[i].error;
             ++sweep.failures;
         }
-        if (cell.timed_out)
-            ++sweep.timeouts;
     }
-    sweep.cache_hits = cache_hits.load();
-    sweep.cache_misses = cache_misses.load();
     sweep.wall_ms = msSince(sweep_start);
     return sweep;
 }

@@ -6,17 +6,16 @@
  *
  *  - ExperimentRunner itself is a generic fixed-size pool whose
  *    workers take the next job index from one shared atomic ticket,
- *    with per-job wall-clock capture, an advisory per-job timeout, and
- *    failure capture — a throwing job is recorded in its JobOutcome,
- *    never fatal to the batch. Anything shaped like
- *    "run these N independent experiments" (the security suite, custom
- *    harnesses) can use it directly.
+ *    with per-job wall-clock capture and failure capture — a throwing
+ *    job is recorded in its JobOutcome, never fatal to the batch.
+ *    Anything shaped like "run these N independent experiments" (the
+ *    security suite, custom harnesses) can use it directly.
  *
  *  - runSweep() maps a SweepSpec onto that pool: one job per grid cell,
  *    each constructing a fully isolated Device/GpuSim/SparseMemory
  *    stack, so parallel results are bit-identical to serial execution.
  *    Results come back in deterministic grid order regardless of
- *    completion order, with optional on-disk caching (ResultCache).
+ *    completion order; every cell is simulated in this process.
  *
  * Shared-state audit backing the bit-identical claim: all simulation
  * state (SparseMemory pages, caches, allocators, mechanism metadata,
@@ -44,20 +43,14 @@ class ExperimentRunner
     {
         /** Worker threads; 0 = hardware concurrency. */
         unsigned jobs = 0;
-        /** Advisory per-job timeout in seconds; 0 disables. A job that
-         *  overruns is marked timed_out but still completes (cycle-level
-         *  simulation has no safe preemption point). */
-        double timeout_sec = 0.0;
-        /** Live "label: done/total" line on stderr. */
+        /** Live "sweep: done/total" line on stderr. */
         bool progress = false;
-        std::string label = "experiments";
     };
 
     struct JobOutcome
     {
         /** Job returned normally (false: it threw; see error). */
         bool ok = false;
-        bool timed_out = false;
         std::string error;
         double wall_ms = 0.0;
     };
@@ -82,8 +75,8 @@ class ExperimentRunner
     Options options_;
 };
 
-/** Execute @p spec: expand the grid, run every cell on the pool (with
- *  caching when spec.cache_dir is set), in grid order. */
+/** Execute @p spec: expand the grid, run every cell on the pool, in
+ *  grid order. */
 SweepResult runSweep(const SweepSpec& spec);
 
 } // namespace lmi

@@ -1,6 +1,5 @@
 #include "runner/sweep.hpp"
 
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
@@ -12,14 +11,13 @@ namespace lmi {
 
 namespace {
 
-/** Bump when the serialized payload layout changes: old cache entries
- *  then miss on fingerprint and get re-simulated.
- *  v2: payload carries a trailing "end=1" sentinel so truncated files
- *  (a killed writer, a partially synced disk) are rejected instead of
- *  silently deserializing a prefix.
+/** Payload-format version, hashed into every fingerprint.
+ *  v2: payload ends in an "end=1" sentinel line.
  *  v3: the execution tier joins the fingerprint and the payload
- *  carries a "tier=" line — a functional run must never be served from
- *  a detailed-tier cache entry or vice versa. */
+ *  carries a "tier=" line.
+ *  The pinned Fig. 12 digests and perfbench hash the payload bytes, so
+ *  this value, the sentinel and the constant "timed_out=0" line must
+ *  not change. */
 constexpr uint64_t kCellFormatVersion = 3;
 
 constexpr const char* kMagic = "lmi-cell-v1";
@@ -58,47 +56,11 @@ escapeLine(const std::string& s)
 }
 
 std::string
-unescapeLine(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (size_t i = 0; i < s.size(); ++i) {
-        if (s[i] == '\\' && i + 1 < s.size()) {
-            ++i;
-            out += s[i] == 'n' ? '\n' : s[i];
-        } else {
-            out += s[i];
-        }
-    }
-    return out;
-}
-
-std::string
 fmtDouble(double v)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-/** Parse all of @p v as a number in the form serializeCellPayload
- *  writes it: an unsigned decimal, or fmtDouble's %.17g (inf and nan
- *  included). */
-template <typename T>
-bool
-parseWhole(const std::string& v, T* out)
-{
-    const char* end = v.data() + v.size();
-    const auto [ptr, ec] = std::from_chars(v.data(), end, *out);
-    return ec == std::errc() && ptr == end;
-}
-
-/** "0" or "1". */
-bool
-parseFlag(const std::string& v, bool* out)
-{
-    *out = v == "1";
-    return v == "0" || v == "1";
 }
 
 std::string
@@ -135,7 +97,7 @@ serializeCellPayload(const CellResult& cell)
     out << "tier=" << executionTierName(cell.tier) << '\n';
     out << "scale=" << fmtDouble(cell.scale) << '\n';
     out << "ok=" << (cell.ok ? 1 : 0) << '\n';
-    out << "timed_out=" << (cell.timed_out ? 1 : 0) << '\n';
+    out << "timed_out=0\n"; // see kCellFormatVersion
     out << "error=" << escapeLine(cell.error) << '\n';
 
     const RunResult& r = cell.result;
@@ -165,120 +127,8 @@ serializeCellPayload(const CellResult& cell)
     for (const auto& [name, v] : cell.device_stats.gauges())
         out << "dstat.g." << name << '=' << fmtDouble(v) << '\n';
     out << "peak_reserved=" << cell.peak_reserved << '\n';
-    // Must stay the last line: the deserializer treats a payload
-    // without it as truncated.
-    out << "end=1\n";
+    out << "end=1\n"; // see kCellFormatVersion
     return out.str();
-}
-
-bool
-deserializeCellPayload(const std::string& text, uint64_t expect_fp,
-                       CellResult* out)
-{
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != kMagic)
-        return false;
-
-    // The RunResult counters, one "name=<u64>" line each.
-    static const std::pair<const char*, uint64_t RunResult::*> kCounts[] = {
-        {"cycles", &RunResult::cycles},
-        {"instructions", &RunResult::instructions},
-        {"thread_instructions", &RunResult::thread_instructions},
-        {"ldg", &RunResult::ldg},
-        {"stg", &RunResult::stg},
-        {"lds", &RunResult::lds},
-        {"sts", &RunResult::sts},
-        {"ldl", &RunResult::ldl},
-        {"stl", &RunResult::stl},
-        {"l1_hits", &RunResult::l1_hits},
-        {"l1_misses", &RunResult::l1_misses},
-        {"l2_hits", &RunResult::l2_hits},
-        {"l2_misses", &RunResult::l2_misses},
-        {"dram_accesses", &RunResult::dram_accesses},
-    };
-
-    CellResult cell;
-    bool fp_seen = false;
-    bool end_seen = false;
-    // Every field parses whole-string: a corrupted value ("cycles=abc",
-    // an out-of-range fault kind) makes the entry a miss, never a hit
-    // carrying a wrong number.
-    while (std::getline(in, line)) {
-        const size_t eq = line.find('=');
-        if (eq == std::string::npos)
-            return false;
-        const std::string key = line.substr(0, eq);
-        const std::string value = line.substr(eq + 1);
-        RunResult& r = cell.result;
-        uint64_t u = 0;
-        double g = 0.0;
-        bool good = true;
-        if (key == "fingerprint") {
-            if (value != fmtHex64(expect_fp))
-                return false; // stale entry for another cell/version
-            cell.fingerprint = expect_fp;
-            fp_seen = true;
-        } else if (key == "workload") {
-            cell.workload = unescapeLine(value);
-        } else if (key == "mechanism") {
-            good = mechanismFromName(value, &cell.mechanism);
-        } else if (key == "tier") {
-            good = parseExecutionTier(value, &cell.tier);
-        } else if (key == "scale") {
-            good = parseWhole(value, &cell.scale);
-        } else if (key == "ok") {
-            good = parseFlag(value, &cell.ok);
-        } else if (key == "timed_out") {
-            good = parseFlag(value, &cell.timed_out);
-        } else if (key == "error") {
-            cell.error = unescapeLine(value);
-        } else if (key == "aborted") {
-            good = parseFlag(value, &r.aborted);
-        } else if (key == "fault") {
-            const size_t p1 = value.find('|');
-            const size_t p2 =
-                p1 == std::string::npos ? p1 : value.find('|', p1 + 1);
-            Fault f;
-            good = p2 != std::string::npos &&
-                   parseWhole(value.substr(0, p1), &u) &&
-                   u <= uint64_t(FaultKind::BarrierDivergence) &&
-                   parseWhole(value.substr(p1 + 1, p2 - p1 - 1),
-                              &f.address);
-            if (good) {
-                f.kind = FaultKind(u);
-                f.detail = unescapeLine(value.substr(p2 + 1));
-                r.faults.push_back(std::move(f));
-            }
-        } else if (key.rfind("rstat.c.", 0) == 0) {
-            if ((good = parseWhole(value, &u)))
-                r.stats.inc(key.substr(8), u);
-        } else if (key.rfind("rstat.g.", 0) == 0) {
-            if ((good = parseWhole(value, &g)))
-                r.stats.set(key.substr(8), g);
-        } else if (key.rfind("dstat.c.", 0) == 0) {
-            if ((good = parseWhole(value, &u)))
-                cell.device_stats.inc(key.substr(8), u);
-        } else if (key.rfind("dstat.g.", 0) == 0) {
-            if ((good = parseWhole(value, &g)))
-                cell.device_stats.set(key.substr(8), g);
-        } else if (key == "peak_reserved") {
-            good = parseWhole(value, &cell.peak_reserved);
-        } else if (key == "end") {
-            end_seen = value == "1"; // "end=" alone is a cut-off write
-        } else {
-            for (const auto& [name, field] : kCounts)
-                if (key == name)
-                    good = parseWhole(value, &(r.*field));
-        }
-        // Unknown keys are skipped: newer writers stay readable.
-        if (!good)
-            return false;
-    }
-    if (!fp_seen || !end_seen)
-        return false; // missing sentinel: truncated or foreign payload
-    *out = std::move(cell);
-    return true;
 }
 
 const CellResult*
@@ -297,21 +147,19 @@ SweepResult::find(const std::string& workload, MechanismKind mechanism,
 std::string
 SweepResult::renderCsv() const
 {
-    // Columns 1-23 are deterministic simulation outcome; wall_ms and
+    // Columns 1-21 are deterministic simulation outcome; wall_ms and
     // later are per-run measurements. CI byte-compares the prefix.
     TextTable table({"workload", "mechanism", "tier", "scale", "status",
-                     "from_cache", "timed_out", "cycles", "instructions",
-                     "thread_instructions", "ldg", "stg", "lds", "sts",
-                     "ldl", "stl", "l1_hits", "l1_misses", "l2_hits",
-                     "l2_misses", "dram_accesses", "faults",
-                     "peak_reserved", "wall_ms", "mcycles_per_sec",
-                     "sim_threads", "error"});
+                     "cycles", "instructions", "thread_instructions",
+                     "ldg", "stg", "lds", "sts", "ldl", "stl", "l1_hits",
+                     "l1_misses", "l2_hits", "l2_misses", "dram_accesses",
+                     "faults", "peak_reserved", "wall_ms",
+                     "mcycles_per_sec", "sim_threads", "error"});
     for (const CellResult& c : cells) {
         const RunResult& r = c.result;
         table.addRow({c.workload, mechanismKindName(c.mechanism),
                       executionTierName(c.tier),
                       fmtF(c.scale, 4), c.ok ? "ok" : "error",
-                      c.from_cache ? "1" : "0", c.timed_out ? "1" : "0",
                       std::to_string(r.cycles),
                       std::to_string(r.instructions),
                       std::to_string(r.thread_instructions),
@@ -335,7 +183,7 @@ std::string
 SweepResult::renderJson() const
 {
     std::ostringstream out;
-    out << "{\n  \"schema_version\": 3,\n  \"cells\": [\n";
+    out << "{\n  \"schema_version\": 4,\n  \"cells\": [\n";
     for (size_t i = 0; i < cells.size(); ++i) {
         const CellResult& c = cells[i];
         const RunResult& r = c.result;
@@ -344,8 +192,6 @@ SweepResult::renderJson() const
             << "\", \"tier\": \"" << executionTierName(c.tier)
             << "\", \"scale\": " << fmtDouble(c.scale)
             << ", \"ok\": " << (c.ok ? "true" : "false")
-            << ", \"from_cache\": " << (c.from_cache ? "true" : "false")
-            << ", \"timed_out\": " << (c.timed_out ? "true" : "false")
             << ", \"cycles\": " << r.cycles
             << ", \"instructions\": " << r.instructions
             << ", \"thread_instructions\": " << r.thread_instructions
@@ -386,10 +232,7 @@ SweepResult::renderJson() const
         out << "}}" << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
-    out << "  \"cache_hits\": " << cache_hits << ",\n";
-    out << "  \"cache_misses\": " << cache_misses << ",\n";
     out << "  \"failures\": " << failures << ",\n";
-    out << "  \"timeouts\": " << timeouts << ",\n";
     out << "  \"wall_ms\": " << fmtDouble(wall_ms) << "\n";
     out << "}\n";
     return out.str();

@@ -12,9 +12,9 @@
  * CellResult captures everything deterministic about one cell: the
  * RunResult, the device-level StatRegistry (allocator counters included)
  * and the peak host reservation. serializeCellPayload() renders exactly
- * that deterministic payload; the on-disk result cache stores it, and
- * the determinism test byte-compares it between serial and parallel
- * sweeps.
+ * that deterministic payload; the determinism tests byte-compare it
+ * between serial and parallel sweeps, and the Fig. 12 digest goldens
+ * hash it.
  */
 
 #pragma once
@@ -40,18 +40,18 @@ struct SweepCell
     double scale = 1.0;
     GpuConfig config;
     /** Execution tier the cell runs under (sim/launch_options.hpp).
-     *  Part of the cache fingerprint: a functional run must never
-     *  satisfy a detailed-tier cache lookup. */
+     *  Part of the fingerprint: a functional and a detailed run of the
+     *  same cell never share one. */
     ExecutionTier tier = ExecutionTier::Detailed;
     /** Unused (see SamplingParams). */
     SamplingParams sampling;
 };
 
 /**
- * Cache key: a hash of everything that determines the (deterministic)
- * simulation outcome — the full workload profile, the mechanism, the
- * scale, the full GpuConfig, the execution tier, and a
- * serialization-format version.
+ * The cell's name inside its payload: a hash of the inputs that
+ * determine the (deterministic) simulation outcome — the full workload
+ * profile, the mechanism, the scale, the full GpuConfig, the execution
+ * tier, and a serialization-format version.
  */
 uint64_t cellFingerprint(const SweepCell& cell);
 
@@ -69,11 +69,6 @@ struct CellResult
     /** The job ran to completion (the run may still have raised sim
      *  faults — those are data, recorded in result.faults). */
     bool ok = false;
-    /** Result came from the on-disk cache, not a fresh simulation. */
-    bool from_cache = false;
-    /** Wall-clock exceeded SweepSpec::timeout_sec (advisory: the cell
-     *  still completed; cycle-level simulation is not interruptible). */
-    bool timed_out = false;
     /** Exception text when !ok. */
     std::string error;
 
@@ -91,15 +86,14 @@ struct CellResult
 
     /** Per-launch worker threads the cell ran with (measurement, like
      *  wall_ms: results are byte-identical for every value, so it is
-     *  not part of the deterministic payload). 0 for cached cells. */
+     *  not part of the deterministic payload). */
     unsigned sim_threads = 0;
 
     /** Simulation rate in million cycles per wall-clock second — the
-     *  sweep's throughput figure of merit. 0 for cached cells (their
-     *  wall clock measures a file read, not simulation). */
+     *  sweep's throughput figure of merit. */
     double simMcps() const
     {
-        return !from_cache && ok && wall_ms > 0.0
+        return ok && wall_ms > 0.0
                    ? double(result.cycles) / wall_ms / 1000.0
                    : 0.0;
     }
@@ -109,26 +103,16 @@ struct CellResult
 
 /**
  * Render the deterministic payload of @p cell as line-oriented text.
- * Byte-equal payloads <=> identical simulation outcomes; the result
- * cache stores this text and the determinism test compares it.
+ * Byte-equal payloads <=> identical simulation outcomes; the
+ * determinism tests compare this text and the digest goldens hash it.
  */
 std::string serializeCellPayload(const CellResult& cell);
-
-/** Parse a serializeCellPayload() rendering; false on malformed input
- *  (including a version/fingerprint mismatch against @p expect_fp). */
-bool deserializeCellPayload(const std::string& text, uint64_t expect_fp,
-                            CellResult* out);
 
 /** Results of a whole sweep, in deterministic grid order. */
 struct SweepResult
 {
     std::vector<CellResult> cells;
-    size_t cache_hits = 0;
-    /** Cells simulated because the cache had no (valid) entry. Stays 0
-     *  when the sweep ran without a cache directory. */
-    size_t cache_misses = 0;
     size_t failures = 0;
-    size_t timeouts = 0;
     double wall_ms = 0.0;
     /**
      * The thread budget the sweep ran with: job workers, and SM worker
@@ -146,7 +130,7 @@ struct SweepResult
     /** Flat CSV (one row per cell) via the common TextTable formatter. */
     std::string renderCsv() const;
 
-    /** JSON export: {"cells": [...], "cache_hits": n, ...}. */
+    /** JSON export: {"cells": [...], "failures": n, ...}. */
     std::string renderJson() const;
 };
 
@@ -183,11 +167,6 @@ struct SweepSpec
     /** Clamp jobs x sim_threads to the host's hardware concurrency
      *  (cleared by scaling benchmarks that measure oversubscription). */
     bool clamp_sim_threads = true;
-    /** Advisory per-job timeout in seconds; 0 disables. Exceeding it
-     *  marks the cell timed_out but never aborts the sweep. */
-    double timeout_sec = 0.0;
-    /** Result-cache directory; empty disables caching. */
-    std::string cache_dir;
     /** Live progress line on stderr. */
     bool progress = false;
 
@@ -195,7 +174,7 @@ struct SweepSpec
      * Post-run hook, invoked on the worker thread with the cell's
      * private Device while it is still alive — the place to pull
      * mechanism-specific numbers (e.g. the DBI check/LDST ratio) into
-     * device_stats gauges so they export and cache with the cell. Must
+     * device_stats gauges so they export with the cell. Must
      * touch only this cell's Device and CellResult.
      */
     std::function<void(Device&, CellResult&)> post;

@@ -63,13 +63,13 @@ struct GpuConfig
 /**
  * Fold every simulation-relevant GpuConfig field into @p h.
  *
- * The ExperimentRunner's result cache keys cells by this fingerprint, so
- * any field added to GpuConfig MUST be added here too — a missed field
- * makes stale cache entries satisfy runs under the changed config.
+ * Every sweep cell's fingerprint (cellFingerprint) hashes the config
+ * through this, so any field added to GpuConfig MUST be added here too —
+ * a missed field gives two different configs one fingerprint.
  *
  * Sole exception: sim_threads. The parallel simulator is byte-identical
- * to serial execution, so a cached cell is valid under any thread
- * count; hashing it would needlessly split the cache.
+ * to serial execution, so a cell's payload, fingerprint included, is the
+ * same under any thread count.
  */
 inline Fnv1a&
 hashConfig(Fnv1a& h, const GpuConfig& c)

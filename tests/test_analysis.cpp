@@ -17,6 +17,7 @@
 #include "arch/microcode.hpp"
 #include "compiler/codegen.hpp"
 #include "ir/builder.hpp"
+#include "ir/parser.hpp"
 #include "mechanisms/registry.hpp"
 #include "security/violations.hpp"
 #include "sim/device.hpp"
@@ -514,6 +515,40 @@ TEST(RangeAnalysis, SaturatedAllocationIsNeverProven)
     b.ret();
     const analysis::RangeAnalysis ra = analysis::analyzeRanges(f);
     EXPECT_EQ(ra.safety.at(slot), SafetyClass::Unknown);
+}
+
+TEST(RangeAnalysis, IminTakesEachBoundFromEitherOperand)
+{
+    // No builder emits imin, but IR text can: min([0, 40], [4, 35])
+    // takes its low bound from the first operand, its high from the
+    // second.
+    const IrFunction f = parseFunction(R"(
+define void @clamp() {
+entry:
+  %1 = gtid : i64
+  %2 = const 40 : i64
+  %3 = iand %1, %2 : i64
+  %4 = const 31 : i64
+  %5 = iand %1, %4 : i64
+  %6 = const 4 : i64
+  %7 = iadd %5, %6 : i64
+  %8 = imin %3, %7 : i64
+  ret
+}
+)");
+    ValueId lhs = 0, rhs = 0, min = 0;
+    for (ValueId v = 1; v < f.values.size(); ++v) {
+        if (f.inst(v).op != IrOp::IMin)
+            continue;
+        min = v;
+        lhs = f.inst(v).ops.at(0);
+        rhs = f.inst(v).ops.at(1);
+    }
+    ASSERT_NE(min, 0u);
+    const analysis::RangeAnalysis ra = analysis::analyzeRanges(f);
+    EXPECT_EQ(ra.ranges.at(lhs), Interval::range(0, 40));
+    EXPECT_EQ(ra.ranges.at(rhs), Interval::range(4, 35));
+    EXPECT_EQ(ra.ranges.at(min), Interval::range(0, 35));
 }
 
 // ---------------------------------------------------------------------

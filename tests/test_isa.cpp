@@ -48,6 +48,10 @@ TEST(Isa, DisassemblyShowsHints)
     const std::string s = inst.toString();
     EXPECT_NE(s.find("IADD"), std::string::npos);
     EXPECT_NE(s.find("[A,S=0]"), std::string::npos);
+
+    // A check the range analysis proved redundant carries the E bit.
+    inst.hints = {true, 1, true};
+    EXPECT_NE(inst.toString().find("[A,S=1,E]"), std::string::npos);
 }
 
 TEST(Isa, ValidateRejectsBadBranch)

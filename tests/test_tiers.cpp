@@ -10,8 +10,8 @@
  *    violation matrix, and the same race-sanitizer verdicts;
  *  - functional runs must stay deterministic across sim_threads, like
  *    the detailed tier's byte-identity guarantee;
- *  - the result-cache fingerprint must separate the tiers so no
- *    cross-tier entry is ever served.
+ *  - the cell fingerprint must separate the tiers, so a detailed and a
+ *    functional payload of one cell never carry the same name.
  */
 
 #include <gtest/gtest.h>

@@ -60,10 +60,7 @@
  * sweep, security; 0 = all cores, default 1), `--sim-threads N` sets
  * the per-launch SM worker count (run, compare, sweep; byte-identical
  * results, clamped so jobs x sim_threads never oversubscribes the
- * host), `--cache DIR` points the on-disk result cache (also via
- * LMI_CACHE_DIR; sweeps only re-simulate cells whose
- * workload/mechanism/scale/config/tier fingerprint changed), and
- * `--tier detailed|functional` selects the execution tier (run,
+ * host), and `--tier detailed|functional` selects the execution tier (run,
  * compare, sweep, races --dynamic; see sim/launch_options.hpp —
  * functional skips all timing for speed).
  * Unknown `--flags` are an error: usage goes to stderr, exit code 2.
@@ -102,7 +99,6 @@ struct GlobalOpts
     /** Worker threads inside each launch (0 = config/env default).
      *  Results are byte-identical for every value. */
     unsigned sim_threads = 0;
-    std::string cache_dir;
     std::string csv_path;
     std::string json_path;
     std::string workloads_filter;  ///< comma-separated names
@@ -161,8 +157,7 @@ usage()
         "              [--sim-threads N] [--tier T]\n"
         "  lmi_explore sweep [scale] [--jobs N] [--sim-threads N]\n"
         "              [--workloads a,b] [--mechanisms m1,m2]\n"
-        "              [--cache DIR] [--tier T]\n"
-        "              [--csv FILE] [--json FILE]\n"
+        "              [--tier T] [--csv FILE] [--json FILE]\n"
         "  lmi_explore disasm <workload> <mechanism>\n"
         "  lmi_explore trace <workload> <mechanism> [events]\n"
         "  lmi_explore verify [--workloads a,b] [--json FILE]\n"
@@ -175,7 +170,7 @@ usage()
         "              [--csv FILE] [--json FILE]\n"
         "  lmi_explore churn [scale] [--workloads s1,s2] [--json FILE]\n"
         "global flags: --jobs N (0 = all cores), --sim-threads N,\n"
-        "              --cache DIR, --tier detailed|functional\n"
+        "              --tier detailed|functional\n"
         "  --jobs runs whole cells in parallel; --sim-threads\n"
         "  parallelizes SM execution inside each launch (results are\n"
         "  byte-identical; jobs x sim-threads is clamped to the host\n"
@@ -282,7 +277,6 @@ cmdCompare(const std::string& workload, double scale,
     spec.tier = opts.tier;
     spec.jobs = opts.jobs;
     spec.sim_threads = opts.sim_threads;
-    spec.cache_dir = opts.cache_dir;
     const SweepResult sweep = runSweep(spec);
 
     const CellResult* base =
@@ -337,7 +331,6 @@ cmdSweep(double scale, const GlobalOpts& opts)
     spec.tier = opts.tier;
     spec.jobs = opts.jobs;
     spec.sim_threads = opts.sim_threads;
-    spec.cache_dir = opts.cache_dir;
     spec.progress = true;
 
     // Surface the effective pool size up front: asking for more job
@@ -365,17 +358,11 @@ cmdSweep(double scale, const GlobalOpts& opts)
         table.addRow({cell.workload, mechanismKindName(cell.mechanism),
                       std::to_string(cell.result.cycles),
                       std::to_string(cell.result.faults.size()),
-                      cell.ok ? (cell.from_cache ? "cached" : "ok")
-                              : "error: " + cell.error});
+                      cell.ok ? "ok" : "error: " + cell.error});
     }
     std::printf("%s", table.render().c_str());
-    std::printf("%zu cells, %.1f s wall, %zu cached, %zu failed, "
-                "%zu over timeout\n",
-                sweep.cells.size(), sweep.wall_ms / 1000.0,
-                sweep.cache_hits, sweep.failures, sweep.timeouts);
-    if (!opts.cache_dir.empty())
-        std::printf("result cache: %zu hits, %zu misses\n",
-                    sweep.cache_hits, sweep.cache_misses);
+    std::printf("%zu cells, %.1f s wall, %zu failed\n",
+                sweep.cells.size(), sweep.wall_ms / 1000.0, sweep.failures);
 
     if (!opts.csv_path.empty())
         writeOutputFile(opts.csv_path, sweep.renderCsv());
@@ -414,7 +401,6 @@ cmdSecurity(MechanismKind kind, const GlobalOpts& opts)
     }
     ExperimentRunner::Options ropts;
     ropts.jobs = opts.jobs;
-    ropts.label = "security";
     ExperimentRunner runner(ropts);
     const auto job_outcomes = runner.run(jobs);
 
@@ -923,8 +909,6 @@ main(int argc, char** argv)
 
     // Strip global flags; what remains are the positional arguments.
     GlobalOpts opts;
-    if (const char* dir = std::getenv("LMI_CACHE_DIR"))
-        opts.cache_dir = dir;
     std::vector<std::string> args;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -977,8 +961,7 @@ main(int argc, char** argv)
                                  "sampled tier (expected --tier "
                                  "detailed|functional)\n");
             return usage();
-        } else if (flagValue("--cache", &opts.cache_dir) ||
-                   flagValue("--csv", &opts.csv_path) ||
+        } else if (flagValue("--csv", &opts.csv_path) ||
                    flagValue("--json", &opts.json_path) ||
                    flagValue("--severity", &opts.severity))
             ;
